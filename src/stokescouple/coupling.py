@@ -40,6 +40,7 @@ from .fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     build_space,
+    dirichlet_trace_lift,
 )
 from .linalg import CsrMatrix, factorize, solve
 from .mesh import Mesh, Subdomain
@@ -165,9 +166,9 @@ def _friction_multiplier_system(
     The first row gives lam = alpha * jump, so eliminating lam recovers the
     penalty matrix A + alpha (T_u - T_l)^T P^T M P (T_u - T_l) exactly, while
     every entry stays O(1) or O(1/alpha) instead of O(alpha).  The multiplier
-    comes first because COLAMD breaks ties by column index: on 64x32x8 the
-    L+U fill is then 24.84M, against 24.74M for the penalty matrix and
-    25.48M with the multiplier last.
+    comes first; the minimum-degree ordering of `linalg.factorize` makes the
+    placement immaterial: on 64x32x8 at alpha = 10 the L+U fill is 5,660,504
+    with the multiplier first and 5,660,649 with it last.
     """
     layout = system.layout
     n_trace = trace_mass.shape[0]
@@ -212,7 +213,7 @@ def solve_monolithic_friction(
         raise ValueError(f"friction mode needs a finite friction coefficient >= 0, got {alpha}")
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    system = assemble_coupled_system(mesh, nu1, nu2, force1, force2, CouplingMode.FRICTION, 0.0)
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, 0.0)
     if alpha == 0.0:
         x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
     else:
@@ -234,7 +235,7 @@ def solve_monolithic_continuity(
     infinite-friction limit)."""
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    system = assemble_coupled_system(mesh, nu1, nu2, force1, force2, CouplingMode.CONTINUITY)
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
     x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
     return _field_from_solution(disc, system.layout, x, float("inf"))
 
@@ -290,9 +291,7 @@ class _RobinSide:
     def __init__(self, disc: Discretization, sub: Subdomain, alpha: float, solver_tol: float):
         space = disc.space(sub)
         zero = np.zeros(len(space.interface_nodes))
-        nu = disc.nu1 if sub == Subdomain.UPPER else disc.nu2
-        force = disc.force1 if sub == Subdomain.UPPER else disc.force2
-        system = assemble_robin_subproblem(space, nu, force, alpha, zero)
+        system = assemble_robin_subproblem(disc.op(sub), alpha, zero)
         self.sub = sub
         self.space = space
         self.alpha = alpha
@@ -391,6 +390,30 @@ class StagnationReport:
     final: CoupledField
 
 
+class _DirichletSide:
+    """One layer's prefactorized Dirichlet half-step solver: the matrix does
+    not depend on the imposed trace, which enters the rhs through the lift."""
+
+    def __init__(self, disc: Discretization, sub: Subdomain, solver_tol: float):
+        op = disc.op(sub)
+        self.sub = sub
+        self.solver_tol = solver_tol
+        self.ifx = 2 * op.space.interface_nodes
+        system = assemble_dirichlet_subproblem(op, np.zeros(len(self.ifx)))
+        self.layout = system.layout
+        self.base_rhs = system.rhs
+        self.lift = dirichlet_trace_lift(op, system.layout)
+        self.factorization = factorize(system.matrix)
+
+    def solve(self, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (raw velocity vector, raw pressure vector)."""
+        x, _ = self.factorization.solve(self.base_rhs - self.lift @ trace, tol=self.solver_tol)
+        out = self.layout.expand(x)
+        u = out[(self.sub, "velocity")]
+        u[self.ifx] = trace
+        return u, out[(self.sub, "pressure")]
+
+
 def dirichlet_exchange_demo(
     mesh: Mesh,
     nu1: float,
@@ -407,7 +430,9 @@ def dirichlet_exchange_demo(
     Each half-step imposes the neighbor's interface velocity pointwise, so
     its own trace equals the imposed data and nothing new is ever produced:
     the iteration stagnates at the initial trace instead of approaching the
-    coupled solution."""
+    coupled solution.  Each layer is factorized once; only the rhs follows
+    the imposed trace.  The initial trace must be periodic: its first and
+    last entries sit on the identified nodes x = 0 and x = L."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if disc is None:
@@ -416,33 +441,30 @@ def dirichlet_exchange_demo(
     g = np.zeros(n_trace) if initial_trace is None else np.asarray(initial_trace, float)
     if g.shape != (n_trace,):
         raise ValueError(f"initial trace has shape {g.shape}, expected ({n_trace},)")
+    if g[0] != g[-1]:
+        raise ValueError(
+            f"initial trace must be periodic, got {g[0]} at x = 0 and {g[-1]} at x = L"
+        )
 
     sides: list[str] = []
     traces: list[np.ndarray] = []
     deltas: list[float] = []
-    u1 = np.zeros(disc.space_upper.n_velocity_dofs)
-    p1 = np.zeros(disc.space_upper.n_pressure_dofs)
-    u2 = np.zeros(disc.space_lower.n_velocity_dofs)
-    p2 = np.zeros(disc.space_lower.n_pressure_dofs)
+    solvers = {}
+    fields = {
+        sub: (np.zeros(disc.space(sub).n_velocity_dofs), np.zeros(disc.space(sub).n_pressure_dofs))
+        for sub in (Subdomain.UPPER, Subdomain.LOWER)
+    }
     for k in range(steps):
-        if k % 2 == 0:
-            sub, nu, force = Subdomain.UPPER, disc.nu1, disc.force1
-        else:
-            sub, nu, force = Subdomain.LOWER, disc.nu2, disc.force2
-        space = disc.space(sub)
-        system = assemble_dirichlet_subproblem(space, nu, force, g)
-        x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
-        out = system.layout.expand(x)
-        u = out[(sub, "velocity")]
-        if sub == Subdomain.UPPER:
-            u1, p1 = u, out[(sub, "pressure")]
-        else:
-            u2, p2 = u, out[(sub, "pressure")]
-        trace = disc.trace_of(sub, u)
+        sub = Subdomain.UPPER if k % 2 == 0 else Subdomain.LOWER
+        if sub not in solvers:
+            solvers[sub] = _DirichletSide(disc, sub, solver_tol)
+        fields[sub] = solvers[sub].solve(g)
+        trace = disc.trace_of(sub, fields[sub][0])
         sides.append(sub.name.lower())
         if traces:
             deltas.append(float(np.max(np.abs(trace - traces[-1]))))
         traces.append(trace)
         g = trace
+    (u1, p1), (u2, p2) = fields[Subdomain.UPPER], fields[Subdomain.LOWER]
     final = CoupledField(disc=disc, alpha_used=float("nan"), u1=u1, p1=p1, u2=u2, p2=p2)
     return StagnationReport(steps=steps, sides=sides, traces=traces, deltas=deltas, final=final)

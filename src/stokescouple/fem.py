@@ -39,6 +39,7 @@ __all__ = [
     "assemble_coupled_system",
     "assemble_robin_subproblem",
     "assemble_dirichlet_subproblem",
+    "dirichlet_trace_lift",
 ]
 
 # ---------------------------------------------------------------------------
@@ -591,16 +592,9 @@ def _offsets_for(spaces: list[MixedSpace]) -> tuple[dict, int]:
     return offsets, pos
 
 
-def _assemble_reduced(
-    ops: list[StokesOperator],
-    layout: DofLayout,
-    extra_raw: scipy.sparse.spmatrix | None,
-    extra_rhs_raw: np.ndarray | None,
-) -> SparseSystem:
+def _raw_matrix(ops: list[StokesOperator], layout: DofLayout) -> scipy.sparse.csr_matrix:
+    """The unconstrained block matrix [[nu K, D], [D^T, 0]] of every layer."""
     offsets = layout.offsets
-    n_raw = layout.n_raw
-    blocks = []
-    b_raw = np.zeros(n_raw)
     rows = []
     cols = []
     vals = []
@@ -617,11 +611,27 @@ def _assemble_reduced(
         add_block(op.viscous, ov, ov)
         add_block(op.divergence, ov, op_)
         add_block(op.divergence.T, op_, ov)
+
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(layout.n_raw, layout.n_raw),
+    ).tocsr()
+
+
+def _assemble_reduced(
+    ops: list[StokesOperator],
+    layout: DofLayout,
+    extra_raw: scipy.sparse.spmatrix | None,
+    extra_rhs_raw: np.ndarray | None,
+) -> SparseSystem:
+    offsets = layout.offsets
+    n_raw = layout.n_raw
+    b_raw = np.zeros(n_raw)
+    for op in ops:
+        ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
         b_raw[ov : ov + op.space.n_velocity_dofs] = op.load
 
-    a_raw = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_raw, n_raw)
-    ).tocsr()
+    a_raw = _raw_matrix(ops, layout)
     if extra_raw is not None:
         a_raw = (a_raw + extra_raw).tocsr()
     if extra_rhs_raw is not None:
@@ -640,7 +650,6 @@ def _assemble_reduced(
         g_rows.append(c.T @ g_raw)
     g = scipy.sparse.csr_matrix(np.vstack(g_rows)) if g_rows else None
 
-    n_red = a_red.shape[0]
     n_g = len(ops)
     full = scipy.sparse.bmat(
         [[a_red, g.T], [g, None]], format="csr"
@@ -667,26 +676,22 @@ def _friction_extra(
 
 
 def assemble_coupled_system(
-    mesh: Mesh,
-    nu1: float,
-    nu2: float,
-    force1: BodyForce,
-    force2: BodyForce,
+    op_upper: StokesOperator,
+    op_lower: StokesOperator,
     mode: CouplingMode,
     alpha: float | None = None,
 ) -> SparseSystem:
-    """Assemble the two-layer system in the requested coupling mode.
+    """Assemble the two-layer system from the layers' raw operators in the
+    requested coupling mode.
 
     FRICTION adds the alpha-weighted trace-jump penalty; CONTINUITY identifies
     the horizontal interface traces instead (alpha ignored, may be inf);
     UNCOUPLED leaves the layers independent (zero interface stress) and is
     identical to FRICTION with alpha = 0.
     """
-    space_u = build_space(mesh, Subdomain.UPPER)
-    space_l = build_space(mesh, Subdomain.LOWER)
+    space_u = op_upper.space
+    space_l = op_lower.space
     spaces = [space_u, space_l]
-    op_u = assemble_stokes(space_u, nu1, force1)
-    op_l = assemble_stokes(space_l, nu2, force2)
     offsets, n_raw = _offsets_for(spaces)
     reducer = _base_reducer(spaces, offsets)
 
@@ -717,13 +722,33 @@ def assemble_coupled_system(
     else:
         raise ValueError(f"unknown coupling mode {mode!r}")
 
-    return _assemble_reduced([op_u, op_l], layout, extra, None)
+    return _assemble_reduced([op_upper, op_lower], layout, extra, None)
+
+
+def _single_layer_layout(
+    space: MixedSpace, trace_values: np.ndarray | None = None
+) -> DofLayout:
+    """One layer's layout; trace_values, if given, prescribe the horizontal
+    interface velocity (inhomogeneous Dirichlet data)."""
+    offsets, n_raw = _offsets_for([space])
+    reducer = _base_reducer([space], offsets)
+    if trace_values is not None:
+        ov = offsets[(space.subdomain, _FIELD_VELOCITY)]
+        reducer.dirichlet(ov + 2 * space.interface_nodes, trace_values)
+    return _build_layout([space], reducer, offsets, n_raw)
+
+
+def _check_trace(space: MixedSpace, trace: np.ndarray, what: str) -> np.ndarray:
+    trace = np.asarray(trace, dtype=np.float64)
+    if trace.shape != (len(space.interface_nodes),):
+        raise ValueError(
+            f"{what} has shape {trace.shape}, expected ({len(space.interface_nodes)},)"
+        )
+    return trace
 
 
 def assemble_robin_subproblem(
-    space: MixedSpace,
-    nu: float,
-    force: BodyForce,
+    op: StokesOperator,
     alpha: float,
     neighbor_trace: np.ndarray,
 ) -> SparseSystem:
@@ -736,16 +761,10 @@ def assemble_robin_subproblem(
     """
     if not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
-    neighbor_trace = np.asarray(neighbor_trace, dtype=np.float64)
-    if neighbor_trace.shape != (len(space.interface_nodes),):
-        raise ValueError(
-            f"neighbor trace has shape {neighbor_trace.shape}, expected "
-            f"({len(space.interface_nodes)},)"
-        )
-    op = assemble_stokes(space, nu, force)
-    offsets, n_raw = _offsets_for([space])
-    reducer = _base_reducer([space], offsets)
-    layout = _build_layout([space], reducer, offsets, n_raw)
+    space = op.space
+    neighbor_trace = _check_trace(space, neighbor_trace, "neighbor trace")
+    layout = _single_layer_layout(space)
+    n_raw = layout.n_raw
 
     m_iface = _interface_trace_mass(space.interface_x)
     ifx = np.array(
@@ -760,24 +779,24 @@ def assemble_robin_subproblem(
     return _assemble_reduced([op], layout, extra, extra_rhs)
 
 
-def assemble_dirichlet_subproblem(
-    space: MixedSpace,
-    nu: float,
-    force: BodyForce,
-    trace_values: np.ndarray,
-) -> SparseSystem:
+def assemble_dirichlet_subproblem(op: StokesOperator, trace_values: np.ndarray) -> SparseSystem:
     """One layer with the horizontal interface velocity prescribed pointwise
     (inhomogeneous Dirichlet data): the half-step of the plain
     trace-swapping iteration."""
-    trace_values = np.asarray(trace_values, dtype=np.float64)
-    if trace_values.shape != (len(space.interface_nodes),):
-        raise ValueError(
-            f"trace has shape {trace_values.shape}, expected ({len(space.interface_nodes)},)"
-        )
-    op = assemble_stokes(space, nu, force)
-    offsets, n_raw = _offsets_for([space])
-    reducer = _base_reducer([space], offsets)
-    ov = offsets[(space.subdomain, _FIELD_VELOCITY)]
-    reducer.dirichlet(ov + 2 * space.interface_nodes, trace_values)
-    layout = _build_layout([space], reducer, offsets, n_raw)
-    return _assemble_reduced([op], layout, None, None)
+    trace_values = _check_trace(op.space, trace_values, "trace")
+    return _assemble_reduced([op], _single_layer_layout(op.space, trace_values), None, None)
+
+
+def dirichlet_trace_lift(op: StokesOperator, layout: DofLayout) -> scipy.sparse.csr_matrix:
+    """How a prescribed interface trace enters the Dirichlet subproblem's rhs.
+
+    The matrix of `assemble_dirichlet_subproblem` does not depend on the
+    trace, and its rhs is rhs(0) - lift @ trace, where lift holds the
+    reduced interface columns of the raw matrix (zero on the gauge rows).
+    The trace must take one value at the periodically identified end nodes.
+    """
+    space = op.space
+    ifx = layout.offsets[(space.subdomain, _FIELD_VELOCITY)] + 2 * space.interface_nodes
+    lift = layout.reduction.T @ _raw_matrix([op], layout)[:, ifx]
+    gauge = scipy.sparse.csr_matrix((layout.n_gauge, len(ifx)))
+    return scipy.sparse.vstack([lift, gauge], format="csr")

@@ -125,8 +125,8 @@ def test_monolithic_friction_matches_channel():
 def test_friction_multiplier_eliminates_to_penalty_matrix(alpha):
     mesh = small_mesh()
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    base = assemble_coupled_system(mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 0.0)
-    penalty = assemble_coupled_system(mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, alpha)
+    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, 0.0)
+    penalty = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, alpha)
     matrix, rhs = _friction_multiplier_system(base, disc.trace_mass, alpha)
     k = len(rhs) - base.matrix.n_rows  # multiplier unknowns come first
     c, b = matrix[:k, :k].toarray(), matrix[:k, k:].toarray()
@@ -314,4 +314,8 @@ def test_dirichlet_demo_validation():
     with pytest.raises(ValueError, match="shape"):
         dirichlet_exchange_demo(
             small_mesh(), 1.0, 1.0, FORCE, FORCE, steps=2, initial_trace=np.zeros(4)
+        )
+    with pytest.raises(ValueError, match="periodic"):
+        dirichlet_exchange_demo(
+            small_mesh(), 1.0, 1.0, FORCE, FORCE, steps=2, initial_trace=np.linspace(0.0, 1.0, 9)
         )

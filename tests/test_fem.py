@@ -12,6 +12,7 @@ from stokescouple.fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     build_space,
+    dirichlet_trace_lift,
 )
 from stokescouple.linalg import solve, spmv
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
@@ -31,6 +32,18 @@ def spaces(small_mesh):
 
 
 FORCE = BodyForce(1.0, -1.0)
+
+
+def layer_ops(mesh, nu1=1.0, nu2=1.0):
+    return (
+        assemble_stokes(build_space(mesh, Subdomain.UPPER), nu1, FORCE),
+        assemble_stokes(build_space(mesh, Subdomain.LOWER), nu2, FORCE),
+    )
+
+
+@pytest.fixture(scope="module")
+def ops(small_mesh):
+    return layer_ops(small_mesh)
 
 
 def euler_p2_count(nx, nz):
@@ -206,15 +219,15 @@ def expected_reduced_size(nx, nz_upper, nz_lower):
     return total + 2  # one gauge multiplier per layer
 
 
-def test_system_size_matches_constraint_count(small_mesh):
-    sys = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 10.0)
+def test_system_size_matches_constraint_count(ops):
+    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
     assert sys.matrix.n_rows == expected_reduced_size(8, 4, 2)
     assert sys.matrix.n_rows == sys.matrix.n_cols == len(sys.rhs)
 
 
-def test_continuity_removes_free_interface_dofs(small_mesh):
-    sysf = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 10.0)
-    sysc = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.CONTINUITY)
+def test_continuity_removes_free_interface_dofs(ops):
+    sysf = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
+    sysc = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
     n_iface_free = len(sysf.layout.spaces[Subdomain.UPPER].interface_nodes) - 1
     assert sysf.matrix.n_rows - sysc.matrix.n_rows == n_iface_free
 
@@ -225,34 +238,34 @@ def test_coupled_matrix_is_symmetric(small_mesh):
         (CouplingMode.CONTINUITY, None),
         (CouplingMode.UNCOUPLED, None),
     ]:
-        sys = assemble_coupled_system(small_mesh, 1.0, 2.0, FORCE, FORCE, mode, alpha)
+        sys = assemble_coupled_system(*layer_ops(small_mesh, 1.0, 2.0), mode, alpha)
         a = sys.matrix.to_scipy()
         assert abs(a - a.T).max() < 1e-12
 
 
-def test_mode_argument_validation(small_mesh):
+def test_mode_argument_validation(small_mesh, ops):
     with pytest.raises(ValueError):
-        assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, None)
+        assemble_coupled_system(*ops, CouplingMode.FRICTION, None)
     with pytest.raises(ValueError):
-        assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, np.inf)
+        assemble_coupled_system(*ops, CouplingMode.FRICTION, np.inf)
     with pytest.raises(ValueError):
-        assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.CONTINUITY, 5.0)
+        assemble_coupled_system(*ops, CouplingMode.CONTINUITY, 5.0)
     with pytest.raises(ValueError):
-        assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.UNCOUPLED, 0.0)
+        assemble_coupled_system(*ops, CouplingMode.UNCOUPLED, 0.0)
     with pytest.raises(ValueError):
         assemble_stokes(build_space(small_mesh, Subdomain.UPPER), -1.0, FORCE)
 
 
-def test_uncoupled_equals_friction_alpha_zero(small_mesh):
-    sys0 = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.UNCOUPLED)
-    sysf = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 0.0)
+def test_uncoupled_equals_friction_alpha_zero(ops):
+    sys0 = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
+    sysf = assemble_coupled_system(*ops, CouplingMode.FRICTION, 0.0)
     x0, _ = solve(sys0.matrix, sys0.rhs)
     xf, _ = solve(sysf.matrix, sysf.rhs)
     np.testing.assert_array_equal(x0, xf)
 
 
-def test_row_of_and_expand_consistency(small_mesh):
-    sys = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 10.0)
+def test_row_of_and_expand_consistency(ops):
+    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
     layout = sys.layout
     upper = layout.spaces[Subdomain.UPPER]
     # a wall dof is constrained away; a mid-layer dof is live
@@ -270,8 +283,8 @@ def test_row_of_and_expand_consistency(small_mesh):
     assert u[s] == u[m]
 
 
-def test_continuity_traces_identical_after_expand(small_mesh):
-    sys = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.CONTINUITY)
+def test_continuity_traces_identical_after_expand(ops):
+    sys = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
     x, _ = solve(sys.matrix, sys.rhs)
     out = sys.layout.expand(x)
     up = sys.layout.spaces[Subdomain.UPPER]
@@ -281,8 +294,8 @@ def test_continuity_traces_identical_after_expand(small_mesh):
     np.testing.assert_array_equal(tu, tl)
 
 
-def test_weak_incompressibility_of_solutions(small_mesh):
-    sys = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 10.0)
+def test_weak_incompressibility_of_solutions(ops):
+    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
     x, _ = solve(sys.matrix, sys.rhs)
     out = sys.layout.expand(x)
     for sub in (Subdomain.UPPER, Subdomain.LOWER):
@@ -293,8 +306,8 @@ def test_weak_incompressibility_of_solutions(small_mesh):
         assert np.linalg.norm(div) <= 1e-8 * max(np.linalg.norm(u), 1.0)
 
 
-def test_galerkin_smoke_random_test_vectors(small_mesh):
-    sys = assemble_coupled_system(small_mesh, 1.0, 1.0, FORCE, FORCE, CouplingMode.FRICTION, 10.0)
+def test_galerkin_smoke_random_test_vectors(ops):
+    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
     x, _ = solve(sys.matrix, sys.rhs)
     ax = spmv(sys.matrix, x)
     rng = np.random.default_rng(42)
@@ -308,8 +321,9 @@ def test_robin_subproblem_matches_channel_half_step(small_mesh):
     # upper layer, zero neighbor trace: u(z) = -z^2/2 + c z + d with
     # c = alpha 1250 / (1 + 50 alpha), d = 1250 - 50 c
     space = build_space(small_mesh, Subdomain.UPPER)
+    op = assemble_stokes(space, 1.0, FORCE)
     alpha = 10.0
-    sys = assemble_robin_subproblem(space, 1.0, FORCE, alpha, np.zeros(len(space.interface_nodes)))
+    sys = assemble_robin_subproblem(op, alpha, np.zeros(len(space.interface_nodes)))
     x, _ = solve(sys.matrix, sys.rhs)
     u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
     c = alpha * 1250.0 / (1.0 + 50.0 * alpha)
@@ -317,7 +331,7 @@ def test_robin_subproblem_matches_channel_half_step(small_mesh):
     np.testing.assert_allclose(u[2 * space.interface_nodes], d, rtol=1e-10)
     # and with a constant neighbor trace g: c = alpha (1250 - g)/(1 + 50 alpha)
     g = 40.0
-    sys2 = assemble_robin_subproblem(space, 1.0, FORCE, alpha, np.full(len(space.interface_nodes), g))
+    sys2 = assemble_robin_subproblem(op, alpha, np.full(len(space.interface_nodes), g))
     x2, _ = solve(sys2.matrix, sys2.rhs)
     u2 = sys2.layout.expand(x2)[(Subdomain.UPPER, "velocity")]
     c2 = alpha * (1250.0 - g) / (1.0 + 50.0 * alpha)
@@ -325,17 +339,17 @@ def test_robin_subproblem_matches_channel_half_step(small_mesh):
 
 
 def test_robin_trace_shape_validation(small_mesh):
-    space = build_space(small_mesh, Subdomain.UPPER)
+    op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
     with pytest.raises(ValueError):
-        assemble_robin_subproblem(space, 1.0, FORCE, 1.0, np.zeros(3))
+        assemble_robin_subproblem(op, 1.0, np.zeros(3))
     with pytest.raises(ValueError):
-        assemble_robin_subproblem(space, 1.0, FORCE, np.inf, np.zeros(len(space.interface_nodes)))
+        assemble_robin_subproblem(op, np.inf, np.zeros(len(op.space.interface_nodes)))
 
 
 def test_dirichlet_subproblem_imposes_trace(small_mesh):
     space = build_space(small_mesh, Subdomain.LOWER)
     trace = np.full(len(space.interface_nodes), 9.25)
-    sys = assemble_dirichlet_subproblem(space, 1.0, FORCE, trace)
+    sys = assemble_dirichlet_subproblem(assemble_stokes(space, 1.0, FORCE), trace)
     x, _ = solve(sys.matrix, sys.rhs)
     u = sys.layout.expand(x)[(Subdomain.LOWER, "velocity")]
     np.testing.assert_array_equal(u[2 * space.interface_nodes], trace)
@@ -345,6 +359,18 @@ def test_dirichlet_subproblem_imposes_trace(small_mesh):
     c = (d - 12.5) / 5.0
     z = space.velocity_nodes[:, 1]
     np.testing.assert_allclose(u[0::2], -0.5 * z**2 + c * z + d, atol=1e-9)
+
+
+def test_dirichlet_trace_lift_reproduces_assembled_rhs(small_mesh):
+    op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
+    x = op.space.interface_x
+    trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1]) + x / 17.0
+    trace[-1] = trace[0]  # periodic: x = L is the x = 0 node
+    base = assemble_dirichlet_subproblem(op, np.zeros(len(x)))
+    imposed = assemble_dirichlet_subproblem(op, trace)
+    assert (base.matrix.to_scipy() != imposed.matrix.to_scipy()).nnz == 0
+    lifted = base.rhs - dirichlet_trace_lift(op, base.layout) @ trace
+    np.testing.assert_allclose(lifted, imposed.rhs, rtol=0, atol=1e-12 * np.abs(imposed.rhs).max())
 
 
 def test_manufactured_solution_convergence_order():
@@ -385,7 +411,8 @@ def test_manufactured_solution_convergence_order():
         # Robin data from the friction law at z = 0 (outward normal -z):
         # g = u_x - (nu/alpha) du_x/dz
         g = np.sin(k * xs) * (s1(0.0) - (nu / alpha) * s2(0.0))
-        sys = assemble_robin_subproblem(space, nu, BodyForce(evaluator=body), alpha, g)
+        op = assemble_stokes(space, nu, BodyForce(evaluator=body))
+        sys = assemble_robin_subproblem(op, alpha, g)
         x, _ = solve(sys.matrix, sys.rhs)
         u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
 

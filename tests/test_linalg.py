@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokescouple.coupling import _friction_multiplier_system, discretize
+from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
 from stokescouple.linalg import (
     CsrMatrix,
     DimensionMismatchError,
@@ -13,8 +15,8 @@ from stokescouple.linalg import (
     factorize,
     solve,
     spmv,
-    write_matrix_market,
 )
+from stokescouple.mesh import Geometry, build_layered_mesh
 
 
 def dense(a):
@@ -104,14 +106,39 @@ def test_factorization_reuse_many_rhs():
         np.testing.assert_allclose(a @ x, b, atol=1e-9 * np.linalg.norm(b))
 
 
-def test_matrix_market_roundtrip(tmp_path):
-    import scipy.io
+def test_solve_report_states_what_the_factorization_did():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
+    a[np.abs(a) < 1.0] = 0.0
+    A = dense(a)
+    fact = factorize(A)
+    _, report = fact.solve(rng.standard_normal(30))
+    assert (report.ordering, report.diag_pivot_thresh, report.symmetric_mode) == (
+        "MMD_AT_PLUS_A",
+        0.01,
+        True,
+    )
+    assert (report.n, report.nnz) == (30, A.nnz)
+    assert report.lu_nnz == fact.lu_nnz == fact._lu.nnz
+    assert report.lu_nnz >= A.nnz
+    assert report.factor_s == fact.factor_s > 0.0
+    assert report.solve_s > 0.0
 
-    A = CsrMatrix.from_triplets(3, 3, [0, 1, 2, 0], [0, 1, 2, 2], [1.0, 2.0, 3.0, 4.0])
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(A, path)
-    back = scipy.io.mmread(path).tocsr()
-    np.testing.assert_allclose(back.toarray(), A.to_scipy().toarray())
+
+def test_saddle_systems_fill_stays_symmetric():
+    # The ordering on A^T + A in symmetric mode keeps the L + U fill of the
+    # monolithic systems on 32x16x4 at ~1.1M; COLAMD gave ~2.0M.
+    mesh = build_layered_mesh(Geometry(), 32, 16, 4)
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(mesh, 1.0, 1.0, force, force)
+    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, 0.0)
+    friction, _ = _friction_multiplier_system(base, disc.trace_mass, 10.0)
+    continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
+    fills = [
+        factorize(CsrMatrix.from_scipy(friction)).lu_nnz,
+        factorize(continuity.matrix).lu_nnz,
+    ]
+    assert max(fills) <= 1_500_000, fills
 
 
 def test_csr_indices_sorted_and_deduplicated():
