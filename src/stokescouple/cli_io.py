@@ -40,7 +40,7 @@ from .coupling import (
 )
 from .fem import BodyForce
 from .mesh import Mesh, Geometry, Subdomain, build_layered_mesh, validate_mesh
-from .verification import energy_residual, jump_norm, run_alpha_sweep
+from .verification import check_alphas, energy_residual, jump_norm, run_alpha_sweep
 
 __all__ = [
     "ParseError",
@@ -380,7 +380,15 @@ def _write_field_outputs(
     return written
 
 
+def _check_runnable(config: RunConfig) -> None:
+    """The alternating solver needs a finite coefficient; monolithic friction
+    takes alpha = inf as its continuity limit."""
+    if config.mode == "schwarz" and np.isinf(config.alpha):
+        raise ValidationError("alpha", "alpha finite for mode schwarz")
+
+
 def _cmd_run(config: RunConfig, steps: int = 8) -> int:
+    _check_runnable(config)
     mesh = config.build_mesh()
     f1, f2 = config.body_forces()
     directory = _ensure_dir(config)
@@ -394,12 +402,12 @@ def _cmd_run(config: RunConfig, steps: int = 8) -> int:
         )
         report = schwarz_solve(mesh, config.nu1, config.nu2, f1, f2, schwarz)
         field, n, converged = report.final, report.n_iterations, report.converged
-    elif config.mode == "monolithic-friction":
+    elif config.mode == "monolithic-friction" and np.isfinite(config.alpha):
         field = solve_monolithic_friction(
             mesh, config.nu1, config.nu2, f1, f2, alpha=config.alpha
         )
         n, converged = 0, True
-    else:  # monolithic-continuity
+    else:  # monolithic-continuity, or friction in its alpha = inf limit
         field = solve_monolithic_continuity(mesh, config.nu1, config.nu2, f1, f2)
         n, converged = 0, True
 
@@ -444,8 +452,6 @@ def _run_demo(config, mesh, f1, f2, directory, steps) -> int:
 
 
 def _cmd_sweep(config: RunConfig, alphas: list, jobs: int) -> int:
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValidationError("alphas", "alphas ascending")
     mesh = config.build_mesh()
     f1, f2 = config.body_forces()
     directory = _ensure_dir(config)
@@ -475,6 +481,7 @@ def _cmd_sweep(config: RunConfig, alphas: list, jobs: int) -> int:
 
 
 def _cmd_validate(config: RunConfig) -> int:
+    _check_runnable(config)
     mesh = config.build_mesh()
     violations = validate_mesh(mesh)
     if violations:
@@ -501,9 +508,19 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _parse_alphas(text: str) -> list:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        alphas = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ValidationError("alphas", f"alphas is a comma-separated number list, got {text!r}")
+    try:
+        return check_alphas(alphas)
+    except ValueError as exc:
+        raise ValidationError("alphas", str(exc)) from None
+
+
+def _at_least_one(field: str, value: int) -> int:
+    if value < 1:
+        raise ValidationError(field, f"{field} >= 1")
+    return value
 
 
 def main(argv=None) -> int:
@@ -540,13 +557,16 @@ def main(argv=None) -> int:
                 config = dataclasses.replace(config, alpha=args.alpha)
             return _cmd_run(config)
         if args.command == "sweep":
-            return _cmd_sweep(config, _parse_alphas(args.alphas), args.jobs)
+            return _cmd_sweep(
+                config, _parse_alphas(args.alphas), _at_least_one("jobs", args.jobs)
+            )
         if args.command == "validate":
             return _cmd_validate(config)
+        steps = _at_least_one("steps", args.steps)
         demo_config = dataclasses.replace(config, mode="dirichlet-demo")
         mesh = demo_config.build_mesh()
         f1, f2 = demo_config.body_forces()
-        return _run_demo(demo_config, mesh, f1, f2, _ensure_dir(demo_config), args.steps)
+        return _run_demo(demo_config, mesh, f1, f2, _ensure_dir(demo_config), steps)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

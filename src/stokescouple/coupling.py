@@ -40,6 +40,7 @@ from .fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     build_space,
+    check_periodic_trace,
     dirichlet_trace_lift,
 )
 from .linalg import CsrMatrix, factorize, solve
@@ -102,7 +103,6 @@ def discretize(
 ) -> Discretization:
     space_u = build_space(mesh, Subdomain.UPPER)
     space_l = build_space(mesh, Subdomain.LOWER)
-    coupling = assemble_interface_friction(space_u, space_l, 0.0)
     return Discretization(
         mesh=mesh,
         nu1=nu1,
@@ -113,7 +113,7 @@ def discretize(
         space_lower=space_l,
         op_upper=assemble_stokes(space_u, nu1, force1),
         op_lower=assemble_stokes(space_l, nu2, force2),
-        trace_mass=coupling.trace_mass.to_scipy(),
+        trace_mass=assemble_interface_friction(space_u, space_l),
     )
 
 
@@ -156,10 +156,10 @@ def _friction_multiplier_system(
     """Border the uncoupled two-layer system with the interface traction.
 
     The multiplier lam lives on the n_trace - 1 periodic trace dofs (the
-    x = L node is the x = 0 node).  With T_upper / T_lower taking solved
-    unknowns to the full horizontal traces and P folding the full trace onto
-    the periodic one, B = P^T M (T_upper - T_lower) and M_p = P^T M P, and
-    the system is
+    x = L node is the x = 0 node).  With T_upper / T_lower the layout's
+    `trace_map`s, taking solved unknowns to the full horizontal traces, and
+    P folding the full trace onto the periodic one, B = P^T M (T_upper -
+    T_lower) and M_p = P^T M P, and the system is
 
         [[-M_p / alpha, B], [B^T, A]] [lam; x] = [0; b].
 
@@ -172,19 +172,12 @@ def _friction_multiplier_system(
     """
     layout = system.layout
     n_trace = trace_mass.shape[0]
-    ones = np.ones(n_trace)
-    rows = np.arange(n_trace)
-
-    def trace_map(sub: Subdomain) -> scipy.sparse.csr_matrix:
-        nodes = layout.spaces[sub].interface_nodes
-        cols = [layout.row_of(sub, "velocity", int(n), 0) for n in nodes]
-        return scipy.sparse.csr_matrix((ones, (rows, cols)), shape=(n_trace, layout.n_rows))
-
     fold = scipy.sparse.csr_matrix(
-        (ones, (rows, np.append(np.arange(n_trace - 1), 0))), shape=(n_trace, n_trace - 1)
+        (np.ones(n_trace), (np.arange(n_trace), np.append(np.arange(n_trace - 1), 0))),
+        shape=(n_trace, n_trace - 1),
     )
     fold_mass = fold.T @ trace_mass
-    b = fold_mass @ (trace_map(Subdomain.UPPER) - trace_map(Subdomain.LOWER))
+    b = fold_mass @ (layout.trace_map(Subdomain.UPPER) - layout.trace_map(Subdomain.LOWER))
     c = -(fold_mass @ fold) / alpha
     matrix = scipy.sparse.bmat([[c, b], [b.T, system.matrix.to_scipy()]], format="csr")
     return matrix, np.concatenate([np.zeros(n_trace - 1), system.rhs])
@@ -213,7 +206,7 @@ def solve_monolithic_friction(
         raise ValueError(f"friction mode needs a finite friction coefficient >= 0, got {alpha}")
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, 0.0)
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
     if alpha == 0.0:
         x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
     else:
@@ -300,13 +293,7 @@ class _RobinSide:
         self.base_rhs = system.rhs  # neighbor trace contributes nothing at zero
         self.factorization = factorize(system.matrix)
         self.trace_mass = disc.trace_mass
-        ifx = np.array(
-            [self.layout.raw_index(sub, "velocity", n, 0) for n in space.interface_nodes]
-        )
-        inject = self.layout.reduction.T.tocsc()[:, ifx]
-        self.inject = scipy.sparse.vstack(
-            [inject, scipy.sparse.csr_matrix((self.layout.n_gauge, inject.shape[1]))]
-        ).tocsr()
+        self.inject = self.layout.trace_map(sub).T.tocsr()
 
     def solve(self, neighbor_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (raw velocity vector, raw pressure vector)."""
@@ -437,14 +424,10 @@ def dirichlet_exchange_demo(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    n_trace = len(disc.space_upper.interface_nodes)
-    g = np.zeros(n_trace) if initial_trace is None else np.asarray(initial_trace, float)
-    if g.shape != (n_trace,):
-        raise ValueError(f"initial trace has shape {g.shape}, expected ({n_trace},)")
-    if g[0] != g[-1]:
-        raise ValueError(
-            f"initial trace must be periodic, got {g[0]} at x = 0 and {g[-1]} at x = L"
-        )
+    if initial_trace is None:
+        g = np.zeros(len(disc.space_upper.interface_nodes))
+    else:
+        g = check_periodic_trace(disc.space_upper, initial_trace, "initial trace")
 
     sides: list[str] = []
     traces: list[np.ndarray] = []

@@ -1,8 +1,10 @@
 """Taylor-Hood (P2/P1) assembly for the two-layer Stokes problem.
 
 Each layer gets its own mixed space on its half of the mesh; interface trace
-nodes are duplicated between the layers and coupled weakly (friction mode) or
-identified (continuity mode).  The viscous form is the grad-grad form
+nodes are duplicated between the layers and either left independent
+(uncoupled mode, which the friction solve borders with an interface-traction
+multiplier built from `DofLayout.trace_map`) or identified (continuity
+mode).  The viscous form is the grad-grad form
 nu * integral(grad u : grad v), not the symmetric-gradient form.
 
 Velocity dofs are numbered 2*node + component with P2 nodes sorted
@@ -21,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .linalg import CsrMatrix
 from .mesh import Mesh, Subdomain
@@ -29,7 +32,6 @@ __all__ = [
     "BodyForce",
     "MixedSpace",
     "StokesOperator",
-    "InterfaceCoupling",
     "CouplingMode",
     "DofLayout",
     "SparseSystem",
@@ -39,6 +41,7 @@ __all__ = [
     "assemble_coupled_system",
     "assemble_robin_subproblem",
     "assemble_dirichlet_subproblem",
+    "check_periodic_trace",
     "dirichlet_trace_lift",
 ]
 
@@ -357,22 +360,6 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     )
 
 
-@dataclass(frozen=True)
-class InterfaceCoupling:
-    """Friction penalty data: the quadratic trace mass matrix on the shared
-    interface discretization plus the horizontal-velocity dof index of each
-    interface node on each side (in ascending-x node order)."""
-
-    alpha: float
-    trace_mass: CsrMatrix
-    upper_nodes: np.ndarray  # node ids in the upper space, ascending x
-    lower_nodes: np.ndarray  # node ids in the lower space, ascending x
-
-    @property
-    def n_trace(self) -> int:
-        return len(self.upper_nodes)
-
-
 def _interface_trace_mass(x: np.ndarray) -> scipy.sparse.csr_matrix:
     """1D quadratic mass matrix over the interface nodes at positions x
     (vertices interleaved with midpoints, ascending)."""
@@ -391,87 +378,61 @@ def _interface_trace_mass(x: np.ndarray) -> scipy.sparse.csr_matrix:
 
 
 def assemble_interface_friction(
-    space_upper: MixedSpace, space_lower: MixedSpace, alpha: float
-) -> InterfaceCoupling:
-    """Friction (penalty) coupling of the horizontal traces at z = 0.
+    space_upper: MixedSpace, space_lower: MixedSpace
+) -> scipy.sparse.csr_matrix:
+    """Quadratic trace mass matrix M of the interface z = 0, over the
+    interface nodes in ascending x.
 
-    The assembled quadratic form is alpha * integral over the interface of
-    (u_upper - u_lower) * (v_upper - v_lower), i.e. blocks
-    [[+M, -M], [-M, +M]] scaled by alpha on the two trace dof sets.  It
-    vanishes on equal traces and is positive semidefinite.
+    The friction law couples the horizontal traces through M: the penalty
+    form is alpha (u_upper - u_lower)^T M (v_upper - v_lower), and the
+    friction solve's multiplier border is built from it.  Both layers must
+    share the interface discretization.
     """
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
     xu = space_upper.interface_x
-    xl = space_lower.interface_x
-    if not np.array_equal(xu, xl):
+    if not np.array_equal(xu, space_lower.interface_x):
         raise ValueError("interface discretizations of the two layers do not match")
-    return InterfaceCoupling(
-        alpha=alpha,
-        trace_mass=CsrMatrix.from_scipy(_interface_trace_mass(xu)),
-        upper_nodes=space_upper.interface_nodes.copy(),
-        lower_nodes=space_lower.interface_nodes.copy(),
-    )
+    return _interface_trace_mass(xu)
 
 
 # ---------------------------------------------------------------------------
 # constraint reduction
 
 
-class _Reducer:
-    """Union-find over raw dofs plus a Dirichlet drop set.
+def _reduction(
+    n_raw: int, pairs: np.ndarray, fixed: np.ndarray, values: np.ndarray
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Eliminate identified and Dirichlet raw dofs.
 
-    finalize() returns the 0/1 reduction operator C (raw x reduced), the
-    inhomogeneous-value vector x_bc, and the raw->reduced column map.
-    Representatives are the smallest raw index of each class, so reduced
-    numbering inherits the lexicographic raw order.
+    pairs (k, 2) identifies raw dofs; the classes are the connected
+    components of that graph.  A class with a member in `fixed` is dropped
+    and every member takes that member's value from `values`.  Every other
+    class becomes one reduced column, represented by its smallest raw index,
+    so the reduced numbering inherits the lexicographic raw order.  Returns
+    the 0/1 reduction operator C (raw x reduced), the inhomogeneous-value
+    vector x_bc, and the raw -> reduced column map (-1 where dropped).
     """
+    graph = scipy.sparse.coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_raw, n_raw)
+    )
+    n_class, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    class_dropped = np.zeros(n_class, dtype=bool)
+    class_dropped[label[fixed]] = True
+    class_value = np.zeros(n_class)
+    class_value[label[fixed]] = values
+    dropped = class_dropped[label]
 
-    def __init__(self, n_raw: int):
-        self.parent = np.arange(n_raw)
-        self.dropped = np.zeros(n_raw, dtype=bool)
-        self.value = np.zeros(n_raw)
+    _, smallest = np.unique(label, return_index=True)
+    kept = smallest[~class_dropped]
+    kept.sort()
+    class_col = np.full(n_class, -1, dtype=np.int64)
+    class_col[label[kept]] = np.arange(len(kept))
+    col_of = class_col[label]
 
-    def _find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def identify(self, a: np.ndarray, b: np.ndarray) -> None:
-        for i, j in zip(np.atleast_1d(a), np.atleast_1d(b)):
-            ri, rj = self._find(int(i)), self._find(int(j))
-            if ri != rj:
-                self.parent[max(ri, rj)] = min(ri, rj)
-
-    def dirichlet(self, dofs: np.ndarray, values: np.ndarray | float = 0.0) -> None:
-        dofs = np.atleast_1d(dofs)
-        self.dropped[dofs] = True
-        self.value[dofs] = values
-
-    def finalize(self):
-        root = np.array([self._find(i) for i in range(len(self.parent))])
-        # propagate Dirichlet status and values through each class
-        root_dropped = np.zeros(len(root), dtype=bool)
-        root_value = np.zeros(len(root))
-        np.logical_or.at(root_dropped, root, self.dropped)
-        # a class's value: the value of any of its Dirichlet members
-        for i in np.nonzero(self.dropped)[0]:
-            root_value[root[i]] = self.value[i]
-        dropped = root_dropped[root]
-        value = np.where(dropped, root_value[root], 0.0)
-
-        kept_roots = np.unique(root[~dropped])
-        col_of_root = np.full(len(root), -1, dtype=np.int64)
-        col_of_root[kept_roots] = np.arange(len(kept_roots))
-        col_of = np.where(dropped, -1, col_of_root[root])
-
-        keep = np.nonzero(~dropped)[0]
-        c = scipy.sparse.csr_matrix(
-            (np.ones(len(keep)), (keep, col_of[keep])), shape=(len(root), len(kept_roots))
-        )
-        return c, value, col_of
+    keep = np.nonzero(~dropped)[0]
+    c = scipy.sparse.csr_matrix(
+        (np.ones(len(keep)), (keep, col_of[keep])), shape=(n_raw, len(kept))
+    )
+    return c, class_value[label], col_of
 
 
 _FIELD_VELOCITY = "velocity"
@@ -515,6 +476,14 @@ class DofLayout:
         """Solved-system row of a raw dof, or -1 if constrained away."""
         return int(self.col_of[self.raw_index(subdomain, fieldname, node, comp)])
 
+    def trace_map(self, sub: Subdomain) -> scipy.sparse.csr_matrix:
+        """Solved vector -> horizontal velocity at `sub`'s interface nodes,
+        ascending x: the interface rows of the reduction, zero on the gauge
+        columns.  A trace prescribed as Dirichlet data lives in x_bc instead."""
+        rows = self.reduction[_interface_dofs(self.offsets, self.spaces[sub])]
+        gauge = scipy.sparse.csr_matrix((rows.shape[0], self.n_gauge))
+        return scipy.sparse.hstack([rows, gauge], format="csr")
+
     def reduce_rhs(self, b_raw: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_rows)
         out[: self.n_reduced] = self.reduction.T @ b_raw
@@ -547,29 +516,36 @@ class SparseSystem:
 
 
 class CouplingMode(Enum):
-    FRICTION = "friction"
     CONTINUITY = "continuity"
     UNCOUPLED = "uncoupled"
 
 
-def _base_reducer(spaces: list[MixedSpace], offsets: dict) -> "_Reducer":
-    n_raw = 0
-    for sp in spaces:
-        n_raw += sp.n_velocity_dofs + sp.n_pressure_dofs
-    red = _Reducer(n_raw)
+def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
+    """Raw indices of the horizontal velocity at the interface nodes."""
+    return offsets[(space.subdomain, _FIELD_VELOCITY)] + 2 * space.interface_nodes
+
+
+def _build_layout(
+    spaces: list[MixedSpace],
+    offsets: dict,
+    n_raw: int,
+    pairs: list[np.ndarray] = (),
+    fixed: list[np.ndarray] = (),
+    values: list[np.ndarray] = (),
+) -> DofLayout:
+    """Every layer's periodic identification and zero velocity dofs, plus
+    the identified raw `pairs` and the `fixed` raw dofs prescribed to
+    `values`."""
+    pairs, fixed, values = list(pairs), list(fixed), list(values)
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
         op = offsets[(sp.subdomain, _FIELD_PRESSURE)]
-        if len(sp.periodic_vdofs):
-            red.identify(ov + sp.periodic_vdofs[:, 0], ov + sp.periodic_vdofs[:, 1])
-        if len(sp.periodic_pdofs):
-            red.identify(op + sp.periodic_pdofs[:, 0], op + sp.periodic_pdofs[:, 1])
-        red.dirichlet(ov + sp.dirichlet_vdofs)
-    return red
-
-
-def _build_layout(spaces: list[MixedSpace], reducer: "_Reducer", offsets: dict, n_raw: int) -> DofLayout:
-    c, x_bc, col_of = reducer.finalize()
+        pairs += [ov + sp.periodic_vdofs, op + sp.periodic_pdofs]
+        fixed.append(ov + sp.dirichlet_vdofs)
+        values.append(np.zeros(len(sp.dirichlet_vdofs)))
+    c, x_bc, col_of = _reduction(
+        n_raw, np.vstack(pairs), np.concatenate(fixed), np.concatenate(values)
+    )
     return DofLayout(
         spaces={sp.subdomain: sp for sp in spaces},
         offsets=offsets,
@@ -658,71 +634,30 @@ def _assemble_reduced(
     return SparseSystem(matrix=CsrMatrix.from_scipy(full), rhs=rhs, layout=layout)
 
 
-def _friction_extra(
-    coupling: InterfaceCoupling, layout: DofLayout
-) -> scipy.sparse.csr_matrix:
-    up = np.array(
-        [layout.raw_index(Subdomain.UPPER, _FIELD_VELOCITY, n, 0) for n in coupling.upper_nodes]
-    )
-    lo = np.array(
-        [layout.raw_index(Subdomain.LOWER, _FIELD_VELOCITY, n, 0) for n in coupling.lower_nodes]
-    )
-    m = coupling.trace_mass.to_scipy().tocoo()
-    a = coupling.alpha
-    rows = np.concatenate([up[m.row], up[m.row], lo[m.row], lo[m.row]])
-    cols = np.concatenate([up[m.col], lo[m.col], up[m.col], lo[m.col]])
-    vals = np.concatenate([a * m.data, -a * m.data, -a * m.data, a * m.data])
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(layout.n_raw, layout.n_raw)).tocsr()
-
-
 def assemble_coupled_system(
-    op_upper: StokesOperator,
-    op_lower: StokesOperator,
-    mode: CouplingMode,
-    alpha: float | None = None,
+    op_upper: StokesOperator, op_lower: StokesOperator, mode: CouplingMode
 ) -> SparseSystem:
     """Assemble the two-layer system from the layers' raw operators in the
     requested coupling mode.
 
-    FRICTION adds the alpha-weighted trace-jump penalty; CONTINUITY identifies
-    the horizontal interface traces instead (alpha ignored, may be inf);
-    UNCOUPLED leaves the layers independent (zero interface stress) and is
-    identical to FRICTION with alpha = 0.
+    UNCOUPLED leaves the layers independent (zero interface stress); the
+    friction solve borders it with the interface-traction multiplier.
+    CONTINUITY identifies the horizontal interface traces (the alpha = inf
+    limit of the friction law).
     """
-    space_u = op_upper.space
-    space_l = op_lower.space
-    spaces = [space_u, space_l]
+    spaces = [op_upper.space, op_lower.space]
     offsets, n_raw = _offsets_for(spaces)
-    reducer = _base_reducer(spaces, offsets)
-
-    extra = None
-    if mode == CouplingMode.FRICTION:
-        if alpha is None or not np.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(
-                f"friction mode needs a finite friction coefficient >= 0, got {alpha}"
-            )
-        coupling = assemble_interface_friction(space_u, space_l, alpha)
-        layout = _build_layout(spaces, reducer, offsets, n_raw)
-        extra = _friction_extra(coupling, layout)
-    elif mode == CouplingMode.CONTINUITY:
-        if alpha is not None and np.isfinite(alpha):
-            raise ValueError("continuity mode takes alpha = None or inf")
-        ou = offsets[(Subdomain.UPPER, _FIELD_VELOCITY)]
-        ol = offsets[(Subdomain.LOWER, _FIELD_VELOCITY)]
+    if mode == CouplingMode.CONTINUITY:
+        space_u, space_l = spaces
         if not np.array_equal(space_u.interface_x, space_l.interface_x):
             raise ValueError("interface discretizations of the two layers do not match")
-        reducer.identify(
-            ol + 2 * space_l.interface_nodes, ou + 2 * space_u.interface_nodes
-        )
-        layout = _build_layout(spaces, reducer, offsets, n_raw)
+        pairs = [np.column_stack([_interface_dofs(offsets, sp) for sp in spaces])]
     elif mode == CouplingMode.UNCOUPLED:
-        if alpha is not None:
-            raise ValueError("uncoupled mode takes no friction coefficient")
-        layout = _build_layout(spaces, reducer, offsets, n_raw)
+        pairs = []
     else:
         raise ValueError(f"unknown coupling mode {mode!r}")
-
-    return _assemble_reduced([op_upper, op_lower], layout, extra, None)
+    layout = _build_layout(spaces, offsets, n_raw, pairs=pairs)
+    return _assemble_reduced([op_upper, op_lower], layout, None, None)
 
 
 def _single_layer_layout(
@@ -731,11 +666,10 @@ def _single_layer_layout(
     """One layer's layout; trace_values, if given, prescribe the horizontal
     interface velocity (inhomogeneous Dirichlet data)."""
     offsets, n_raw = _offsets_for([space])
-    reducer = _base_reducer([space], offsets)
-    if trace_values is not None:
-        ov = offsets[(space.subdomain, _FIELD_VELOCITY)]
-        reducer.dirichlet(ov + 2 * space.interface_nodes, trace_values)
-    return _build_layout([space], reducer, offsets, n_raw)
+    if trace_values is None:
+        return _build_layout([space], offsets, n_raw)
+    fixed = [_interface_dofs(offsets, space)]
+    return _build_layout([space], offsets, n_raw, fixed=fixed, values=[trace_values])
 
 
 def _check_trace(space: MixedSpace, trace: np.ndarray, what: str) -> np.ndarray:
@@ -743,6 +677,18 @@ def _check_trace(space: MixedSpace, trace: np.ndarray, what: str) -> np.ndarray:
     if trace.shape != (len(space.interface_nodes),):
         raise ValueError(
             f"{what} has shape {trace.shape}, expected ({len(space.interface_nodes)},)"
+        )
+    return trace
+
+
+def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trace") -> np.ndarray:
+    """A trace prescribed pointwise at the layer's interface nodes: one entry
+    per node, and one value at the periodically identified end nodes x = 0
+    and x = L (the reduction keeps a single dof for both)."""
+    trace = _check_trace(space, trace, what)
+    if trace[0] != trace[-1]:
+        raise ValueError(
+            f"{what} must be periodic, got {trace[0]} at x = 0 and {trace[-1]} at x = L"
         )
     return trace
 
@@ -767,9 +713,7 @@ def assemble_robin_subproblem(
     n_raw = layout.n_raw
 
     m_iface = _interface_trace_mass(space.interface_x)
-    ifx = np.array(
-        [layout.raw_index(space.subdomain, _FIELD_VELOCITY, n, 0) for n in space.interface_nodes]
-    )
+    ifx = _interface_dofs(layout.offsets, space)
     coo = m_iface.tocoo()
     extra = scipy.sparse.coo_matrix(
         (alpha * coo.data, (ifx[coo.row], ifx[coo.col])), shape=(n_raw, n_raw)
@@ -782,8 +726,9 @@ def assemble_robin_subproblem(
 def assemble_dirichlet_subproblem(op: StokesOperator, trace_values: np.ndarray) -> SparseSystem:
     """One layer with the horizontal interface velocity prescribed pointwise
     (inhomogeneous Dirichlet data): the half-step of the plain
-    trace-swapping iteration."""
-    trace_values = _check_trace(op.space, trace_values, "trace")
+    trace-swapping iteration.  The trace must be periodic
+    (`check_periodic_trace`)."""
+    trace_values = check_periodic_trace(op.space, trace_values)
     return _assemble_reduced([op], _single_layer_layout(op.space, trace_values), None, None)
 
 
@@ -795,8 +740,7 @@ def dirichlet_trace_lift(op: StokesOperator, layout: DofLayout) -> scipy.sparse.
     reduced interface columns of the raw matrix (zero on the gauge rows).
     The trace must take one value at the periodically identified end nodes.
     """
-    space = op.space
-    ifx = layout.offsets[(space.subdomain, _FIELD_VELOCITY)] + 2 * space.interface_nodes
+    ifx = _interface_dofs(layout.offsets, op.space)
     lift = layout.reduction.T @ _raw_matrix([op], layout)[:, ifx]
     gauge = scipy.sparse.csr_matrix((layout.n_gauge, len(ifx)))
     return scipy.sparse.vstack([lift, gauge], format="csr")

@@ -56,6 +56,7 @@ __all__ = [
     "w_norm",
     "jump_norm",
     "energy_residual",
+    "check_alphas",
     "run_alpha_sweep",
 ]
 
@@ -322,6 +323,19 @@ def _sweep_row(
         )
 
 
+def check_alphas(alphas) -> list[float]:
+    """The friction coefficients of a sweep as floats: nonempty, finite,
+    >= 0 and strictly ascending, else ValueError."""
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    if any(not (np.isfinite(a) and a >= 0.0) for a in alphas):
+        raise ValueError("alphas must be finite and >= 0")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly ascending")
+    return alphas
+
+
 def run_alpha_sweep(
     mesh: Mesh,
     nu1: float,
@@ -335,19 +349,13 @@ def run_alpha_sweep(
 ) -> SweepResult:
     """Monolithic + alternating solves for each friction coefficient.
 
-    alphas must be nonempty and strictly ascending.  The continuity
+    alphas must pass `check_alphas`.  The continuity
     reference is solved once on the same mesh, so the distance column
     isolates the pure coefficient effect.  jobs > 1 runs rows concurrently
     (each row is independent); row order in the result is always the input
     order.
     """
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly ascending")
-    if any(not (a >= 0.0 and np.isfinite(a)) for a in alphas):
-        raise ValueError("alphas must be finite and >= 0")
+    alphas = check_alphas(alphas)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 

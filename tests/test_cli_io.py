@@ -296,6 +296,10 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     config = write_config(tmp_path, "[mesh]\nnz_lower = 0\n")
     assert main(["validate", "--config", config]) == 2
     assert "nz_lower" in capsys.readouterr().err
+    # a schwarz run cannot take alpha = inf, so validate rejects it as run does
+    config = write_config(tmp_path, "[coupling]\nalpha = inf\n")
+    assert main(["validate", "--config", config]) == 2
+    assert "error: alpha: " in capsys.readouterr().err
 
 
 def test_cli_demo_stagnation(tmp_path, capsys):
@@ -325,6 +329,36 @@ def test_cli_bad_alphas_text(tmp_path, capsys):
     config = write_config(tmp_path, small_config_body(tmp_path / "out"))
     assert main(["sweep", "--config", config, "--alphas", "1,two,3"]) == 2
     assert "alphas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--alpha", "inf"], "alpha"),
+        (["sweep", "--alphas", "10,inf"], "alphas"),
+        (["sweep", "--alphas", "10,nan"], "alphas"),
+        (["sweep", "--alphas", ","], "alphas"),
+        (["sweep", "--alphas", "10", "--jobs", "0"], "jobs"),
+        (["demo-stagnation", "--steps", "0"], "steps"),
+    ],
+    ids=["run-schwarz-alpha-inf", "sweep-inf", "sweep-nan", "sweep-empty", "sweep-jobs-0", "demo-steps-0"],
+)
+def test_cli_invalid_input_exits_2(tmp_path, capsys, argv, field):
+    config = write_config(tmp_path, small_config_body(tmp_path / "out"))
+    assert main(argv[:1] + ["--config", config] + argv[1:]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_friction_alpha_inf_is_the_continuity_solve(tmp_path, capsys):
+    fric, cont = tmp_path / "fric", tmp_path / "cont"
+    args = ["run", "--mode", "monolithic-friction", "--alpha", "inf"]
+    assert main(args[:1] + ["--config", write_config(tmp_path, small_config_body(fric))] + args[1:]) == 0
+    config = write_config(tmp_path, small_config_body(cont))
+    assert main(["run", "--config", config, "--mode", "monolithic-continuity"]) == 0
+    assert (fric / "field.vtk").read_bytes() == (cont / "field.vtk").read_bytes()
+    row = (fric / "report.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["monolithic-friction", "inf", "0", "1"] and float(row[4]) == 0.0
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stokescouple.coupling import _friction_multiplier_system, discretize, solve_monolithic_friction
 from stokescouple.fem import (
     BodyForce,
     CouplingMode,
@@ -14,7 +15,7 @@ from stokescouple.fem import (
     build_space,
     dirichlet_trace_lift,
 )
-from stokescouple.linalg import solve, spmv
+from stokescouple.linalg import CsrMatrix, solve, spmv
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
 
 
@@ -169,38 +170,58 @@ def test_interface_trace_mass_matches_analytic(spaces):
     mesh1 = build_layered_mesh(Geometry(length=7.0, z_plus=2.0, z_minus=-1.0), 1, 1, 1)
     up1 = build_space(mesh1, Subdomain.UPPER)
     lo1 = build_space(mesh1, Subdomain.LOWER)
-    single = assemble_interface_friction(up1, lo1, alpha=1.0)
-    m1 = single.trace_mass.to_scipy().toarray()
+    m1 = assemble_interface_friction(up1, lo1).toarray()
     block = m1[np.ix_([0, 2, 1], [0, 2, 1])]  # reorder to (a, b, mid)
     ref = 7.0 / 30.0 * np.array([[4.0, -1.0, 2.0], [-1.0, 4.0, 2.0], [2.0, 2.0, 16.0]])
     np.testing.assert_allclose(block, ref, rtol=1e-13)
     # constant difference d on the whole interface: quadratic form = alpha L d^2
     upper, lower = spaces
-    coupling = assemble_interface_friction(upper, lower, alpha=3.0)
+    m = assemble_interface_friction(upper, lower)
     d = 2.5
-    t = np.full(coupling.n_trace, d)
-    q = coupling.alpha * (t @ (coupling.trace_mass.to_scipy() @ t))
+    t = np.full(m.shape[0], d)
+    q = 3.0 * (t @ (m @ t))
     assert q == pytest.approx(3.0 * 100.0 * d**2, rel=1e-13)
+    coarse_lower = build_space(build_layered_mesh(Geometry(), 4, 2, 1), Subdomain.LOWER)
+    with pytest.raises(ValueError, match="do not match"):
+        assemble_interface_friction(upper, coarse_lower)
 
 
-def test_friction_kernel_on_equal_traces(spaces):
-    upper, lower = spaces
-    coupling = assemble_interface_friction(upper, lower, alpha=7.0)
+def multiplier_border(mesh):
+    """The friction multiplier system's B block on `mesh` (rows: periodic
+    trace dofs, columns: solved unknowns of the uncoupled system) and the
+    solved rows of each layer's horizontal interface velocity, found
+    node by node through `row_of`."""
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
+    matrix, _ = _friction_multiplier_system(system, disc.trace_mass, 7.0)
+    k = matrix.shape[0] - system.matrix.n_rows
+    layout = system.layout
+    rows = {
+        sub: np.array([layout.row_of(sub, "velocity", int(n)) for n in disc.space(sub).interface_nodes])
+        for sub in (Subdomain.UPPER, Subdomain.LOWER)
+    }
+    return matrix[:k, k:], rows[Subdomain.UPPER], rows[Subdomain.LOWER]
+
+
+def test_friction_kernel_on_equal_traces(small_mesh):
+    b, rows_upper, rows_lower = multiplier_border(small_mesh)
     rng = np.random.default_rng(5)
-    m = coupling.trace_mass.to_scipy()
     for _ in range(10):
-        t = rng.standard_normal(coupling.n_trace)
-        # assembled form on (t, t): t'Mt - t'Mt - t'Mt + t'Mt = 0
-        q = t @ (m @ t) - 2.0 * t @ (m @ t) + t @ (m @ t)
-        assert abs(q) <= 1e-12 * coupling.alpha * (t @ t + 1.0)
+        x = rng.standard_normal(b.shape[1])
+        x[rows_lower] = x[rows_upper]  # both layers carry the same trace
+        assert np.linalg.norm(b @ x) <= 1e-12 * np.linalg.norm(x)
+        x[rows_lower[3]] += 1.0  # one interface node slips
+        assert np.linalg.norm(b @ x) > 1e-12 * np.linalg.norm(x)
 
 
-def test_friction_rejects_bad_alpha(spaces):
-    upper, lower = spaces
-    with pytest.raises(ValueError):
-        assemble_interface_friction(upper, lower, alpha=-1.0)
-    with pytest.raises(ValueError):
-        assemble_interface_friction(upper, lower, alpha=np.inf)
+def test_friction_rejects_bad_alpha(small_mesh):
+    op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
+    trace = np.zeros(len(op.space.interface_nodes))
+    for alpha in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="friction coefficient"):
+            assemble_robin_subproblem(op, alpha, trace)
+        with pytest.raises(ValueError, match="friction coefficient"):
+            solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=alpha)
 
 
 def expected_reduced_size(nx, nz_upper, nz_lower):
@@ -220,52 +241,51 @@ def expected_reduced_size(nx, nz_upper, nz_lower):
 
 
 def test_system_size_matches_constraint_count(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
+    sys = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
     assert sys.matrix.n_rows == expected_reduced_size(8, 4, 2)
     assert sys.matrix.n_rows == sys.matrix.n_cols == len(sys.rhs)
 
 
 def test_continuity_removes_free_interface_dofs(ops):
-    sysf = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
+    sysu = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
     sysc = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
-    n_iface_free = len(sysf.layout.spaces[Subdomain.UPPER].interface_nodes) - 1
-    assert sysf.matrix.n_rows - sysc.matrix.n_rows == n_iface_free
+    n_iface_free = len(sysu.layout.spaces[Subdomain.UPPER].interface_nodes) - 1
+    assert sysu.matrix.n_rows - sysc.matrix.n_rows == n_iface_free
 
 
 def test_coupled_matrix_is_symmetric(small_mesh):
-    for mode, alpha in [
-        (CouplingMode.FRICTION, 10.0),
-        (CouplingMode.CONTINUITY, None),
-        (CouplingMode.UNCOUPLED, None),
-    ]:
-        sys = assemble_coupled_system(*layer_ops(small_mesh, 1.0, 2.0), mode, alpha)
-        a = sys.matrix.to_scipy()
+    ops = layer_ops(small_mesh, 1.0, 2.0)
+    uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
+    continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
+    trace_mass = assemble_interface_friction(ops[0].space, ops[1].space)
+    friction, _ = _friction_multiplier_system(uncoupled, trace_mass, 10.0)
+    for a in (uncoupled.matrix.to_scipy(), continuity.matrix.to_scipy(), friction):
         assert abs(a - a.T).max() < 1e-12
 
 
 def test_mode_argument_validation(small_mesh, ops):
-    with pytest.raises(ValueError):
-        assemble_coupled_system(*ops, CouplingMode.FRICTION, None)
-    with pytest.raises(ValueError):
-        assemble_coupled_system(*ops, CouplingMode.FRICTION, np.inf)
-    with pytest.raises(ValueError):
-        assemble_coupled_system(*ops, CouplingMode.CONTINUITY, 5.0)
-    with pytest.raises(ValueError):
-        assemble_coupled_system(*ops, CouplingMode.UNCOUPLED, 0.0)
+    with pytest.raises(ValueError, match="unknown coupling mode"):
+        assemble_coupled_system(*ops, "friction")
+    coarse_lower = layer_ops(build_layered_mesh(Geometry(), 4, 2, 1))[1]
+    with pytest.raises(ValueError, match="do not match"):
+        assemble_coupled_system(ops[0], coarse_lower, CouplingMode.CONTINUITY)
     with pytest.raises(ValueError):
         assemble_stokes(build_space(small_mesh, Subdomain.UPPER), -1.0, FORCE)
 
 
-def test_uncoupled_equals_friction_alpha_zero(ops):
-    sys0 = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-    sysf = assemble_coupled_system(*ops, CouplingMode.FRICTION, 0.0)
-    x0, _ = solve(sys0.matrix, sys0.rhs)
-    xf, _ = solve(sysf.matrix, sysf.rhs)
-    np.testing.assert_array_equal(x0, xf)
+def test_uncoupled_equals_friction_alpha_zero(small_mesh, ops):
+    # the monolithic friction solve at alpha = 0 against each layer's own
+    # alpha = 0 Robin half-step: zero interface stress either way
+    field = solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=0.0)
+    for op, u in zip(ops, (field.u1, field.u2)):
+        sys = assemble_robin_subproblem(op, 0.0, np.zeros(len(op.space.interface_nodes)))
+        x, _ = solve(sys.matrix, sys.rhs)
+        single = sys.layout.expand(x)[(op.space.subdomain, "velocity")]
+        np.testing.assert_allclose(u, single, rtol=0, atol=1e-12 * np.abs(single).max())
 
 
 def test_row_of_and_expand_consistency(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
+    sys = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
     layout = sys.layout
     upper = layout.spaces[Subdomain.UPPER]
     # a wall dof is constrained away; a mid-layer dof is live
@@ -283,6 +303,46 @@ def test_row_of_and_expand_consistency(ops):
     assert u[s] == u[m]
 
 
+def test_reduction_contract(ops):
+    continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY).layout
+    x = ops[1].space.interface_x
+    trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1])
+    trace[-1] = trace[0]
+    prescribed = assemble_dirichlet_subproblem(ops[1], trace).layout
+    for layout in (continuity, prescribed):
+        c = layout.reduction.tocsc()
+        assert np.all(c.data == 1.0)
+        members = [np.sort(c.indices[c.indptr[j] : c.indptr[j + 1]]) for j in range(c.shape[1])]
+        smallest = np.array([m[0] for m in members])
+        # each column is represented by its smallest raw index, ascending
+        assert np.all(np.diff(smallest) > 0)
+        for j, m in enumerate(members):
+            assert np.all(layout.col_of[m] == j)
+        kept = np.concatenate(members)
+        assert len(kept) == len(np.unique(kept)) == np.count_nonzero(layout.col_of >= 0)
+
+    # lower x = L -> lower x = 0 -> upper x = 0 collapses to one column
+    iface = {
+        sub: continuity.offsets[(sub, "velocity")] + 2 * continuity.spaces[sub].interface_nodes
+        for sub in (Subdomain.UPPER, Subdomain.LOWER)
+    }
+    chain = [iface[Subdomain.LOWER][-1], iface[Subdomain.LOWER][0], iface[Subdomain.UPPER][0]]
+    col = continuity.col_of[chain[0]]
+    assert np.all(continuity.col_of[chain] == col)
+    assert continuity.col_of[iface[Subdomain.UPPER][-1]] == col
+    assert np.sort(continuity.reduction.tocsc()[:, col].indices)[0] == iface[Subdomain.UPPER][0]
+
+    # the prescribed value reaches every member of its class, x = L included
+    ifx = prescribed.offsets[(Subdomain.LOWER, "velocity")] + 2 * prescribed.spaces[
+        Subdomain.LOWER
+    ].interface_nodes
+    assert np.all(prescribed.col_of[ifx] == -1)
+    np.testing.assert_array_equal(prescribed.x_bc[ifx], trace)
+    others = np.ones(prescribed.n_raw, dtype=bool)
+    others[ifx] = False
+    assert np.all(prescribed.x_bc[others] == 0.0)
+
+
 def test_continuity_traces_identical_after_expand(ops):
     sys = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
     x, _ = solve(sys.matrix, sys.rhs)
@@ -294,27 +354,25 @@ def test_continuity_traces_identical_after_expand(ops):
     np.testing.assert_array_equal(tu, tl)
 
 
-def test_weak_incompressibility_of_solutions(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
-    x, _ = solve(sys.matrix, sys.rhs)
-    out = sys.layout.expand(x)
-    for sub in (Subdomain.UPPER, Subdomain.LOWER):
-        space = sys.layout.spaces[sub]
-        op = assemble_stokes(space, 1.0, FORCE)
-        u = out[(sub, "velocity")]
+def test_weak_incompressibility_of_solutions(small_mesh):
+    field = solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=10.0)
+    for op, u in [(field.disc.op_upper, field.u1), (field.disc.op_lower, field.u2)]:
         div = op.divergence.T @ u
         assert np.linalg.norm(div) <= 1e-8 * max(np.linalg.norm(u), 1.0)
 
 
 def test_galerkin_smoke_random_test_vectors(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.FRICTION, 10.0)
-    x, _ = solve(sys.matrix, sys.rhs)
-    ax = spmv(sys.matrix, x)
+    uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
+    trace_mass = assemble_interface_friction(ops[0].space, ops[1].space)
+    matrix, rhs = _friction_multiplier_system(uncoupled, trace_mass, 10.0)
+    matrix = CsrMatrix.from_scipy(matrix)
+    x, _ = solve(matrix, rhs)
+    ax = spmv(matrix, x)
     rng = np.random.default_rng(42)
-    scale = np.linalg.norm(sys.rhs)
+    scale = np.linalg.norm(rhs)
     for _ in range(20):
         v = rng.standard_normal(len(x))
-        assert abs(v @ ax - v @ sys.rhs) <= 1e-8 * scale * np.linalg.norm(v)
+        assert abs(v @ ax - v @ rhs) <= 1e-8 * scale * np.linalg.norm(v)
 
 
 def test_robin_subproblem_matches_channel_half_step(small_mesh):
@@ -359,6 +417,14 @@ def test_dirichlet_subproblem_imposes_trace(small_mesh):
     c = (d - 12.5) / 5.0
     z = space.velocity_nodes[:, 1]
     np.testing.assert_allclose(u[0::2], -0.5 * z**2 + c * z + d, atol=1e-9)
+
+
+def test_dirichlet_subproblem_rejects_nonperiodic_trace(small_mesh):
+    op = assemble_stokes(build_space(small_mesh, Subdomain.LOWER), 1.0, FORCE)
+    trace = np.ones(len(op.space.interface_nodes))
+    trace[-1] = 5.0  # x = L is the x = 0 node: one value cannot be both
+    with pytest.raises(ValueError, match="periodic"):
+        assemble_dirichlet_subproblem(op, trace)
 
 
 def test_dirichlet_trace_lift_reproduces_assembled_rhs(small_mesh):

@@ -131,7 +131,7 @@ def test_saddle_systems_fill_stays_symmetric():
     mesh = build_layered_mesh(Geometry(), 32, 16, 4)
     force = BodyForce(1.0, -1.0)
     disc = discretize(mesh, 1.0, 1.0, force, force)
-    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.FRICTION, 0.0)
+    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
     friction, _ = _friction_multiplier_system(base, disc.trace_mass, 10.0)
     continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
     fills = [
