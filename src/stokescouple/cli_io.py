@@ -451,7 +451,7 @@ def _run_demo(config, mesh, f1, f2, directory, steps) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig, alphas: list, jobs: int) -> int:
+def _cmd_sweep(config: RunConfig, alphas: list) -> int:
     mesh = config.build_mesh()
     f1, f2 = config.body_forces()
     directory = _ensure_dir(config)
@@ -464,7 +464,6 @@ def _cmd_sweep(config: RunConfig, alphas: list, jobs: int) -> int:
         alphas,
         tol_increment=config.tol,
         max_iter=config.max_iter,
-        jobs=jobs,
     )
     rows = [
         [r.alpha, r.n_iterations, r.w_dist_to_continuity, r.jump_l2, r.energy_residual, r.converged]
@@ -538,7 +537,6 @@ def main(argv=None) -> int:
     sweep_p = sub.add_parser("sweep", help="friction-coefficient sweep; writes CSV")
     sweep_p.add_argument("--config", metavar="FILE")
     sweep_p.add_argument("--alphas", required=True, metavar="X1,X2,...")
-    sweep_p.add_argument("--jobs", type=int, default=1)
 
     val_p = sub.add_parser("validate", help="config + mesh checks only")
     val_p.add_argument("--config", metavar="FILE")
@@ -557,9 +555,7 @@ def main(argv=None) -> int:
                 config = dataclasses.replace(config, alpha=args.alpha)
             return _cmd_run(config)
         if args.command == "sweep":
-            return _cmd_sweep(
-                config, _parse_alphas(args.alphas), _at_least_one("jobs", args.jobs)
-            )
+            return _cmd_sweep(config, _parse_alphas(args.alphas))
         if args.command == "validate":
             return _cmd_validate(config)
         steps = _at_least_one("steps", args.steps)

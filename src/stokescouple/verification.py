@@ -24,7 +24,6 @@ continuity reference solution.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 from dataclasses import dataclass
 
@@ -345,31 +344,21 @@ def run_alpha_sweep(
     alphas,
     tol_increment: float = 1e-3,
     max_iter: int = 100_000,
-    jobs: int = 1,
 ) -> SweepResult:
     """Monolithic + alternating solves for each friction coefficient.
 
     alphas must pass `check_alphas`.  The continuity
     reference is solved once on the same mesh, so the distance column
-    isolates the pure coefficient effect.  jobs > 1 runs rows concurrently
-    (each row is independent); row order in the result is always the input
-    order.
+    isolates the pure coefficient effect.  Rows are in the input order.
     """
     alphas = check_alphas(alphas)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
     disc = discretize(mesh, nu1, nu2, force1, force2)
     continuity = solve_monolithic_continuity(mesh, nu1, nu2, force1, force2, disc=disc)
-
-    def row(alpha: float) -> SweepRow:
-        return _sweep_row(
-            mesh, nu1, nu2, force1, force2, disc, continuity, alpha, tol_increment, max_iter
-        )
-
-    if jobs == 1:
-        rows = [row(a) for a in alphas]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, alphas))
-    return SweepResult(rows=rows)
+    return SweepResult(
+        rows=[
+            _sweep_row(
+                mesh, nu1, nu2, force1, force2, disc, continuity, a, tol_increment, max_iter
+            )
+            for a in alphas
+        ]
+    )

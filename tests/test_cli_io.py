@@ -275,16 +275,6 @@ def test_cli_sweep_deterministic_bytes(tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
-def test_cli_sweep_jobs_match_sequential(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    c1 = write_config(tmp_path, small_config_body(out1))
-    main(["sweep", "--config", c1, "--alphas", "0,1e9"])
-    c2 = (tmp_path / "run2.ini")
-    c2.write_text(small_config_body(out2))
-    main(["sweep", "--config", str(c2), "--alphas", "0,1e9", "--jobs", "2"])
-    assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
-
-
 def test_cli_validate(tmp_path, capsys):
     config = write_config(tmp_path, small_config_body(tmp_path / "out"))
     assert main(["validate", "--config", config]) == 0
@@ -338,10 +328,9 @@ def test_cli_bad_alphas_text(tmp_path, capsys):
         (["sweep", "--alphas", "10,inf"], "alphas"),
         (["sweep", "--alphas", "10,nan"], "alphas"),
         (["sweep", "--alphas", ","], "alphas"),
-        (["sweep", "--alphas", "10", "--jobs", "0"], "jobs"),
         (["demo-stagnation", "--steps", "0"], "steps"),
     ],
-    ids=["run-schwarz-alpha-inf", "sweep-inf", "sweep-nan", "sweep-empty", "sweep-jobs-0", "demo-steps-0"],
+    ids=["run-schwarz-alpha-inf", "sweep-inf", "sweep-nan", "sweep-empty", "demo-steps-0"],
 )
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv, field):
     config = write_config(tmp_path, small_config_body(tmp_path / "out"))

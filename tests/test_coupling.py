@@ -25,7 +25,13 @@ from stokescouple.coupling import (
     solve_monolithic_continuity,
     solve_monolithic_friction,
 )
-from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
+from stokescouple.fem import (
+    BodyForce,
+    CouplingMode,
+    assemble_coupled_system,
+    assemble_robin_subproblem,
+)
+from stokescouple.linalg import solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
 
 GEOM = Geometry()  # length 100, z in [-5, 50]
@@ -295,6 +301,64 @@ def test_schwarz_record_fields_are_consistent():
     assert [r.iteration for r in report.records] == list(range(1, report.n_iterations + 1))
     assert np.all(report.increments > 0)
     assert report.records[-1].increment_l2 < 1e-3 <= report.records[-2].increment_l2
+
+
+def reference_alternation(disc, config):
+    """The alternating solver in full-field form: every half-step assembles
+    its Robin subproblem against the neighbor's current trace and solves it
+    from scratch; the increment and the jump are measured on the fields.
+    Returns (n_iterations, increments, jumps, (u1, p1, u2, p2))."""
+
+    def half_step(sub, neighbor_trace):
+        system = assemble_robin_subproblem(disc.op(sub), config.alpha, neighbor_trace)
+        x, _ = solve(system.matrix, system.rhs, tol=config.solver_tol)
+        out = system.layout.expand(x)
+        return out[(sub, "velocity")], out[(sub, "pressure")]
+
+    u1, p1 = half_step(Subdomain.UPPER, config.initial_neighbor_trace)
+    u2 = np.zeros(disc.space_lower.n_velocity_dofs)
+    increments, jumps = [], []
+    for n in range(1, config.max_iter + 1):
+        u2_new, p2 = half_step(Subdomain.LOWER, disc.trace_of(Subdomain.UPPER, u1))
+        u1_new, p1 = half_step(Subdomain.UPPER, disc.trace_of(Subdomain.LOWER, u2_new))
+        increments.append(disc.velocity_l2(u1_new - u1, u2_new - u2))
+        u1, u2 = u1_new, u2_new
+        jumps.append(disc.jump_l2(u1, u2))
+        if increments[-1] < config.tol_increment:
+            break
+    return n, np.array(increments), np.array(jumps), (u1, p1, u2, p2)
+
+
+@pytest.mark.parametrize("start", ["zero", "periodic"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0])
+def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
+    mesh = default_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    x = disc.space_upper.interface_x
+    g0 = np.zeros_like(x)
+    if start == "periodic":
+        g0 = 3.0 + np.sin(2.0 * np.pi * x / GEOM.length)
+        g0[-1] = g0[0]
+    config = SchwarzConfig(
+        alpha=alpha, tol_increment=1e-300, max_iter=30, initial_neighbor_trace=g0
+    )
+    report = schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
+    n, increments, jumps, fields = reference_alternation(disc, config)
+    assert report.n_iterations == n
+    np.testing.assert_allclose(report.increments, increments, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose([r.jump_l2 for r in report.records], jumps, rtol=1e-9, atol=0.0)
+    final = report.final
+    for got, want in zip((final.u1, final.p1, final.u2, final.p2), fields):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_schwarz_reports_its_certified_solves():
+    config = SchwarzConfig(alpha=10.0, tol_increment=1e-3, max_iter=1000, solver_tol=1e-11)
+    report = schwarz_solve(small_mesh(), 1.0, 1.0, FORCE, FORCE, config)
+    assert len(report.setup_reports) >= 2 and len(report.reconstruction_reports) == 2
+    solves = report.setup_reports + report.reconstruction_reports
+    assert all(0.0 <= r.relative_residual <= config.solver_tol for r in solves)
+    assert report.setup_s > 0.0 and report.iterate_s > 0.0
 
 
 # ---------------------------------------------------------------------------

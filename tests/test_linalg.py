@@ -1,5 +1,8 @@
 """Direct-solver contract: certification, determinism, error handling."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,7 +56,11 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         spmv(A, np.ones(4))
     with pytest.raises(DimensionMismatchError):
+        spmv(A, np.ones((3, 2, 1)))
+    with pytest.raises(DimensionMismatchError):
         solve(A, np.ones(2))
+    with pytest.raises(DimensionMismatchError):
+        solve(A, np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
         factorize(dense(np.ones((2, 3))))
 
@@ -104,6 +111,63 @@ def test_factorization_reuse_many_rhs():
         x, report = fact.solve(b)
         assert report.relative_residual <= 1e-10
         np.testing.assert_allclose(a @ x, b, atol=1e-9 * np.linalg.norm(b))
+
+
+def test_block_solve_equals_column_solves():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
+    a[np.abs(a) < 0.8] = 0.0
+    fact = factorize(dense(a))
+    b = rng.standard_normal((30, 4))
+    x, report = fact.solve(b)
+    assert x.shape == b.shape
+    for j in range(b.shape[1]):
+        xj, _ = fact.solve(b[:, j])
+        assert np.max(np.abs(x[:, j] - xj)) <= 1e-15 * np.max(np.abs(xj))
+        np.testing.assert_array_equal(spmv(fact.matrix, x)[:, j], spmv(fact.matrix, x[:, j]))
+    assert report.relative_residual <= 1e-10
+
+
+class _PerturbedLU:
+    """A factorization handle whose solutions are off by `delta` in column
+    `column`: the certification must catch it from the residual alone."""
+
+    def __init__(self, lu, column, delta):
+        self.lu, self.column, self.delta, self.nnz = lu, column, delta, lu.nnz
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        x[0, self.column] += self.delta
+        return x
+
+
+def test_block_solve_certifies_every_column():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
+    fact = factorize(dense(a))
+    b = rng.standard_normal((20, 3))
+    breached = dataclasses.replace(fact, _lu=_PerturbedLU(fact._lu, column=1, delta=1e-6))
+    with pytest.raises(ResidualCertificationError):
+        breached.solve(b)
+    _, report = breached.solve(b, tol=1e-3)  # the breach is ~1e-6 relative
+    assert 1e-8 < report.relative_residual <= 1e-3
+
+
+def test_block_solve_zero_column_uses_absolute_residual():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
+    fact = factorize(dense(a))
+    b = rng.standard_normal((20, 3))
+    b[:, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 on the zero column
+        x, report = fact.solve(b)
+    np.testing.assert_array_equal(x[:, 2], 0.0)
+    assert report.relative_residual <= 1e-10
+    # a nonzero answer to a zero column is measured absolutely and rejected
+    breached = dataclasses.replace(fact, _lu=_PerturbedLU(fact._lu, column=2, delta=1e-6))
+    with pytest.raises(ResidualCertificationError):
+        breached.solve(b)
 
 
 def test_solve_report_states_what_the_factorization_did():

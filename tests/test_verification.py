@@ -259,8 +259,6 @@ def test_sweep_validation():
         run_alpha_sweep(mesh, 1.0, 1.0, FORCE, FORCE, [10.0, 10.0])
     with pytest.raises(ValueError):
         run_alpha_sweep(mesh, 1.0, 1.0, FORCE, FORCE, [-1.0, 10.0])
-    with pytest.raises(ValueError, match="jobs"):
-        run_alpha_sweep(mesh, 1.0, 1.0, FORCE, FORCE, [10.0], jobs=0)
 
 
 def test_sweep_records_row_failure_and_continues(monkeypatch):
@@ -277,10 +275,3 @@ def test_sweep_records_row_failure_and_continues(monkeypatch):
     assert "synthetic row failure" in result.rows[1].error
     assert np.isnan(result.rows[1].jump_l2) and not result.rows[1].converged
     assert result.rows[2].error is None and result.rows[2].converged
-
-
-def test_sweep_parallel_rows_match_sequential():
-    mesh = small_mesh()
-    seq = run_alpha_sweep(mesh, 1.0, 1.0, FORCE, FORCE, [0.0, 10.0], jobs=1)
-    par = run_alpha_sweep(mesh, 1.0, 1.0, FORCE, FORCE, [0.0, 10.0], jobs=2)
-    assert seq.rows == par.rows
