@@ -284,6 +284,23 @@ class FieldExport:
     subdomain: np.ndarray  # (n_triangles,)
 
 
+def _node_rows(nodes: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
+    """Row of each point in nodes, matched exactly on (x, z).
+
+    The spaces store their nodes in lexicographic (x, z) order, which is the
+    order numpy sorts complex numbers x + iz in, so one binary search finds
+    every point.
+    """
+    keys = nodes[:, 0] + 1j * nodes[:, 1]
+    wanted = points[:, 0] + 1j * points[:, 1]
+    rows = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    missing = keys[rows] != wanted
+    if np.any(missing):
+        x, z = points[np.argmax(missing)].tolist()
+        raise ValueError(f"mesh vertex ({x!r}, {z!r}) is not a {what} node of its layer")
+    return rows
+
+
 def export_field(field: CoupledField) -> FieldExport:
     """Sample the per-layer solutions at the shared mesh vertices.
 
@@ -300,15 +317,12 @@ def export_field(field: CoupledField) -> FieldExport:
         (Subdomain.LOWER, field.u2, field.p2),
     ]:
         space = field.disc.space(sub)
-        node_of = {(x, z): k for k, (x, z) in enumerate(map(tuple, space.velocity_nodes))}
-        pnode_of = {(x, z): k for k, (x, z) in enumerate(map(tuple, space.pressure_nodes))}
         layer_vertices = np.unique(mesh.triangles[mesh.triangle_subdomain == sub])
-        for v in layer_vertices:
-            key = tuple(mesh.vertices[v])
-            k = node_of[key]
-            velocity[v] += u[2 * k : 2 * k + 2]
-            pressure[v] += p[pnode_of[key]]
-            count[v] += 1.0
+        points = mesh.vertices[layer_vertices]
+        rows = _node_rows(space.velocity_nodes, points, "velocity")
+        velocity[layer_vertices] += u.reshape(-1, 2)[rows]
+        pressure[layer_vertices] += p[_node_rows(space.pressure_nodes, points, "pressure")]
+        count[layer_vertices] += 1.0
     velocity /= count[:, None]
     pressure /= count
     return FieldExport(

@@ -13,9 +13,11 @@ because a zero threshold lost six digits on a harder saddle system; a
 diagonal entry below 0.01 of its column's largest is still pivoted away.
 
 Every solve is certified by an independent matrix-vector product: the
-relative residual is computed with our own :func:`spmv`, never taken from
-solver internals, and a solve that misses the requested tolerance raises
-instead of returning silently.
+relative residual is computed with a scipy sparse product of the original
+matrix, never taken from solver internals, and a solve that misses the
+requested tolerance raises instead of returning silently.  The product is
+built once per factorization on the matrix's own arrays, so no copy of the
+matrix is kept next to the LU factors.
 
 A right-hand side may be a vector or an (n, k) block of columns; each column
 is certified on its own.  A factorization handle is exposed separately
@@ -41,7 +43,6 @@ __all__ = [
     "SingularSystemError",
     "ResidualCertificationError",
     "solve",
-    "spmv",
     "factorize",
 ]
 
@@ -90,18 +91,17 @@ class CsrMatrix:
 
     @classmethod
     def from_scipy(cls, m) -> "CsrMatrix":
-        m = scipy.sparse.csr_matrix(m)
+        m = scipy.sparse.csr_matrix(m, dtype=np.float64, copy=True)
         m.sum_duplicates()
         m.sort_indices()
+        # The index arrays keep scipy's dtype, so to_scipy shares them.
         return cls(
-            n_rows=m.shape[0],
-            n_cols=m.shape[1],
-            indptr=m.indptr.astype(np.int64),
-            indices=m.indices.astype(np.int64),
-            data=m.data.astype(np.float64),
+            n_rows=m.shape[0], n_cols=m.shape[1], indptr=m.indptr, indices=m.indices, data=m.data
         )
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
+        """A scipy matrix on this matrix's arrays, not a copy of them, when the
+        index arrays have the dtype scipy picks (as from_scipy keeps it)."""
         return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
         )
@@ -113,31 +113,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
-
-
-def spmv(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product computed directly from the CSR arrays; x is a
-    vector or an (n_cols, k) block of columns.
-
-    Each row is summed left to right over its stored entries, so the result
-    is bitwise reproducible for identical inputs.  A block is multiplied one
-    column at a time: every column equals its own vector product bitwise,
-    and the temporary stays at nnz entries however many columns there are.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != matrix.n_cols:
-        raise DimensionMismatchError(
-            f"matrix is {matrix.n_rows}x{matrix.n_cols}, operand has shape {x.shape}"
-        )
-    columns = x.reshape(matrix.n_cols, -1)
-    y = np.zeros((matrix.n_rows, columns.shape[1]))
-    starts = matrix.indptr[:-1]
-    nonempty = matrix.indptr[1:] > starts
-    if matrix.nnz:
-        for j in range(columns.shape[1]):
-            prod = matrix.data * columns[matrix.indices, j]
-            y[nonempty, j] = np.add.reduceat(prod, starts[nonempty])
-    return y.reshape((matrix.n_rows,) + x.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -164,11 +139,16 @@ class SolveReport:
 
 @dataclass
 class Factorization:
-    """Reusable LU factorization of a square CsrMatrix."""
+    """Reusable LU factorization of a square CsrMatrix.
+
+    _product is the matrix as scipy sees it, sharing its arrays; it forms
+    the certification residuals.
+    """
 
     matrix: CsrMatrix
     _lu: object = field(repr=False)
     factor_s: float
+    _product: scipy.sparse.csr_matrix = field(repr=False)
 
     @property
     def lu_nnz(self) -> int:
@@ -192,9 +172,10 @@ class Factorization:
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("solution contains non-finite entries")
         # Column norms through einsum and the residual formed in place, so a
-        # block rhs costs one more n x k array, not three.
+        # block rhs costs one more n x k array, not three.  A block product
+        # sums each column in the order of its vector product.
         columns = b.reshape(len(b), -1)
-        residual = spmv(self.matrix, x).reshape(columns.shape)
+        residual = (self._product @ x).reshape(columns.shape)
         np.subtract(columns, residual, out=residual)
         norm_r = np.sqrt(np.einsum("ij,ij->j", residual, residual))
         norm_b = np.sqrt(np.einsum("ij,ij->j", columns, columns))
@@ -222,7 +203,8 @@ def factorize(matrix: CsrMatrix) -> Factorization:
         raise DimensionMismatchError(
             f"LU factorization needs a square matrix, got {matrix.n_rows}x{matrix.n_cols}"
         )
-    csc = matrix.to_scipy().tocsc()
+    product = matrix.to_scipy()
+    csc = product.tocsc()
     start = time.perf_counter()
     try:
         lu = scipy.sparse.linalg.splu(
@@ -233,7 +215,9 @@ def factorize(matrix: CsrMatrix) -> Factorization:
         )
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystemError(str(exc)) from exc
-    return Factorization(matrix=matrix, _lu=lu, factor_s=time.perf_counter() - start)
+    return Factorization(
+        matrix=matrix, _lu=lu, factor_s=time.perf_counter() - start, _product=product
+    )
 
 
 def solve(matrix: CsrMatrix, b: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> tuple[np.ndarray, SolveReport]:

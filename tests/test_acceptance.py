@@ -284,7 +284,7 @@ def test_criterion_4_alternating_matches_monolithic(record_criterion, sweep_data
         )
         sweep = schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, start, disc=disc)
         fixed_gaps[alpha] = gap(sweep.final, mono)
-        predicted = error_to_increment(alpha) * report.records[-1].increment_l2
+        predicted = error_to_increment(alpha) * report.increments[-1]
         ratios[alpha] = gap(report.final, mono) / predicted
     fixed_ok = all(g <= bound for g in fixed_gaps.values())
     contraction_ok = all(abs(r - 1.0) <= 1e-4 for r in ratios.values())

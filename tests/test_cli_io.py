@@ -198,6 +198,19 @@ def test_export_field_averages_interface_values():
     assert set(export.subdomain) == {0, 1}
 
 
+@pytest.mark.parametrize("nodes", ["velocity_nodes", "pressure_nodes"])
+def test_export_field_rejects_a_vertex_missing_from_its_layer(nodes):
+    field = small_field()
+    space = field.disc.space_lower
+    moved = getattr(space, nodes).copy()
+    moved[-1, 1] += 0.25  # the last node in (x, z) order is a vertex, (L, 0)
+    disc = dataclasses.replace(
+        field.disc, space_lower=dataclasses.replace(space, **{nodes: moved})
+    )
+    with pytest.raises(ValueError, match=f"\\(100.0, 0.0\\) is not a {nodes.split('_')[0]} node"):
+        export_field(dataclasses.replace(field, disc=disc))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

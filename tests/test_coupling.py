@@ -12,13 +12,17 @@ solver precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from stokescouple.coupling import (
     SchwarzConfig,
+    _block_iterations,
     _friction_multiplier_system,
+    _RobinSide,
     dirichlet_exchange_demo,
     discretize,
     schwarz_solve,
@@ -63,19 +67,18 @@ def channel_coefficients(alpha):
 # scalar recursion oracle for the alternating solver
 
 
-_GAUSS4 = np.polynomial.legendre.leggauss(4)  # computed once: the recursion runs 1e5 steps
-
-
 def _layer_l2(c, d, z_lo, z_hi, quadratic=True):
     """L2 norm over one layer (width 100 in x) of -z^2/2 + c z + d
-    (quadratic=True) or of c z + d."""
-    nodes, weights = _GAUSS4
-    z = 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * nodes
-    w = 0.5 * (z_hi - z_lo) * weights
-    vals = c * z + d
-    if quadratic:
-        vals = vals - 0.5 * z**2
-    return float(np.sqrt(100.0 * np.sum(w * vals**2)))
+    (quadratic=True) or of c z + d, integrated in closed form: the recursion
+    runs 1e5 steps, so it stays in Python floats."""
+
+    def antiderivative(z):
+        value = c * c * z**3 / 3.0 + c * d * z**2 + d * d * z  # of (c z + d)^2
+        if quadratic:  # ... plus z^4/4 - z^2 (c z + d)
+            value += z**5 / 20.0 - c * z**4 / 4.0 - d * z**3 / 3.0
+        return value
+
+    return math.sqrt(100.0 * (antiderivative(z_hi) - antiderivative(z_lo)))
 
 
 def scalar_schwarz(alpha, tol, max_iter):
@@ -104,7 +107,7 @@ def scalar_schwarz(alpha, tol, max_iter):
             inc_lower = _layer_l2(c2_new, zm**2 / 2.0 - zm * c2_new, zm, 0.0)
         else:
             inc_lower = _layer_l2(c2_new - c2, -zm * (c2_new - c2), zm, 0.0, quadratic=False)
-        increment = float(np.hypot(inc_upper, inc_lower))
+        increment = math.hypot(inc_upper, inc_lower)
         increments.append(increment)
         c1, c2 = c1_new, c2_new
         n_done = n
@@ -350,6 +353,69 @@ def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
     final = report.final
     for got, want in zip((final.u1, final.p1, final.u2, final.p2), fields):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def sequential_trace_loop(disc, config):
+    """The trace iteration one step at a time over the solver's own
+    half-step maps.  Returns (n, converged, increments, jumps, final
+    neighbor traces of the upper and the lower layer)."""
+    upper = _RobinSide(disc, Subdomain.UPPER, config.alpha, config.solver_tol)
+    lower = _RobinSide(disc, Subdomain.LOWER, config.alpha, config.solver_tol)
+    mass = disc.trace_mass.toarray()
+    g_upper = np.zeros(len(disc.space_upper.interface_nodes))
+    g_lower = None  # the lower field starts at zero
+    t_upper = upper.trace(g_upper)
+    increments, jumps = [], []
+    for n in range(1, config.max_iter + 1):
+        t_lower = lower.trace(t_upper)
+        t_upper_new = upper.trace(t_lower)
+        if g_lower is None:
+            lower_sq = lower.velocity_sq(t_upper)
+        else:
+            lower_sq = lower.increment_sq(t_upper - g_lower)
+        increments.append(np.sqrt(upper.increment_sq(t_lower - g_upper) + lower_sq))
+        g_upper, g_lower, t_upper = t_lower, t_upper, t_upper_new
+        jump = t_upper - t_lower
+        jumps.append(np.sqrt(jump @ (mass @ jump)))
+        if increments[-1] < config.tol_increment:
+            break
+    converged = increments[-1] < config.tol_increment
+    return n, converged, np.array(increments), np.array(jumps), (g_upper, g_lower)
+
+
+@pytest.mark.parametrize("stop", ["B-1", "B", "B+1", "B+2", "2B+1", "cap"])
+def test_schwarz_blocks_match_sequential_iteration(stop):
+    # Iteration 1 runs alone; the blocks then cover 2..B+1, B+2..2B+1, ...
+    mesh = default_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    block = _block_iterations(len(disc.space_upper.interface_nodes))
+    assert block == 64  # n_trace = 17
+    probe = SchwarzConfig(alpha=10.0, tol_increment=1e-300, max_iter=2 * block + 2)
+    _, _, history, _, _ = sequential_trace_loop(disc, probe)
+    assert np.all(np.diff(history) < 0.0)
+    if stop == "cap":
+        config = SchwarzConfig(alpha=10.0, tol_increment=1e-300, max_iter=block + 2)
+        expected = (block + 2, False)
+    else:
+        n = {"B-1": block - 1, "B": block, "B+1": block + 1, "B+2": block + 2, "2B+1": 2 * block + 1}[stop]
+        # a tolerance between the increments of iterations n - 1 and n
+        tol = float(np.sqrt(history[n - 1] * history[n - 2]))
+        config = SchwarzConfig(alpha=10.0, tol_increment=tol, max_iter=1000)
+        expected = (n, True)
+    n, converged, increments, jumps, (g_upper, g_lower) = sequential_trace_loop(disc, config)
+    assert (n, converged) == expected
+    report = schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
+    assert (report.n_iterations, report.converged) == expected
+    np.testing.assert_allclose(report.increments, increments, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(report.jumps, jumps, rtol=1e-10, atol=0.0)
+    assert [r.jump_l2 for r in report.records] == report.jumps.tolist()
+    # the fields are rebuilt from the neighbor traces of the last iteration
+    for sub, u, g in [
+        (Subdomain.UPPER, report.final.u1, g_upper),
+        (Subdomain.LOWER, report.final.u2, g_lower),
+    ]:
+        want = _RobinSide(disc, sub, config.alpha, config.solver_tol).solve(g)[0]
+        assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_schwarz_reports_its_certified_solves():

@@ -17,7 +17,6 @@ from stokescouple.linalg import (
     SingularSystemError,
     factorize,
     solve,
-    spmv,
 )
 from stokescouple.mesh import Geometry, build_layered_mesh
 
@@ -36,27 +35,8 @@ def test_two_by_two_saddle_example():
     assert report.n == 2
 
 
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((9, 5))
-    a[rng.random((9, 5)) < 0.5] = 0.0
-    A = dense(a)
-    x = rng.standard_normal(5)
-    np.testing.assert_allclose(spmv(A, x), a @ x, rtol=0, atol=1e-13)
-
-
-def test_spmv_handles_empty_rows():
-    A = CsrMatrix.from_triplets(4, 3, [0, 3], [1, 2], [2.0, 5.0])
-    y = spmv(A, np.array([1.0, 1.0, 1.0]))
-    np.testing.assert_array_equal(y, [2.0, 0.0, 0.0, 5.0])
-
-
 def test_dimension_mismatch():
     A = dense(np.eye(3))
-    with pytest.raises(DimensionMismatchError):
-        spmv(A, np.ones(4))
-    with pytest.raises(DimensionMismatchError):
-        spmv(A, np.ones((3, 2, 1)))
     with pytest.raises(DimensionMismatchError):
         solve(A, np.ones(2))
     with pytest.raises(DimensionMismatchError):
@@ -124,8 +104,18 @@ def test_block_solve_equals_column_solves():
     for j in range(b.shape[1]):
         xj, _ = fact.solve(b[:, j])
         assert np.max(np.abs(x[:, j] - xj)) <= 1e-15 * np.max(np.abs(xj))
-        np.testing.assert_array_equal(spmv(fact.matrix, x)[:, j], spmv(fact.matrix, x[:, j]))
+        product = fact.matrix.to_scipy()
+        np.testing.assert_array_equal((product @ x)[:, j], product @ x[:, j])
     assert report.relative_residual <= 1e-10
+
+
+def test_certification_product_shares_the_matrix_arrays():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
+    a[np.abs(a) < 0.8] = 0.0
+    fact = factorize(dense(a))
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(fact._product, name), getattr(fact.matrix, name))
 
 
 class _PerturbedLU:
