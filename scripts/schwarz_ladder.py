@@ -1,17 +1,16 @@
 """Time the alternating solver's trace iteration on the mesh ladder.
 
-    python3 scripts/schwarz_ladder.py [--src DIR] [--meshes 8x4x2,32x16x4,64x32x8]
-                                      [--alphas 10,100,1000] [--repeats 3]
+    python3 scripts/schwarz_ladder.py [--src DIR]
 
 Imports stokescouple from DIR/src (default: this checkout), pins every
 thread pool to one thread, and runs `schwarz_solve` with the default stop
 (tol_increment 1e-3, max_iter 100000) on the reference problem: default
-geometry, unit viscosities, body force (1, -1).  Each mesh is discretized
-once; each (mesh, alpha) is solved `--repeats` times.  Prints one JSON
-object with a row per (mesh, alpha): the iteration count, the median
-set-up and iterate seconds, and the median microseconds per iteration
-(iterate_s / n_iterations; iterate_s includes the two certified solves that
-rebuild the fields at the stop).
+geometry, unit viscosities, body force (1, -1).  Each mesh of MESHES is
+discretized once; each (mesh, alpha) of MESHES x ALPHAS is solved REPEATS
+times.  Prints one JSON object with a row per (mesh, alpha): the iteration
+count, the median set-up and iterate seconds, and the median microseconds
+per iteration (iterate_s / n_iterations; iterate_s includes the two
+certified solves that rebuild the fields at the stop).
 """
 
 import os
@@ -25,13 +24,14 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+MESHES = ("8x4x2", "32x16x4", "64x32x8")
+ALPHAS = (10.0, 100.0, 1000.0)
+REPEATS = 3
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent))
-    parser.add_argument("--meshes", default="8x4x2,32x16x4,64x32x8")
-    parser.add_argument("--alphas", default="10,100,1000")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src) / "src"))
 
@@ -41,15 +41,15 @@ def main() -> None:
 
     force = BodyForce(1.0, -1.0)
     rows = []
-    for spec in args.meshes.split(","):
+    for spec in MESHES:
         nx, nzu, nzl = (int(v) for v in spec.split("x"))
         mesh = build_layered_mesh(Geometry(), nx, nzu, nzl)
         disc = discretize(mesh, 1.0, 1.0, force, force)
-        for alpha in (float(a) for a in args.alphas.split(",")):
+        for alpha in ALPHAS:
             config = SchwarzConfig(alpha=alpha)
             runs = [
                 schwarz_solve(mesh, 1.0, 1.0, force, force, config, disc=disc)
-                for _ in range(args.repeats)
+                for _ in range(REPEATS)
             ]
             n = runs[0].n_iterations
             assert all(r.n_iterations == n for r in runs)
@@ -65,7 +65,7 @@ def main() -> None:
                     "us_per_iter": round(1e6 * iterate_s / n, 2),
                 }
             )
-    print(json.dumps({"src": args.src, "repeats": args.repeats, "rows": rows}))
+    print(json.dumps({"src": args.src, "repeats": REPEATS, "rows": rows}))
 
 
 if __name__ == "__main__":
