@@ -1,0 +1,191 @@
+"""Time the assembly layers on the mesh ladder for two checkouts, back to back.
+
+    python3 scripts/assembly_ladder.py --parent DIR --change DIR [--seed-base S]
+    python3 scripts/assembly_ladder.py --phases DIR   # one side, one JSON line
+
+Every thread pool is pinned to one thread.  Each of ROUNDS rounds times
+each checkout in a fresh process (`--phases`), alternating which side goes first.  On each
+mesh of MESHES that process times, as the median of REPEATS calls, the
+phases on the reference problem (default geometry, unit viscosities, body
+force (1, -1)):
+
+    mesh             build_layered_mesh
+    validate         validate_mesh
+    spaces           build_space, both layers
+    assemble_stokes  assemble_stokes, both layers
+    reduction        assemble_coupled_system, continuity and uncoupled modes
+
+It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
+checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
+S+100, ... for monolithic-64x32x8), alternating which side runs first, and
+keeps the end-to-end metrics of each run.  Writes BENCH_assembly.json in
+the working directory with the machine, every round and pair, and per-side
+medians.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+MESHES = ("8x4x2", "32x16x4", "64x32x8", "128x64x16")
+REPEATS = {"8x4x2": 15, "32x16x4": 9, "64x32x8": 5, "128x64x16": 3}
+ROUNDS = 6
+PAIRS = 10
+WORKLOADS = ("cli", "monolithic-64x32x8")
+SIDES = ("parent", "change")
+
+
+def time_phases(src: Path) -> dict:
+    """mesh -> phase -> median seconds, for the package under src/src."""
+    sys.path.insert(0, str(src / "src"))
+    from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
+    from stokescouple.fem import assemble_stokes, build_space
+    from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
+
+    force = BodyForce(1.0, -1.0)
+    out = {}
+    for spec in MESHES:
+        cells = tuple(int(v) for v in spec.split("x"))
+        mesh = build_layered_mesh(Geometry(), *cells)
+        spaces = [build_space(mesh, sub) for sub in (Subdomain.UPPER, Subdomain.LOWER)]
+        ops = [assemble_stokes(space, 1.0, force) for space in spaces]
+        phases = {
+            "mesh": lambda: build_layered_mesh(Geometry(), *cells),
+            "validate": lambda: validate_mesh(mesh),
+            "spaces": lambda: [build_space(mesh, sp.subdomain) for sp in spaces],
+            "assemble_stokes": lambda: [assemble_stokes(sp, 1.0, force) for sp in spaces],
+            "reduction": lambda: [assemble_coupled_system(*ops, mode) for mode in CouplingMode],
+        }
+        out[spec] = {}
+        for name, call in phases.items():
+            seconds = []
+            for _ in range(REPEATS[spec]):
+                start = time.perf_counter()
+                call()
+                seconds.append(time.perf_counter() - start)
+            out[spec][name] = round(statistics.median(seconds), 6)
+    return out
+
+
+def run_phases(src: Path) -> dict:
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--phases", str(src)],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    row = {name: round(m["value"], 6) for name, m in result["metrics"].items()}
+    row.update(attempted=result["attempted"], failed=result["failed"])
+    return row
+
+
+def machine() -> dict:
+    import numpy
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "affinity": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
+
+
+def ladder(dirs: dict) -> dict:
+    rounds = []
+    for r in range(ROUNDS):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        rounds.append({"first": order[0], **{side: run_phases(dirs[side]) for side in order}})
+    summary = {}
+    for spec in MESHES:
+        summary[spec] = {}
+        for phase in rounds[0]["parent"][spec]:
+            per_side = {side: [r[side][spec][phase] for r in rounds] for side in SIDES}
+            summary[spec][phase] = {
+                **{side: round(statistics.median(v), 6) for side, v in per_side.items()},
+                "change_lower_in_rounds": sum(
+                    c < p for p, c in zip(per_side["parent"], per_side["change"])
+                ),
+            }
+    return {"rounds": rounds, "median_over_rounds_s": summary}
+
+
+def perfbench_pairs(dirs: dict, seed_base: int) -> dict:
+    out = {}
+    for w, workload in enumerate(WORKLOADS):
+        pairs = []
+        for k in range(PAIRS):
+            seed = seed_base + 100 * w + k
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            runs = {side: run_perfbench(dirs[side], workload, seed) for side in order}
+            pairs.append({"seed": seed, "first": order[0], **runs})
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{side} wall_s {runs[side]['wall_s']}" for side in SIDES), file=sys.stderr)
+        summary = {}
+        for metric in ("wall_s", "setup_s", "peak_rss_mb"):
+            values = {side: [p[side][metric] for p in pairs] for side in SIDES}
+            summary[metric] = {
+                **{side: quartiles(v) for side, v in values.items()},
+                "change_lower_in_pairs": sum(
+                    c < p for p, c in zip(values["parent"], values["change"])
+                ),
+            }
+        summary["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+        out[workload] = {"pairs": pairs, "summary": summary}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--phases", type=Path, metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--seed-base", type=int, default=701)
+    args = parser.parse_args()
+    if args.phases is not None:
+        print(json.dumps(time_phases(args.phases.resolve())))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report = {
+        "command": (
+            "python3 scripts/assembly_ladder.py --parent PARENT --change CHANGE"
+            f" --seed-base {args.seed_base}"
+        ),
+        "machine": machine(),
+        "repeats": REPEATS,
+        "ladder": ladder(dirs),
+        "perfbench_pairs": perfbench_pairs(dirs, args.seed_base),
+    }
+    Path("BENCH_assembly.json").write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

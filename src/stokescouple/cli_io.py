@@ -346,24 +346,23 @@ def write_vtk(export: FieldExport, path: str) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",
     ]
-    for x, z in export.points:
-        lines.append(f"{repr(float(x))} {repr(float(z))} 0.0")
+    # tolist() yields Python floats and ints, whose repr/str is the output
+    point = "{!r} {!r} 0.0".format
+    lines.extend(map(point, *np.asarray(export.points, dtype=float).T.tolist()))
     lines.append(f"CELLS {n_tri} {4 * n_tri}")
-    for a, b, c in export.triangles:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in export.triangles.tolist())
     lines.append(f"CELL_TYPES {n_tri}")
     lines.extend(["5"] * n_tri)  # VTK_TRIANGLE
     lines.append(f"CELL_DATA {n_tri}")
     lines.append("SCALARS subdomain int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(s)) for s in export.subdomain)
+    lines.extend(map(str, np.asarray(export.subdomain, dtype=np.int64).tolist()))
     lines.append(f"POINT_DATA {n_pts}")
     lines.append("VECTORS velocity double")
-    for ux, uz in export.velocity:
-        lines.append(f"{repr(float(ux))} {repr(float(uz))} 0.0")
+    lines.extend(map(point, *np.asarray(export.velocity, dtype=float).T.tolist()))
     lines.append("SCALARS pressure double 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(repr(float(p)) for p in export.pressure)
+    lines.extend(map(repr, np.asarray(export.pressure, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

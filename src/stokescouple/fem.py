@@ -12,7 +12,8 @@ lexicographically by coordinates (x, then z); pressure dofs follow the same
 convention on vertices.  Constraints (wall Dirichlet, interface
 no-penetration, x-periodicity, continuity identification) are eliminated
 symmetrically through a 0/1 reduction operator C: the solved system is
-C^T A C augmented with one integral-mean pressure-gauge row per layer.
+C^T A C augmented with one integral-mean pressure-gauge row per layer,
+scattered in one pass through C's raw -> reduced index map, not multiplied.
 """
 
 from __future__ import annotations
@@ -195,19 +196,16 @@ def build_space(mesh: Mesh, subdomain: Subdomain) -> MixedSpace:
     # velocity (P2) nodes: vertices plus one node per unique edge
     edge_sets = np.stack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=1)
     edges = np.sort(edge_sets.reshape(-1, 2), axis=1)
-    unique_edges, edge_inverse = np.unique(edges, axis=0, return_inverse=True)
-    mid_coords = 0.5 * (mesh.vertices[unique_edges[:, 0]] + mesh.vertices[unique_edges[:, 1]])
+    n_vertices = len(mesh.vertices)  # (a, b) -> a * n_vertices + b keeps the (a, b) order
+    edge_keys, edge_inverse = np.unique(edges[:, 0] * n_vertices + edges[:, 1], return_inverse=True)
+    ends_a, ends_b = np.divmod(edge_keys, n_vertices)
+    mid_coords = 0.5 * (mesh.vertices[ends_a] + mesh.vertices[ends_b])
     raw_coords = np.vstack([pcoords, mid_coords])
     perm_v = np.lexsort((raw_coords[:, 1], raw_coords[:, 0]))
     rank_v = np.empty(len(raw_coords), dtype=np.int64)
     rank_v[perm_v] = np.arange(len(raw_coords))
     velocity_nodes = raw_coords[perm_v]
-    cells_raw = np.hstack(
-        [
-            np.searchsorted(vused, tris),
-            len(vused) + edge_inverse.reshape(-1, 3),
-        ]
-    )
+    cells_raw = np.hstack([np.searchsorted(vused, tris), len(vused) + edge_inverse.reshape(-1, 3)])
     velocity_cells = rank_v[cells_raw]
 
     x, z = velocity_nodes[:, 0], velocity_nodes[:, 1]
@@ -218,15 +216,16 @@ def build_space(mesh: Mesh, subdomain: Subdomain) -> MixedSpace:
 
     def periodic_pairs(coords: np.ndarray) -> np.ndarray:
         cx, cz = coords[:, 0], coords[:, 1]
-        left = {cz[k]: k for k in np.nonzero(cx == 0.0)[0]}
+        left = np.nonzero(cx == 0.0)[0]
+        left = left[np.argsort(cz[left], kind="stable")]
         slaves = np.nonzero(cx == geom.length)[0]
-        pairs = []
-        for s in slaves:
-            m = left.get(cz[s])
-            if m is None:
-                raise ValueError("periodic boundary nodes do not match between x=0 and x=L")
-            pairs.append((s, m))
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        # the last x = 0 node at or below each slave's z; it must be at it
+        at = np.searchsorted(cz[left], cz[slaves], side="right") - 1
+        found = at >= 0
+        found[found] = cz[left[at[found]]] == cz[slaves[found]]
+        if not found.all():
+            raise ValueError("periodic boundary nodes do not match between x=0 and x=L")
+        return np.column_stack([slaves, left[at]])
 
     pv = periodic_pairs(velocity_nodes)
     periodic_v = np.vstack([np.column_stack([2 * pv[:, 0] + c, 2 * pv[:, 1] + c]) for c in (0, 1)])
@@ -252,22 +251,37 @@ def build_space(mesh: Mesh, subdomain: Subdomain) -> MixedSpace:
 
 def _cell_geometry(space: MixedSpace):
     pts = space.velocity_nodes[space.velocity_cells[:, :3]]  # (nt, 3, 2)
-    j11 = pts[:, 1, 0] - pts[:, 0, 0]
-    j21 = pts[:, 1, 1] - pts[:, 0, 1]
-    j12 = pts[:, 2, 0] - pts[:, 0, 0]
-    j22 = pts[:, 2, 1] - pts[:, 0, 1]
+    (j11, j21), (j12, j22) = (pts[:, 1] - pts[:, 0]).T, (pts[:, 2] - pts[:, 0]).T
     det = j11 * j22 - j12 * j21
-    inv_j = np.empty((len(pts), 2, 2))
-    inv_j[:, 0, 0] = j22 / det
-    inv_j[:, 0, 1] = -j12 / det
-    inv_j[:, 1, 0] = -j21 / det
-    inv_j[:, 1, 1] = j11 / det
+    inv_j = np.stack([j22, -j12, -j21, j11], axis=1).reshape(-1, 2, 2) / det[:, None, None]
     return pts, inv_j, det
 
 
+def _index_type(n: int) -> type:
+    """scipy's index type for dimension n: triplets built in it need no copy."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> scipy.sparse.csr_matrix:
-    m = scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return m.tocsr()
+    """CSR matrix summing the (row, col, value) triplets, broadcast together."""
+    index = _index_type(max(shape))
+    rows, cols = rows.astype(index, copy=False), cols.astype(index, copy=False)
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    return scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+
+
+def _per_component(scalar: scipy.sparse.csr_matrix, data: np.ndarray) -> scipy.sparse.csr_matrix:
+    """kron(scalar, I_2) with entries `data`, built directly: on the vector
+    dofs 2 i + c, row 2 i + c holds scalar row i at columns 2 j + c."""
+    n, index = scalar.shape[0], _index_type(2 * scalar.shape[0])
+    indptr = np.empty(2 * n + 1, dtype=index)
+    indptr[0::2], indptr[1::2] = 2 * scalar.indptr, scalar.indptr[:-1] + scalar.indptr[1:]
+    first = np.repeat(np.arange(2 * n) % 2 == 0, np.diff(indptr))  # the c = 0 entries
+    indices, values = np.empty(len(first), dtype=index), np.empty(len(first))
+    cols = 2 * scalar.indices.astype(index)
+    indices[first], indices[~first] = cols, cols + 1
+    values[first] = values[~first] = data
+    return scipy.sparse.csr_matrix((values, indices, indptr), shape=(2 * n, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -296,63 +310,62 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     tri_pts, inv_j, det = _cell_geometry(space)
     area_w = 0.5 * det  # positive areas for counter-clockwise cells
     nt = len(det)
-    nv = len(space.velocity_nodes)
-    npn = len(space.pressure_nodes)
+    nv, npn = len(space.velocity_nodes), len(space.pressure_nodes)
+    n_vdofs = 2 * nv
 
-    p2v = _p2_values(_TRI_POINTS)               # (nq, 6)
-    p2g_ref = _p2_reference_grads(_TRI_POINTS)  # (nq, 6, 2)
-    p1v = _TRI_POINTS                            # (nq, 3)
+    p2v = _p2_values(_TRI_POINTS)  # (nq, 6)
+    p1v = _TRI_POINTS  # (nq, 3)
+    p2g = _p2_reference_grads(_TRI_POINTS)  # (nq, 6, 2)
 
-    # physical gradients per cell and quad point: (nt, nq, 6, 2)
-    grads = np.einsum("qid,tdk->tqik", p2g_ref, inv_j)
+    # Element kernels keep the cells on the last, contiguous axis and sum the
+    # quadrature points in order with separately rounded products.  A BLAS
+    # product (other order, fused multiply-adds) leaves 1e-19 residues where
+    # an integral vanishes, which would stay in the sparsity and LU fill.
+    pts = np.ascontiguousarray(tri_pts.transpose(1, 2, 0))  # (3, 2, nt)
+    xq = p1v[:, 0, None, None] * pts[0] + p1v[:, 1, None, None] * pts[1]
+    xq += p1v[:, 2, None, None] * pts[2]  # (nq, 2, nt) physical points
+    f = np.stack(force.sample(xq[:, 0], xq[:, 1]))  # (2, nq, nt)
+    ij = np.ascontiguousarray(inv_j.transpose(1, 2, 0))  # (2, 2, nt)
+    k_local = np.zeros((6, 6, nt))
+    b_local = np.zeros((6, 2, 3, nt))  # [i, c, j] = -sum_q w_q psi_j dphi_i/dx_c
+    l_local = np.zeros((6, 2, nt))
+    for q, w in enumerate(_TRI_WEIGHTS):
+        # physical gradients at point q: g[c, i] = dphi_i/dx_c
+        g = p2g[q, None, :, 0, None] * ij[0, :, None] + p2g[q, None, :, 1, None] * ij[1, :, None]
+        gw = g * w
+        k_local += gw[0, :, None] * g[0] + gw[1, :, None] * g[1]
+        b_local -= gw.transpose(1, 0, 2)[:, :, None] * p1v[q, :, None]
+        l_local += (w * f[:, q]) * p2v[q, :, None, None]
+    for local in (k_local, b_local, l_local):
+        local *= area_w
+    m_ref = np.einsum("q,qi,qj->ij", _TRI_WEIGHTS, p2v, p2v)
 
-    w = _TRI_WEIGHTS[None, :, None, None]
-    k_local = np.einsum("tqik,tqjk->tij", grads * w, grads) * area_w[:, None, None]
-    m_local = (
-        np.einsum("q,qi,qj->ij", _TRI_WEIGHTS, p2v, p2v)[None, :, :] * area_w[:, None, None]
-    )
-    # divergence: b_local[c][t, i, j] = -sum_q w_q area psi_j(q) dphi_i/dx_c
-    b_local = [
-        -np.einsum("q,tqi,qj->tij", _TRI_WEIGHTS, grads[:, :, :, c], p1v) * area_w[:, None, None]
-        for c in (0, 1)
-    ]
+    cv, cp = space.velocity_cells, space.pressure_cells
+    comp = np.arange(2)
+    vdofs = (2 * cv[:, :, None] + comp).reshape(nt, 12)  # local vector dof 2 i + c
 
-    cv = space.velocity_cells
-    cp = space.pressure_cells
-    rows_vv = np.broadcast_to(cv[:, :, None], (nt, 6, 6))
-    cols_vv = np.broadcast_to(cv[:, None, :], (nt, 6, 6))
+    # stiffness and mass act on each component alike: one COO -> CSR over the
+    # scalar (node, node) pairs sums both (complex data, real: K, imag: M),
+    # and each is then laid onto the vector dofs with arrays of its own
+    km = k_local.transpose(2, 0, 1) + 1j * (m_ref * area_w[:, None, None])
+    both = _scatter(cv[:, :, None], cv[:, None, :], km, (nv, nv))
+    del km
+    stiffness = _per_component(both, both.data.real)
+    mass = _per_component(both, both.data.imag)
+    del both
 
-    k_scalar = _scatter(rows_vv, cols_vv, k_local, (nv, nv))
-    m_scalar = _scatter(rows_vv, cols_vv, m_local, (nv, nv))
-    eye2 = scipy.sparse.identity(2, format="csr")
-    stiffness = scipy.sparse.kron(k_scalar, eye2, format="csr")
-    mass = scipy.sparse.kron(m_scalar, eye2, format="csr")
-
-    rows_vp = np.broadcast_to(cv[:, :, None], (nt, 6, 3))
-    cols_vp = np.broadcast_to(cp[:, None, :], (nt, 6, 3))
-    divergence = (
-        _scatter(2 * rows_vp, cols_vp, b_local[0], (2 * nv, npn))
-        + _scatter(2 * rows_vp + 1, cols_vp, b_local[1], (2 * nv, npn))
-    ).tocsr()
-
-    # load vector by direct quadrature of the force at physical points
-    xq = np.einsum("qa,tad->tqd", p1v, tri_pts)  # (nt, nq, 2)
-    fx, fz = force.sample(xq[:, :, 0], xq[:, :, 1])
-    load = np.zeros(2 * nv)
-    lx = np.einsum("q,tq,qi->ti", _TRI_WEIGHTS, fx, p2v) * area_w[:, None]
-    lz = np.einsum("q,tq,qi->ti", _TRI_WEIGHTS, fz, p2v) * area_w[:, None]
-    np.add.at(load, 2 * cv, lx)
-    np.add.at(load, 2 * cv + 1, lz)
-
-    gauge = np.zeros(npn)
+    b_local = b_local.transpose(3, 0, 1, 2).reshape(nt, 12, 3)
+    divergence = _scatter(vdofs[:, :, None], cp[:, None, :], b_local, (n_vdofs, npn))
+    divergence.eliminate_zeros()  # entries that cancel exactly, as a sparse sum drops them
+    load = np.bincount(vdofs.ravel(), l_local.transpose(2, 0, 1).ravel(), n_vdofs)
     g_local = np.einsum("q,qj->j", _TRI_WEIGHTS, p1v)[None, :] * area_w[:, None]
-    np.add.at(gauge, cp, g_local)
+    gauge = np.bincount(cp.ravel(), g_local.ravel(), npn)
 
     return StokesOperator(
         space=space,
         nu=nu,
         stiffness=stiffness,
-        viscous=(nu * stiffness).tocsr(),
+        viscous=nu * stiffness,
         divergence=divergence,
         mass=mass,
         load=load,
@@ -372,9 +385,7 @@ def _interface_trace_mass(x: np.ndarray) -> scipy.sparse.csr_matrix:
     nvals = _seg_values(_SEG_POINTS)  # (3, 3)
     m_ref = np.einsum("q,qi,qj->ij", _SEG_WEIGHTS, nvals, nvals)
     local = m_ref[None, :, :] * lengths[:, None, None]
-    rows = np.broadcast_to(seg[:, :, None], local.shape)
-    cols = np.broadcast_to(seg[:, None, :], local.shape)
-    return _scatter(rows, cols, local, (n, n))
+    return _scatter(seg[:, :, None], seg[:, None, :], local, (n, n))
 
 
 def assemble_interface_friction(
@@ -480,14 +491,10 @@ class DofLayout:
         """Solved vector -> horizontal velocity at `sub`'s interface nodes,
         ascending x: the interface rows of the reduction, zero on the gauge
         columns.  A trace prescribed as Dirichlet data lives in x_bc instead."""
-        rows = self.reduction[_interface_dofs(self.offsets, self.spaces[sub])]
-        gauge = scipy.sparse.csr_matrix((rows.shape[0], self.n_gauge))
-        return scipy.sparse.hstack([rows, gauge], format="csr")
-
-    def reduce_rhs(self, b_raw: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_rows)
-        out[: self.n_reduced] = self.reduction.T @ b_raw
-        return out
+        cols = self.col_of[_interface_dofs(self.offsets, self.spaces[sub])]
+        rows = np.nonzero(cols >= 0)[0]
+        shape = (len(cols), self.n_rows)
+        return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols[rows])), shape=shape)
 
     def expand(self, x: np.ndarray) -> dict:
         """Split a solved vector into raw per-(subdomain, field) vectors with
@@ -568,70 +575,62 @@ def _offsets_for(spaces: list[MixedSpace]) -> tuple[dict, int]:
     return offsets, pos
 
 
-def _raw_matrix(ops: list[StokesOperator], layout: DofLayout) -> scipy.sparse.csr_matrix:
-    """The unconstrained block matrix [[nu K, D], [D^T, 0]] of every layer."""
-    offsets = layout.offsets
-    rows = []
-    cols = []
-    vals = []
-
-    def add_block(mat: scipy.sparse.spmatrix, r0: int, c0: int):
-        coo = mat.tocoo()
-        rows.append(coo.row + r0)
-        cols.append(coo.col + c0)
-        vals.append(coo.data)
-
+def _layer_triplets(ops: list[StokesOperator], offsets: dict) -> list[tuple]:
+    """Raw (rows, cols, values) blocks of the unconstrained block matrix
+    [[nu K, D], [D^T, 0]] of every layer."""
+    parts = []
     for op in ops:
         ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
         op_ = offsets[(op.space.subdomain, _FIELD_PRESSURE)]
-        add_block(op.viscous, ov, ov)
-        add_block(op.divergence, ov, op_)
-        add_block(op.divergence.T, op_, ov)
-
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(layout.n_raw, layout.n_raw),
-    ).tocsr()
+        k = op.viscous.tocoo()
+        d = op.divergence.tocoo()
+        d_rows, d_cols = d.row + ov, d.col + op_
+        parts += [(k.row + ov, k.col + ov, k.data), (d_rows, d_cols, d.data), (d_cols, d_rows, d.data)]
+    return parts
 
 
 def _assemble_reduced(
     ops: list[StokesOperator],
     layout: DofLayout,
-    extra_raw: scipy.sparse.spmatrix | None,
+    extra: tuple | None,
     extra_rhs_raw: np.ndarray | None,
 ) -> SparseSystem:
+    """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
+    (layer blocks, `extra`, and the gauge border, whose multipliers take raw
+    indices past the layers' dofs) maps through `layout.col_of`.  Entries on
+    a dropped row vanish; those on a prescribed column move to the rhs."""
     offsets = layout.offsets
-    n_raw = layout.n_raw
+    n_raw, n_red, n = layout.n_raw, layout.n_reduced, layout.n_rows
     b_raw = np.zeros(n_raw)
-    for op in ops:
+    parts = _layer_triplets(ops, offsets)
+    for k, op in enumerate(ops):
         ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
         b_raw[ov : ov + op.space.n_velocity_dofs] = op.load
-
-    a_raw = _raw_matrix(ops, layout)
-    if extra_raw is not None:
-        a_raw = (a_raw + extra_raw).tocsr()
+        # gauge border: one zero-mean constraint per layer's pressure
+        p = offsets[(op.space.subdomain, _FIELD_PRESSURE)] + np.arange(op.space.n_pressure_dofs)
+        g = np.full(len(p), n_raw + k)
+        parts += [(p, g, op.gauge), (g, p, op.gauge)]
+    if extra is not None:
+        parts.append(extra)
     if extra_rhs_raw is not None:
-        b_raw = b_raw + extra_rhs_raw
+        b_raw += extra_rhs_raw
 
-    c = layout.reduction
-    a_red = (c.T @ a_raw @ c).tocsr()
-    b_red = c.T @ (b_raw - a_raw @ layout.x_bc)
-
-    # gauge rows: one zero-mean constraint per layer's pressure
-    g_rows = []
-    for k, op in enumerate(ops):
-        g_raw = np.zeros(n_raw)
-        op_ = offsets[(op.space.subdomain, _FIELD_PRESSURE)]
-        g_raw[op_ : op_ + op.space.n_pressure_dofs] = op.gauge
-        g_rows.append(c.T @ g_raw)
-    g = scipy.sparse.csr_matrix(np.vstack(g_rows)) if g_rows else None
-
-    n_g = len(ops)
-    full = scipy.sparse.bmat(
-        [[a_red, g.T], [g, None]], format="csr"
-    ) if n_g else a_red
-    rhs = np.concatenate([b_red, np.zeros(n_g)])
-    return SparseSystem(matrix=CsrMatrix.from_scipy(full), rhs=rhs, layout=layout)
+    raw_rows, raw_cols, vals = (np.concatenate(a) for a in zip(*parts))
+    index = np.concatenate([layout.col_of, n_red + np.arange(len(ops))]).astype(_index_type(n))
+    rows, cols = index.take(raw_rows), index.take(raw_cols)
+    lifted = (rows >= 0) & (cols < 0)
+    live = layout.col_of >= 0
+    rhs = np.zeros(n)
+    rhs[:n_red] = np.bincount(layout.col_of[live], b_raw[live], n_red) - np.bincount(
+        rows[lifted], vals[lifted] * layout.x_bc[raw_cols[lifted]], n_red
+    )
+    del parts, raw_rows, raw_cols, lifted  # free the copies before the CSR step, the peak
+    kept = (rows >= 0) & (cols >= 0)
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    matrix = _scatter(rows, cols, vals, (n, n))
+    del rows, cols, vals, kept
+    matrix.eliminate_zeros()  # entries that cancel exactly, as the product C^T A C drops them
+    return SparseSystem(matrix=CsrMatrix.from_scipy(matrix), rhs=rhs, layout=layout)
 
 
 def assemble_coupled_system(
@@ -710,15 +709,11 @@ def assemble_robin_subproblem(
     space = op.space
     neighbor_trace = _check_trace(space, neighbor_trace, "neighbor trace")
     layout = _single_layer_layout(space)
-    n_raw = layout.n_raw
-
     m_iface = _interface_trace_mass(space.interface_x)
     ifx = _interface_dofs(layout.offsets, space)
     coo = m_iface.tocoo()
-    extra = scipy.sparse.coo_matrix(
-        (alpha * coo.data, (ifx[coo.row], ifx[coo.col])), shape=(n_raw, n_raw)
-    ).tocsr()
-    extra_rhs = np.zeros(n_raw)
+    extra = (ifx[coo.row], ifx[coo.col], alpha * coo.data)
+    extra_rhs = np.zeros(layout.n_raw)
     extra_rhs[ifx] = alpha * (m_iface @ neighbor_trace)
     return _assemble_reduced([op], layout, extra, extra_rhs)
 
@@ -741,6 +736,11 @@ def dirichlet_trace_lift(op: StokesOperator, layout: DofLayout) -> scipy.sparse.
     The trace must take one value at the periodically identified end nodes.
     """
     ifx = _interface_dofs(layout.offsets, op.space)
-    lift = layout.reduction.T @ _raw_matrix([op], layout)[:, ifx]
-    gauge = scipy.sparse.csr_matrix((layout.n_gauge, len(ifx)))
-    return scipy.sparse.vstack([lift, gauge], format="csr")
+    trace_index = np.full(layout.n_raw, -1)
+    trace_index[ifx] = np.arange(len(ifx))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*_layer_triplets([op], layout.offsets)))
+    rows, cols = layout.col_of.take(rows), trace_index.take(cols)
+    on = (rows >= 0) & (cols >= 0)
+    lift = _scatter(rows[on], cols[on], vals[on], (layout.n_rows, len(ifx)))
+    lift.eliminate_zeros()
+    return lift

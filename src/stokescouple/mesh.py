@@ -189,17 +189,18 @@ def validate_mesh(mesh: Mesh) -> list[str]:
 
     # every z=0 edge must belong to exactly one triangle of each layer
     on_iface = np.isclose(mesh.vertices[:, 1], 0.0)
-    count_by_side: dict[tuple[int, int], list[int]] = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            if on_iface[a] and on_iface[b]:
-                key = (min(a, b), max(a, b))
-                count_by_side.setdefault(key, [0, 0])[mesh.triangle_subdomain[t]] += 1
-    for (a, b), (n_lo, n_up) in sorted(count_by_side.items()):
-        if n_lo != 1 or n_up != 1:
-            bad.append(
-                f"interface edge ({a},{b}): {n_lo} lower / {n_up} upper adjacent triangles"
-            )
+    edges = np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]], axis=2)  # (nT, 3, 2)
+    along = on_iface[edges].all(axis=2)
+    n_v = len(mesh.vertices)
+    keys, edge = np.unique(edges[along, 0] * n_v + edges[along, 1], return_inverse=True)
+    side = np.broadcast_to(mesh.triangle_subdomain[:, None], along.shape)[along]
+    n_lo = np.bincount(edge[side == Subdomain.LOWER], minlength=len(keys))
+    n_up = np.bincount(edge[side == Subdomain.UPPER], minlength=len(keys))
+    for k in np.nonzero((n_lo != 1) | (n_up != 1))[0].tolist():
+        a, b = divmod(int(keys[k]), n_v)
+        bad.append(
+            f"interface edge ({a},{b}): {n_lo[k]} lower / {n_up[k]} upper adjacent triangles"
+        )
 
     g = mesh.geometry
     tag_line = {
@@ -210,17 +211,17 @@ def validate_mesh(mesh: Mesh) -> list[str]:
         EdgeTag.PERIODIC_LEFT: (0, 0.0),
         EdgeTag.PERIODIC_RIGHT: (0, g.length),
     }
-    for k, (a, b, tag) in enumerate(mesh.boundary_edges):
-        axis, value = tag_line[EdgeTag(tag)]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        if not (np.isclose(pa[axis], value) and np.isclose(pb[axis], value)):
-            bad.append(f"boundary edge {k}: tag {EdgeTag(tag).name} off its line")
+    kinds, which = np.unique(mesh.boundary_edges[:, 2], return_inverse=True)
+    lines = np.array([tag_line[EdgeTag(t)] for t in kinds.tolist()]).reshape(-1, 2)[which]
+    ends = mesh.vertices[mesh.boundary_edges[:, :2], lines[:, :1].astype(np.int64)]
+    for k in np.nonzero(~np.isclose(ends, lines[:, 1:]).all(axis=1))[0].tolist():
+        bad.append(f"boundary edge {k}: tag {EdgeTag(kinds[which[k]]).name} off its line")
 
-    for k, (i, j) in enumerate(mesh.periodic_pairs):
-        xi, zi = mesh.vertices[i]
-        xj, zj = mesh.vertices[j]
-        if not (np.isclose(xi, 0.0) and np.isclose(xj, g.length) and np.isclose(zi, zj)):
-            bad.append(f"periodic pair {k}: ({i},{j}) does not match x=0 <-> x=L at equal z")
+    pi, pj = mesh.vertices[mesh.periodic_pairs[:, 0]], mesh.vertices[mesh.periodic_pairs[:, 1]]
+    matched = np.isclose(pi[:, 0], 0.0) & np.isclose(pj[:, 0], g.length) & np.isclose(pi[:, 1], pj[:, 1])
+    for k in np.nonzero(~matched)[0].tolist():
+        i, j = mesh.periodic_pairs[k].tolist()
+        bad.append(f"periodic pair {k}: ({i},{j}) does not match x=0 <-> x=L at equal z")
 
     iv = mesh.interface_vertices
     if not np.all(np.isclose(mesh.vertices[iv, 1], 0.0)):

@@ -183,6 +183,53 @@ def test_write_vtk_structure_and_determinism(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_write_vtk_exact_bytes(tmp_path):
+    # two triangles on the unit square; values whose repr takes every form
+    export = FieldExport(
+        points=np.array([[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1e-17]]),
+        velocity=np.array([[0.1, -2.5], [1.0 / 3.0, 1e22], [-0.0, 123456789.0], [2.0**-30, 5e-324]]),
+        pressure=np.array([11.25, -1.0 / 7.0, 0.0, 1e16]),
+        triangles=np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64),
+        subdomain=np.array([0, 1], dtype=np.int64),
+    )
+    path = tmp_path / "two.vtk"
+    write_vtk(export, str(path))
+    assert path.read_bytes() == (
+        b"# vtk DataFile Version 3.0\n"
+        b"two-layer coupled flow\n"
+        b"ASCII\n"
+        b"DATASET UNSTRUCTURED_GRID\n"
+        b"POINTS 4 double\n"
+        b"0.0 -1.0 0.0\n"
+        b"1.0 -1.0 0.0\n"
+        b"1.0 0.0 0.0\n"
+        b"0.0 1e-17 0.0\n"
+        b"CELLS 2 8\n"
+        b"3 0 1 2\n"
+        b"3 0 2 3\n"
+        b"CELL_TYPES 2\n"
+        b"5\n"
+        b"5\n"
+        b"CELL_DATA 2\n"
+        b"SCALARS subdomain int 1\n"
+        b"LOOKUP_TABLE default\n"
+        b"0\n"
+        b"1\n"
+        b"POINT_DATA 4\n"
+        b"VECTORS velocity double\n"
+        b"0.1 -2.5 0.0\n"
+        b"0.3333333333333333 1e+22 0.0\n"
+        b"-0.0 123456789.0 0.0\n"
+        b"9.313225746154785e-10 5e-324 0.0\n"
+        b"SCALARS pressure double 1\n"
+        b"LOOKUP_TABLE default\n"
+        b"11.25\n"
+        b"-0.14285714285714285\n"
+        b"0.0\n"
+        b"1e+16\n"
+    )
+
+
 def test_export_field_averages_interface_values():
     field = small_field(alpha=10.0)
     export = export_field(field)

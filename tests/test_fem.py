@@ -1,17 +1,27 @@
 """Assembly invariants: spaces, constraints, element matrices, coupled modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from stokescouple.coupling import _friction_multiplier_system, discretize, solve_monolithic_friction
 from stokescouple.fem import (
+    _TRI_POINTS,
+    _TRI_WEIGHTS,
     BodyForce,
     CouplingMode,
+    StokesOperator,
     assemble_coupled_system,
     assemble_dirichlet_subproblem,
     assemble_interface_friction,
     assemble_robin_subproblem,
     assemble_stokes,
+    _cell_geometry,
+    _interface_trace_mass,
+    _p2_reference_grads,
+    _p2_values,
     build_space,
     dirichlet_trace_lift,
 )
@@ -35,10 +45,10 @@ def spaces(small_mesh):
 FORCE = BodyForce(1.0, -1.0)
 
 
-def layer_ops(mesh, nu1=1.0, nu2=1.0):
+def layer_ops(mesh, nu1=1.0, nu2=1.0, force=FORCE):
     return (
-        assemble_stokes(build_space(mesh, Subdomain.UPPER), nu1, FORCE),
-        assemble_stokes(build_space(mesh, Subdomain.LOWER), nu2, FORCE),
+        assemble_stokes(build_space(mesh, Subdomain.UPPER), nu1, force),
+        assemble_stokes(build_space(mesh, Subdomain.LOWER), nu2, force),
     )
 
 
@@ -97,6 +107,38 @@ def test_constraint_table(spaces):
     # exactly one pressure gauge per layer
     table = upper.constraint_table()
     assert sum(1 for row in table if row[0] == "pressure_gauge") == 1
+
+
+@pytest.mark.parametrize("geometry", [Geometry(), Geometry(length=7.0, z_plus=2.0, z_minus=-3.0)])
+def test_space_numbering_matches_the_reference(geometry):
+    # edges found by np.unique over rows, periodic masters by a dict on z
+    mesh = build_layered_mesh(geometry, 5, 3, 2)
+    for sub in (Subdomain.UPPER, Subdomain.LOWER):
+        space = build_space(mesh, sub)
+        tris = mesh.triangles[mesh.triangle_subdomain == sub]
+        edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+        unique_edges = np.unique(edges, axis=0)
+        mids = 0.5 * (mesh.vertices[unique_edges[:, 0]] + mesh.vertices[unique_edges[:, 1]])
+        coords = np.vstack([mesh.vertices[np.unique(tris)], mids])
+        order = np.lexsort((coords[:, 1], coords[:, 0]))
+        np.testing.assert_array_equal(space.velocity_nodes, coords[order])
+        for nodes, pairs in (
+            (space.velocity_nodes, space.periodic_vdofs[0::2] // 2),
+            (space.pressure_nodes, space.periodic_pdofs),
+        ):
+            x, z = nodes[:, 0], nodes[:, 1]
+            left = {z[k]: k for k in np.nonzero(x == 0.0)[0]}
+            expected = [(s, left[z[s]]) for s in np.nonzero(x == geometry.length)[0]]
+            assert pairs.dtype == np.int64
+            np.testing.assert_array_equal(pairs, np.array(expected).reshape(-1, 2))
+
+
+def test_space_rejects_unmatched_periodic_nodes():
+    mesh = build_layered_mesh(Geometry(), 4, 2, 1)
+    vertices = mesh.vertices.copy()
+    vertices[mesh.periodic_pairs[1, 1], 1] += 0.25  # an x = L vertex off its row
+    with pytest.raises(ValueError, match="periodic boundary nodes do not match"):
+        build_space(dataclasses.replace(mesh, vertices=vertices), Subdomain.LOWER)
 
 
 def test_interface_nodes_ascending_and_conforming(spaces):
@@ -439,6 +481,179 @@ def test_dirichlet_trace_lift_reproduces_assembled_rhs(small_mesh):
     np.testing.assert_allclose(lifted, imposed.rhs, rtol=0, atol=1e-12 * np.abs(imposed.rhs).max())
 
 
+# ---------------------------------------------------------------------------
+# reference assembly: element contractions by einsum, the vector operators by
+# kron of the scalar ones, and the constraint reduction as the sparse triple
+# product C^T A C bordered by the gauge rows.  The package scatters the same
+# sums in another order, so the two agree to roundoff with equal sparsity.
+
+
+def _ref_scatter(rows, cols, vals, shape):
+    m = scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    return m.tocsr()
+
+
+def reference_stokes(space, nu, force):
+    """One layer's StokesOperator."""
+    tri_pts, inv_j, det = _cell_geometry(space)
+    area_w = 0.5 * det
+    nt = len(det)
+    nv = len(space.velocity_nodes)
+    npn = len(space.pressure_nodes)
+    p2v = _p2_values(_TRI_POINTS)
+    p2g_ref = _p2_reference_grads(_TRI_POINTS)
+    p1v = _TRI_POINTS
+    grads = np.einsum("qid,tdk->tqik", p2g_ref, inv_j)
+    w = _TRI_WEIGHTS[None, :, None, None]
+    k_local = np.einsum("tqik,tqjk->tij", grads * w, grads) * area_w[:, None, None]
+    m_local = np.einsum("q,qi,qj->ij", _TRI_WEIGHTS, p2v, p2v)[None, :, :] * area_w[:, None, None]
+    b_local = [
+        -np.einsum("q,tqi,qj->tij", _TRI_WEIGHTS, grads[:, :, :, c], p1v) * area_w[:, None, None]
+        for c in (0, 1)
+    ]
+    cv, cp = space.velocity_cells, space.pressure_cells
+    rows_vv = np.broadcast_to(cv[:, :, None], (nt, 6, 6))
+    cols_vv = np.broadcast_to(cv[:, None, :], (nt, 6, 6))
+    eye2 = scipy.sparse.identity(2, format="csr")
+    k_scalar = _ref_scatter(rows_vv, cols_vv, k_local, (nv, nv))
+    m_scalar = _ref_scatter(rows_vv, cols_vv, m_local, (nv, nv))
+    stiffness = scipy.sparse.kron(k_scalar, eye2, format="csr")
+    mass = scipy.sparse.kron(m_scalar, eye2, format="csr")
+    rows_vp = np.broadcast_to(cv[:, :, None], (nt, 6, 3))
+    cols_vp = np.broadcast_to(cp[:, None, :], (nt, 6, 3))
+    divergence = (
+        _ref_scatter(2 * rows_vp, cols_vp, b_local[0], (2 * nv, npn))
+        + _ref_scatter(2 * rows_vp + 1, cols_vp, b_local[1], (2 * nv, npn))
+    ).tocsr()
+    xq = np.einsum("qa,tad->tqd", p1v, tri_pts)
+    fx, fz = force.sample(xq[:, :, 0], xq[:, :, 1])
+    load = np.zeros(2 * nv)
+    np.add.at(load, 2 * cv, np.einsum("q,tq,qi->ti", _TRI_WEIGHTS, fx, p2v) * area_w[:, None])
+    np.add.at(load, 2 * cv + 1, np.einsum("q,tq,qi->ti", _TRI_WEIGHTS, fz, p2v) * area_w[:, None])
+    gauge = np.zeros(npn)
+    np.add.at(gauge, cp, np.einsum("q,qj->j", _TRI_WEIGHTS, p1v)[None, :] * area_w[:, None])
+    return StokesOperator(space, nu, stiffness, (nu * stiffness).tocsr(), divergence, mass, load, gauge)
+
+
+def reference_raw_matrix(ops, layout):
+    rows, cols, vals = [], [], []
+    for op in ops:
+        ov = layout.offsets[(op.space.subdomain, "velocity")]
+        op_ = layout.offsets[(op.space.subdomain, "pressure")]
+        blocks = ((op.viscous, ov, ov), (op.divergence, ov, op_), (op.divergence.T, op_, ov))
+        for mat, r0, c0 in blocks:
+            coo = mat.tocoo()
+            rows.append(coo.row + r0)
+            cols.append(coo.col + c0)
+            vals.append(coo.data)
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(layout.n_raw, layout.n_raw),
+    ).tocsr()
+
+
+def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None):
+    """(matrix, rhs) of the reduced system on `layout`."""
+    b_raw = np.zeros(layout.n_raw)
+    for op in ops:
+        ov = layout.offsets[(op.space.subdomain, "velocity")]
+        b_raw[ov : ov + op.space.n_velocity_dofs] = op.load
+    a_raw = reference_raw_matrix(ops, layout)
+    if extra_raw is not None:
+        a_raw = (a_raw + extra_raw).tocsr()
+    if extra_rhs_raw is not None:
+        b_raw = b_raw + extra_rhs_raw
+    c = layout.reduction
+    a_red = (c.T @ a_raw @ c).tocsr()
+    b_red = c.T @ (b_raw - a_raw @ layout.x_bc)
+    g_rows = []
+    for op in ops:
+        g_raw = np.zeros(layout.n_raw)
+        op_ = layout.offsets[(op.space.subdomain, "pressure")]
+        g_raw[op_ : op_ + op.space.n_pressure_dofs] = op.gauge
+        g_rows.append(c.T @ g_raw)
+    g = scipy.sparse.csr_matrix(np.vstack(g_rows))
+    full = scipy.sparse.bmat([[a_red, g.T], [g, None]], format="csr")
+    return full, np.concatenate([b_red, np.zeros(len(ops))])
+
+
+def reference_robin(op, layout, alpha, neighbor_trace):
+    ifx = layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes
+    coo = _interface_trace_mass(op.space.interface_x).tocoo()
+    n_raw = layout.n_raw
+    extra = scipy.sparse.coo_matrix(
+        (alpha * coo.data, (ifx[coo.row], ifx[coo.col])), shape=(n_raw, n_raw)
+    ).tocsr()
+    extra_rhs = np.zeros(n_raw)
+    extra_rhs[ifx] = alpha * (coo.tocsr() @ neighbor_trace)
+    return reference_reduced([op], layout, extra, extra_rhs)
+
+
+def reference_lift(op, layout):
+    ifx = layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes
+    lift = layout.reduction.T @ reference_raw_matrix([op], layout)[:, ifx]
+    return scipy.sparse.vstack(
+        [lift, scipy.sparse.csr_matrix((layout.n_gauge, len(ifx)))], format="csr"
+    )
+
+
+def assert_same_sparse(a, b, rtol=1e-14):
+    """Equal shape and sparsity pattern, values within rtol of the largest."""
+    a, b = scipy.sparse.csr_matrix(a), scipy.sparse.csr_matrix(b)
+    a.sort_indices()
+    b.sort_indices()
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    assert np.abs(a.data - b.data).max(initial=0.0) <= rtol * np.abs(b.data).max(initial=0.0)
+
+
+def assert_close_vector(a, b, rtol=1e-14):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
+def test_assembly_matches_the_reference(cells):
+    mesh = build_layered_mesh(Geometry(), *cells)
+    force = BodyForce(evaluator=lambda x, z: (1.0 + z / 50.0, np.sin(x / 10.0)))
+    ops = layer_ops(mesh, 1.0, 2.5, force)
+    refs = [reference_stokes(op.space, op.nu, force) for op in ops]
+    for op, ref in zip(ops, refs):
+        for name in ("stiffness", "viscous", "divergence", "mass"):
+            assert_same_sparse(getattr(op, name), getattr(ref, name))
+        # separate arrays: an in-place edit of one matrix leaves the other alone
+        assert not np.shares_memory(op.stiffness.indices, op.mass.indices)
+        assert not np.shares_memory(op.stiffness.indptr, op.mass.indptr)
+        assert_close_vector(op.load, ref.load)
+        assert_close_vector(op.gauge, ref.gauge)
+
+    # every system against the reference reduction of the reference operators
+    for mode in (CouplingMode.CONTINUITY, CouplingMode.UNCOUPLED):
+        system = assemble_coupled_system(*ops, mode)
+        matrix, rhs = reference_reduced(refs, system.layout)
+        assert_same_sparse(system.matrix.to_scipy(), matrix)
+        assert_close_vector(system.rhs, rhs)
+
+    op, ref = ops[0], refs[0]
+    x = op.space.interface_x
+    trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1]) + x / 17.0
+    for alpha in (0.0, 10.0, 1e9):
+        system = assemble_robin_subproblem(op, alpha, trace)
+        matrix, rhs = reference_robin(ref, system.layout, alpha, trace)
+        assert_same_sparse(system.matrix.to_scipy(), matrix)
+        assert_close_vector(system.rhs, rhs)
+
+    trace[-1] = trace[0]
+    system = assemble_dirichlet_subproblem(op, trace)
+    assert np.any(system.layout.x_bc != 0.0)
+    matrix, rhs = reference_reduced([ref], system.layout)
+    assert_same_sparse(system.matrix.to_scipy(), matrix)
+    assert_close_vector(system.rhs, rhs)
+    lift = dirichlet_trace_lift(op, system.layout)
+    assert_same_sparse(lift, reference_lift(ref, system.layout))
+
+
 def test_manufactured_solution_convergence_order():
     """Non-polynomial manufactured solution through the Robin assembly path:
     the L2 velocity error must shrink at (close to) cubic order."""
@@ -466,8 +681,6 @@ def test_manufactured_solution_convergence_order():
         fx = -nu * (np.sin(k * x) * (s3(z) - k**2 * s1(z)))
         fz = -nu * (k * np.cos(k * x) * (k**2 * s(z) - s2(z)))
         return fx, fz
-
-    from stokescouple.fem import _TRI_POINTS, _TRI_WEIGHTS, _p2_values, _cell_geometry
 
     errors = []
     for nx in (8, 16, 32):

@@ -1,5 +1,7 @@
 """Mesh construction and validation invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,107 @@ def test_structured_meshes_always_validate(nx, nz_upper, nz_lower, length, z_plu
     assert len(mesh.vertices) == (nx + 1) * (nz + 1)
     assert len(mesh.triangles) == 2 * nx * nz
     assert np.count_nonzero(mesh.triangle_subdomain == Subdomain.UPPER) == 2 * nx * nz_upper
+
+
+def reference_validate(mesh):
+    """The per-triangle, per-edge and per-pair loops that validate_mesh
+    vectorizes, for the checks after the triangle-wise ones."""
+    bad = []
+    on_iface = np.isclose(mesh.vertices[:, 1], 0.0)
+    count_by_side = {}
+    for t, tri in enumerate(mesh.triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            if on_iface[a] and on_iface[b]:
+                key = (min(a, b), max(a, b))
+                count_by_side.setdefault(key, [0, 0])[mesh.triangle_subdomain[t]] += 1
+    for (a, b), (n_lo, n_up) in sorted(count_by_side.items()):
+        if n_lo != 1 or n_up != 1:
+            bad.append(f"interface edge ({a},{b}): {n_lo} lower / {n_up} upper adjacent triangles")
+    g = mesh.geometry
+    tag_line = {
+        EdgeTag.WALL_UPPER: (1, g.z_plus),
+        EdgeTag.WALL_LOWER: (1, g.z_minus),
+        EdgeTag.INTERFACE_UPPER: (1, 0.0),
+        EdgeTag.INTERFACE_LOWER: (1, 0.0),
+        EdgeTag.PERIODIC_LEFT: (0, 0.0),
+        EdgeTag.PERIODIC_RIGHT: (0, g.length),
+    }
+    for k, (a, b, tag) in enumerate(mesh.boundary_edges):
+        axis, value = tag_line[EdgeTag(tag)]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        if not (np.isclose(pa[axis], value) and np.isclose(pb[axis], value)):
+            bad.append(f"boundary edge {k}: tag {EdgeTag(tag).name} off its line")
+    for k, (i, j) in enumerate(mesh.periodic_pairs):
+        xi, zi = mesh.vertices[i]
+        xj, zj = mesh.vertices[j]
+        if not (np.isclose(xi, 0.0) and np.isclose(xj, g.length) and np.isclose(zi, zj)):
+            bad.append(f"periodic pair {k}: ({i},{j}) does not match x=0 <-> x=L at equal z")
+    return bad
+
+
+def corrupted(**changes):
+    mesh = build_layered_mesh(Geometry(), nx=3, nz_upper=2, nz_lower=1)
+    return dataclasses.replace(mesh, **changes)
+
+
+def test_validate_detects_interface_edge_without_its_lower_triangle():
+    mesh = build_layered_mesh(Geometry(), nx=3, nz_upper=2, nz_lower=1)
+    # triangle 1 of the lower row is (v00, v11, v01): its top edge lies on z = 0
+    a, b = sorted(mesh.triangles[1][1:].tolist())
+    keep = np.arange(len(mesh.triangles)) != 1
+    mesh = dataclasses.replace(
+        mesh, triangles=mesh.triangles[keep], triangle_subdomain=mesh.triangle_subdomain[keep]
+    )
+    assert validate_mesh(mesh) == [
+        f"interface edge ({a},{b}): 0 lower / 1 upper adjacent triangles"
+    ]
+
+
+def test_validate_detects_boundary_edge_off_its_line():
+    edges = corrupted().boundary_edges.copy()
+    edges[0, 2] = EdgeTag.PERIODIC_RIGHT  # a lower-wall edge tagged as x = L
+    assert validate_mesh(corrupted(boundary_edges=edges)) == [
+        "boundary edge 0: tag PERIODIC_RIGHT off its line"
+    ]
+
+
+def test_validate_detects_unmatched_periodic_pair():
+    pairs = corrupted().periodic_pairs.copy()
+    pairs[1, 1] = pairs[2, 1]  # x = L partner one row too high
+    i, j = pairs[1].tolist()
+    assert validate_mesh(corrupted(periodic_pairs=pairs)) == [
+        f"periodic pair 1: ({i},{j}) does not match x=0 <-> x=L at equal z"
+    ]
+
+
+def test_validate_detects_unsorted_interface_vertices():
+    iv = corrupted().interface_vertices[::-1].copy()
+    assert validate_mesh(corrupted(interface_vertices=iv)) == [
+        "interface vertex list is not strictly ascending in x"
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_validate_matches_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_layered_mesh(Geometry(length=7.0, z_plus=3.0, z_minus=-2.0), 4, 2, 2)
+    vertices = mesh.vertices.copy()
+    moved = rng.choice(len(vertices), size=3, replace=False)
+    vertices[moved] += rng.choice([0.0, 0.5, 1e-9], size=(3, 2))
+    keep = rng.random(len(mesh.triangles)) > 0.1
+    edges = mesh.boundary_edges.copy()
+    edges[rng.integers(len(edges), size=2), 2] = rng.integers(1, 7, size=2)
+    pairs = mesh.periodic_pairs.copy()
+    pairs[:, 1] = rng.permutation(pairs[:, 1])
+    mesh = dataclasses.replace(
+        mesh,
+        vertices=vertices,
+        triangles=mesh.triangles[keep],
+        triangle_subdomain=mesh.triangle_subdomain[keep],
+        boundary_edges=edges,
+        periodic_pairs=pairs,
+    )
+    triangle_wise = [msg for msg in validate_mesh(mesh) if msg.startswith("triangle ")]
+    interface_list = [msg for msg in validate_mesh(mesh) if msg.startswith("interface vertex list")]
+    assert validate_mesh(mesh) == triangle_wise + reference_validate(mesh) + interface_list
