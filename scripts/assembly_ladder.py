@@ -1,6 +1,7 @@
-"""Time the assembly layers on the mesh ladder for two checkouts, back to back.
+"""Time the assembly and solver layers on the mesh ladder for two checkouts,
+back to back.
 
-    python3 scripts/assembly_ladder.py --parent DIR --change DIR [--seed-base S]
+    python3 scripts/assembly_ladder.py --parent DIR --change DIR --label L [--seed-base S]
     python3 scripts/assembly_ladder.py --phases DIR   # one side, one JSON line
 
 Every thread pool is pinned to one thread.  Each of ROUNDS rounds times
@@ -14,11 +15,20 @@ force (1, -1)):
     spaces           build_space, both layers
     assemble_stokes  assemble_stokes, both layers
     reduction        assemble_coupled_system, continuity and uncoupled modes
+    border           _friction_multiplier_system at alpha = ALPHA
+
+and, for each monolithic system (friction at alpha = ALPHA, continuity):
+
+    <system>.factorize  factorize, wall seconds
+    <system>.solve      the triangular solves of one rhs (SolveReport.solve_s)
+    <system>.certify    the rest of Factorization.solve: the residual check
+    <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
+                        relative residual (both from the last repeat)
 
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
 S+100, ... for monolithic-64x32x8), alternating which side runs first, and
-keeps the end-to-end metrics of each run.  Writes BENCH_assembly.json in
+keeps the end-to-end metrics of each run.  Writes BENCH_<label>.json in
 the working directory with the machine, every round and pair, and per-side
 medians.
 """
@@ -42,14 +52,17 @@ REPEATS = {"8x4x2": 15, "32x16x4": 9, "64x32x8": 5, "128x64x16": 3}
 ROUNDS = 6
 PAIRS = 10
 WORKLOADS = ("cli", "monolithic-64x32x8")
+ALPHA = 10.0
 SIDES = ("parent", "change")
 
 
 def time_phases(src: Path) -> dict:
-    """mesh -> phase -> median seconds, for the package under src/src."""
+    """mesh -> phase -> median seconds (or count), for the package under src/src."""
     sys.path.insert(0, str(src / "src"))
+    from stokescouple.coupling import _friction_multiplier_system
     from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
-    from stokescouple.fem import assemble_stokes, build_space
+    from stokescouple.fem import assemble_interface_friction, assemble_stokes, build_space
+    from stokescouple.linalg import CsrMatrix, factorize
     from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
 
     force = BodyForce(1.0, -1.0)
@@ -59,12 +72,15 @@ def time_phases(src: Path) -> dict:
         mesh = build_layered_mesh(Geometry(), *cells)
         spaces = [build_space(mesh, sub) for sub in (Subdomain.UPPER, Subdomain.LOWER)]
         ops = [assemble_stokes(space, 1.0, force) for space in spaces]
+        uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
+        trace_mass = assemble_interface_friction(*spaces)
         phases = {
             "mesh": lambda: build_layered_mesh(Geometry(), *cells),
             "validate": lambda: validate_mesh(mesh),
             "spaces": lambda: [build_space(mesh, sp.subdomain) for sp in spaces],
             "assemble_stokes": lambda: [assemble_stokes(sp, 1.0, force) for sp in spaces],
             "reduction": lambda: [assemble_coupled_system(*ops, mode) for mode in CouplingMode],
+            "border": lambda: _friction_multiplier_system(uncoupled, trace_mass, ALPHA),
         }
         out[spec] = {}
         for name, call in phases.items():
@@ -74,6 +90,29 @@ def time_phases(src: Path) -> dict:
                 call()
                 seconds.append(time.perf_counter() - start)
             out[spec][name] = round(statistics.median(seconds), 6)
+
+        friction, friction_rhs = _friction_multiplier_system(uncoupled, trace_mass, ALPHA)
+        continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
+        systems = {
+            "friction": (CsrMatrix.from_scipy(friction), friction_rhs),
+            "continuity": (continuity.matrix, continuity.rhs),
+        }
+        del friction, continuity
+        for name, (matrix, rhs) in systems.items():
+            seconds = {"factorize": [], "solve": [], "certify": []}
+            for _ in range(REPEATS[spec]):
+                start = time.perf_counter()
+                fact = factorize(matrix)
+                seconds["factorize"].append(time.perf_counter() - start)
+                start = time.perf_counter()
+                _, report = fact.solve(rhs)
+                seconds["certify"].append(time.perf_counter() - start - report.solve_s)
+                seconds["solve"].append(report.solve_s)
+                del fact
+            for phase, values in seconds.items():
+                out[spec][f"{name}.{phase}"] = round(statistics.median(values), 6)
+            out[spec][f"{name}.lu_nnz"] = report.lu_nnz
+            out[spec][f"{name}.residual"] = report.relative_residual
     return out
 
 
@@ -116,23 +155,29 @@ def quartiles(values: list) -> dict:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
-def ladder(dirs: dict) -> dict:
-    rounds = []
-    for r in range(ROUNDS):
-        order = SIDES if r % 2 == 0 else SIDES[::-1]
-        rounds.append({"first": order[0], **{side: run_phases(dirs[side]) for side in order}})
+def summarize(rounds: list) -> dict:
+    """mesh -> phase -> each side's median over the rounds (unrounded, so the
+    residuals keep their digits) and the rounds in which the change was lower."""
     summary = {}
     for spec in MESHES:
         summary[spec] = {}
         for phase in rounds[0]["parent"][spec]:
             per_side = {side: [r[side][spec][phase] for r in rounds] for side in SIDES}
             summary[spec][phase] = {
-                **{side: round(statistics.median(v), 6) for side, v in per_side.items()},
+                **{side: statistics.median(v) for side, v in per_side.items()},
                 "change_lower_in_rounds": sum(
                     c < p for p, c in zip(per_side["parent"], per_side["change"])
                 ),
             }
-    return {"rounds": rounds, "median_over_rounds_s": summary}
+    return summary
+
+
+def ladder(dirs: dict) -> dict:
+    rounds = []
+    for r in range(ROUNDS):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        rounds.append({"first": order[0], **{side: run_phases(dirs[side]) for side in order}})
+    return {"rounds": rounds, "median_over_rounds_s": summarize(rounds)}
 
 
 def perfbench_pairs(dirs: dict, seed_base: int) -> dict:
@@ -165,25 +210,26 @@ def main() -> int:
     parser.add_argument("--phases", type=Path, metavar="DIR", help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
+    parser.add_argument("--label", help="the report is written to BENCH_<label>.json")
     parser.add_argument("--seed-base", type=int, default=701)
     args = parser.parse_args()
     if args.phases is not None:
         print(json.dumps(time_phases(args.phases.resolve())))
         return 0
-    if args.parent is None or args.change is None:
-        parser.error("--parent and --change are required")
+    if args.parent is None or args.change is None or args.label is None:
+        parser.error("--parent, --change and --label are required")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "command": (
             "python3 scripts/assembly_ladder.py --parent PARENT --change CHANGE"
-            f" --seed-base {args.seed_base}"
+            f" --label {args.label} --seed-base {args.seed_base}"
         ),
         "machine": machine(),
         "repeats": REPEATS,
         "ladder": ladder(dirs),
         "perfbench_pairs": perfbench_pairs(dirs, args.seed_base),
     }
-    Path("BENCH_assembly.json").write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -170,14 +170,15 @@ def _friction_multiplier_system(
     P folding the full trace onto the periodic one, B = P^T M (T_upper -
     T_lower) and M_p = P^T M P, and the system is
 
-        [[-M_p / alpha, B], [B^T, A]] [lam; x] = [0; b].
+        [[A, B^T], [B, -M_p / alpha]] [x; lam] = [b; 0].
 
-    The first row gives lam = alpha * jump, so eliminating lam recovers the
+    The last row gives lam = alpha * jump, so eliminating lam recovers the
     penalty matrix A + alpha (T_u - T_l)^T P^T M P (T_u - T_l) exactly, while
     every entry stays O(1) or O(1/alpha) instead of O(alpha).  The multiplier
-    comes first; the minimum-degree ordering of `linalg.factorize` makes the
-    placement immaterial: on 64x32x8 at alpha = 10 the L+U fill is 5,660,504
-    with the multiplier first and 5,660,649 with it last.
+    comes last because `linalg.factorize` eliminates in the order given:
+    eliminated first, it would couple every trace dof of both layers before
+    either layer's interior.  On 64x32x8 at alpha = 10 that fills
+    5.97M L+U entries and factors in 0.59 s, against 3.80M and 0.24 s last.
     """
     layout = system.layout
     n_trace = trace_mass.shape[0]
@@ -187,9 +188,16 @@ def _friction_multiplier_system(
     )
     fold_mass = fold.T @ trace_mass
     b = fold_mass @ (layout.trace_map(Subdomain.UPPER) - layout.trace_map(Subdomain.LOWER))
-    c = -(fold_mass @ fold) / alpha
-    matrix = scipy.sparse.bmat([[c, b], [b.T, system.matrix.to_scipy()]], format="csr")
-    return matrix, np.concatenate([np.zeros(n_trace - 1), system.rhs])
+    n, k = system.matrix.n_rows, n_trace - 1
+    # [A, B^T] as the sum of two n x (n + k) matrices on disjoint columns,
+    # A's arrays taken as they are, then the border rows [B, -M_p / alpha]
+    a = system.matrix
+    a_wide = scipy.sparse.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n + k))
+    bt = b.T.tocsr()
+    bt_wide = scipy.sparse.csr_matrix((bt.data, bt.indices + n, bt.indptr), shape=(n, n + k))
+    border = scipy.sparse.hstack([b, -(fold_mass @ fold) / alpha], format="csr")
+    matrix = scipy.sparse.vstack([a_wide + bt_wide, border], format="csr")
+    return matrix, np.concatenate([system.rhs, np.zeros(k)])
 
 
 def solve_monolithic_friction(
@@ -221,7 +229,7 @@ def solve_monolithic_friction(
     else:
         matrix, rhs = _friction_multiplier_system(system, disc.trace_mass, alpha)
         x, _ = solve(CsrMatrix.from_scipy(matrix), rhs, tol=solver_tol)
-    return _field_from_solution(disc, system.layout, x[-system.layout.n_rows :], alpha)
+    return _field_from_solution(disc, system.layout, x[: system.layout.n_rows], alpha)
 
 
 def solve_monolithic_continuity(

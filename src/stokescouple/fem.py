@@ -14,6 +14,10 @@ no-penetration, x-periodicity, continuity identification) are eliminated
 symmetrically through a 0/1 reduction operator C: the solved system is
 C^T A C augmented with one integral-mean pressure-gauge row per layer,
 scattered in one pass through C's raw -> reduced index map, not multiplied.
+The reduced unknowns are numbered in nested-dissection order of their
+nodes, with the gauge rows last, because `linalg.factorize` eliminates them
+in the order given: on 64x32x8 the continuity system fills 4.35M L+U
+entries in that order, against 5.93M under SuperLU's minimum degree.
 """
 
 from __future__ import annotations
@@ -409,18 +413,89 @@ def assemble_interface_friction(
 # constraint reduction
 
 
+def _nearest_line(lines: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box, the grid line of `lines` (sorted indices) strictly between lo
+    and hi that is nearest their middle, or -1 where there is none."""
+    mid = 0.5 * (lo + hi)
+    j = np.searchsorted(lines, mid)
+    # the last line below the middle and the first at or above it
+    cand = np.stack([lines[np.maximum(j - 1, 0)], lines[np.minimum(j, len(lines) - 1)]])
+    inside = (cand > lo) & (cand < hi)
+    pick = np.argmin(np.where(inside, np.abs(cand - mid), np.inf), axis=0)
+    return np.where(inside.any(axis=0), cand[pick, np.arange(len(lo))], -1)
+
+
+def _dissection_order(coords: np.ndarray, pressure: np.ndarray) -> np.ndarray:
+    """Nested-dissection permutation of unknowns at nodes `coords` (x, z);
+    `pressure` flags the pressure unknowns, whose nodes are the vertices.
+
+    On grid indices (the ranks of the distinct x and z values) the first
+    separator is the x = 0 column, the periodic seam, together with the
+    vertex column nearest the middle.  Each remaining box is bisected
+    recursively on the vertex line nearest the middle of its longer index
+    extent; no element straddles a vertex line of the structured mesh, so
+    every cut separates the unknowns on its two sides.  A box with no vertex
+    line inside is a leaf.  Each box is numbered before its separator, and
+    inside every leaf and separator velocity comes before pressure, then
+    (x, z) in lexicographic order, then the given order.  Any numbering is
+    correct; on another mesh this one only fills more.
+    """
+    ix = np.unique(coords[:, 0], return_inverse=True)[1]
+    iz = np.unique(coords[:, 1], return_inverse=True)[1]
+    lines = [np.unique(index[pressure]) for index in (ix, iz)]
+    n_x, n_z = ix.max() + 1, iz.max() + 1
+    middle = max(int(_nearest_line(lines[0], np.array([0]), np.array([n_x]))[0]), 0)
+    # The dissection runs on the grid points; the unknowns take their point's
+    # path from the root, in base 3: 0 below a cut, 1 above it, 2 on it.
+    # Sorting on it numbers both boxes before their separator.  Its digits
+    # are about log2 of the point count, far below the 39 that fit in int64.
+    gx, gz = np.divmod(np.arange(n_x * n_z), n_z)
+    seam = (gx == 0) | (gx == middle)
+    path = np.where(seam, 2, gx > middle)
+    box = path.copy()  # index into `bounds`, inclusive index ranges per box
+    bounds = np.array([[1, middle - 1, 0, n_z - 1], [middle + 1, n_x - 1, 0, n_z - 1]])
+    active = np.nonzero(~seam)[0]
+    while len(active):
+        x0, x1, z0, z1 = bounds.T
+        cut_x, cut_z = _nearest_line(lines[0], x0, x1), _nearest_line(lines[1], z0, z1)
+        along_x = (cut_x >= 0) & ((x1 - x0 >= z1 - z0) | (cut_z < 0))
+        cut = np.where(along_x, cut_x, cut_z)
+        along_z = ~along_x & (cut >= 0)
+        below, above = bounds.copy(), bounds.copy()  # the children 2 b and 2 b + 1
+        below[along_x, 1], above[along_x, 0] = cut[along_x] - 1, cut[along_x] + 1
+        below[along_z, 3], above[along_z, 2] = cut[along_z] - 1, cut[along_z] + 1
+        bounds = np.stack([below, above], axis=1).reshape(-1, 4)
+
+        b, c = box[active], cut[box[active]]
+        side = np.sign(np.where(along_x[b], gx[active], gz[active]) - c)
+        digit = np.where(side < 0, 0, np.where(side > 0, 1, 2))
+        digit[c < 0] = 0  # a leaf: its points are numbered
+        path *= 3
+        path[active] += digit
+        box[active] = 2 * b + (digit == 1)
+        active = active[(c >= 0) & (digit < 2)]
+    return np.lexsort((iz, ix, pressure, path[ix * n_z + iz]))
+
+
 def _reduction(
-    n_raw: int, pairs: np.ndarray, fixed: np.ndarray, values: np.ndarray
+    n_raw: int,
+    pairs: np.ndarray,
+    fixed: np.ndarray,
+    values: np.ndarray,
+    coords: np.ndarray,
+    pressure: np.ndarray,
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Eliminate identified and Dirichlet raw dofs.
 
     pairs (k, 2) identifies raw dofs; the classes are the connected
     components of that graph.  A class with a member in `fixed` is dropped
     and every member takes that member's value from `values`.  Every other
-    class becomes one reduced column, represented by its smallest raw index,
-    so the reduced numbering inherits the lexicographic raw order.  Returns
-    the 0/1 reduction operator C (raw x reduced), the inhomogeneous-value
-    vector x_bc, and the raw -> reduced column map (-1 where dropped).
+    class becomes one reduced column, represented by its smallest raw index;
+    the columns are numbered in the nested-dissection order of their
+    representatives' node `coords` (`pressure` flags the pressure dofs), so
+    SuperLU can factor the system in the order it arrives.  Returns the 0/1
+    reduction operator C (raw x reduced), the inhomogeneous-value vector
+    x_bc, and the raw -> reduced column map (-1 where dropped).
     """
     graph = scipy.sparse.coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_raw, n_raw)
@@ -433,8 +508,8 @@ def _reduction(
     dropped = class_dropped[label]
 
     _, smallest = np.unique(label, return_index=True)
-    kept = smallest[~class_dropped]
-    kept.sort()
+    kept = np.sort(smallest[~class_dropped])
+    kept = kept[_dissection_order(coords[kept], pressure[kept])]
     class_col = np.full(n_class, -1, dtype=np.int64)
     class_col[label[kept]] = np.arange(len(kept))
     col_of = class_col[label]
@@ -544,14 +619,18 @@ def _build_layout(
     the identified raw `pairs` and the `fixed` raw dofs prescribed to
     `values`."""
     pairs, fixed, values = list(pairs), list(fixed), list(values)
+    coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
         op = offsets[(sp.subdomain, _FIELD_PRESSURE)]
         pairs += [ov + sp.periodic_vdofs, op + sp.periodic_pdofs]
         fixed.append(ov + sp.dirichlet_vdofs)
         values.append(np.zeros(len(sp.dirichlet_vdofs)))
+        coords[ov : ov + sp.n_velocity_dofs] = np.repeat(sp.velocity_nodes, 2, axis=0)
+        coords[op : op + sp.n_pressure_dofs] = sp.pressure_nodes
+        pressure[op : op + sp.n_pressure_dofs] = True
     c, x_bc, col_of = _reduction(
-        n_raw, np.vstack(pairs), np.concatenate(fixed), np.concatenate(values)
+        n_raw, np.vstack(pairs), np.concatenate(fixed), np.concatenate(values), coords, pressure
     )
     return DofLayout(
         spaces={sp.subdomain: sp for sp in spaces},

@@ -1,16 +1,21 @@
 """Sparse CSR matrices and a certified direct solver.
 
 The solver is a sparse LU factorization (SuperLU via scipy) with one recipe
-for every system: minimum-degree ordering on the structure of A^T + A,
-symmetric mode, and a diagonal pivot threshold of 0.01.  Every matrix the
-package factors is structurally symmetric: Stokes blocks [[K, D], [D^T, 0]]
-reduced by a symmetric C^T A C, bordered by gauge rows and, for friction, by
-the interface-traction multiplier.  SymmetricMode keeps the ordering of A^T +
-A as the pivot order while the diagonal passes the threshold, so the factors
-keep the symmetric fill pattern: on 64x32x8 the continuity system fills 5.9M
-L+U entries instead of 33.3M under COLAMD.  The threshold stays nonzero
-because a zero threshold lost six digits on a harder saddle system; a
-diagonal entry below 0.01 of its column's largest is still pivoted away.
+for every system: the natural order, symmetric mode, and a diagonal pivot
+threshold of 0.01.  SuperLU computes no fill-reducing order: `fem` numbers
+the unknowns in nested-dissection order of the mesh, and the friction
+multiplier border comes after them, so the matrix arrives in the order it
+is factored.  Every matrix the package factors is structurally symmetric:
+Stokes blocks [[K, D], [D^T, 0]] reduced by a symmetric C^T A C, bordered by
+gauge rows and, for friction, by the interface-traction multiplier.
+SymmetricMode pivots on the diagonal while it passes the threshold, so the
+factors keep the symmetric fill of that order: on 64x32x8 the continuity
+system fills 4.35M L+U entries (5.93M under minimum degree on A^T + A,
+33.3M under COLAMD).  The threshold stays nonzero because a zero threshold
+lost six digits on a harder saddle system; a diagonal entry below 0.01 of
+its column's largest is still pivoted away, and the report counts those
+off-diagonal pivots.  Any order is a valid order: a matrix numbered some
+other way is factored as correctly, only with more fill.
 
 Every solve is certified by an independent matrix-vector product: the
 relative residual is computed with a scipy sparse product of the original
@@ -49,7 +54,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-10
 
 # The factorization recipe passed to SuperLU for every matrix.
-ORDERING = "MMD_AT_PLUS_A"
+ORDERING = "NATURAL"
 DIAG_PIVOT_THRESH = 0.01
 SYMMETRIC_MODE = True
 
@@ -120,10 +125,13 @@ class SolveReport:
     """What one certified solve did.
 
     ordering, diag_pivot_thresh and symmetric_mode are the options the
-    factorization was computed with; lu_nnz is SuperLU's count of the stored
-    L + U nonzeros; factor_s and solve_s are the seconds spent in the
-    factorization (shared by every solve against it) and in this solve's
-    triangular solves.
+    factorization was computed with: "NATURAL" means the columns were
+    eliminated in the order the matrix arrived.  off_diagonal_pivots counts
+    the columns whose pivot row is not their own (perm_r differs from
+    perm_c), where the diagonal failed the threshold.  lu_nnz is SuperLU's
+    count of the stored L + U nonzeros; factor_s and solve_s are the seconds
+    spent in the factorization (shared by every solve against it) and in
+    this solve's triangular solves.
     """
 
     relative_residual: float  # the worst column's, for a block rhs
@@ -132,6 +140,7 @@ class SolveReport:
     ordering: str
     diag_pivot_thresh: float
     symmetric_mode: bool
+    off_diagonal_pivots: int
     lu_nnz: int
     factor_s: float
     solve_s: float
@@ -148,6 +157,7 @@ class Factorization:
     matrix: CsrMatrix
     _lu: object = field(repr=False)
     factor_s: float
+    off_diagonal_pivots: int
     _product: scipy.sparse.csr_matrix = field(repr=False)
 
     @property
@@ -192,6 +202,7 @@ class Factorization:
             ordering=ORDERING,
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             symmetric_mode=SYMMETRIC_MODE,
+            off_diagonal_pivots=self.off_diagonal_pivots,
             lu_nnz=self.lu_nnz,
             factor_s=self.factor_s,
             solve_s=solve_s,
@@ -216,7 +227,11 @@ def factorize(matrix: CsrMatrix) -> Factorization:
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularSystemError(str(exc)) from exc
     return Factorization(
-        matrix=matrix, _lu=lu, factor_s=time.perf_counter() - start, _product=product
+        matrix=matrix,
+        _lu=lu,
+        factor_s=time.perf_counter() - start,
+        off_diagonal_pivots=int(np.count_nonzero(lu.perm_r != lu.perm_c)),
+        _product=product,
     )
 
 

@@ -154,14 +154,14 @@ def test_friction_multiplier_eliminates_to_penalty_matrix(alpha):
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
     matrix, rhs = _friction_multiplier_system(base, disc.trace_mass, alpha)
-    k = len(rhs) - base.matrix.n_rows  # multiplier unknowns come first
-    c, b = matrix[:k, :k].toarray(), matrix[:k, k:].toarray()
-    bt, a = matrix[k:, :k].toarray(), matrix[k:, k:].toarray()
+    n = base.matrix.n_rows  # multiplier unknowns come last
+    a, bt = matrix[:n, :n].toarray(), matrix[:n, n:].toarray()
+    b, c = matrix[n:, :n].toarray(), matrix[n:, n:].toarray()
     assert np.array_equal(bt, b.T)
     schur = a - bt @ np.linalg.solve(c, b)
     expected = penalty_matrix(disc, base, alpha).toarray()
     assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
-    np.testing.assert_array_equal(rhs, np.concatenate([np.zeros(k), base.rhs]))
+    np.testing.assert_array_equal(rhs, np.concatenate([base.rhs, np.zeros(len(rhs) - n)]))
 
 
 def test_monolithic_continuity_matches_channel():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from stokescouple.coupling import _friction_multiplier_system, discretize, solve_monolithic_friction
+from stokescouple.coupling import (
+    _friction_multiplier_system,
+    discretize,
+    solve_monolithic_continuity,
+    solve_monolithic_friction,
+)
 from stokescouple.fem import (
     _TRI_POINTS,
     _TRI_WEIGHTS,
@@ -19,6 +24,7 @@ from stokescouple.fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     _cell_geometry,
+    _dissection_order,
     _interface_trace_mass,
     _p2_reference_grads,
     _p2_values,
@@ -236,13 +242,13 @@ def multiplier_border(mesh):
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
     matrix, _ = _friction_multiplier_system(system, disc.trace_mass, 7.0)
-    k = matrix.shape[0] - system.matrix.n_rows
+    n_rows = system.matrix.n_rows  # the multiplier unknowns come last
     layout = system.layout
     rows = {
         sub: np.array([layout.row_of(sub, "velocity", int(n)) for n in disc.space(sub).interface_nodes])
         for sub in (Subdomain.UPPER, Subdomain.LOWER)
     }
-    return matrix[:k, k:], rows[Subdomain.UPPER], rows[Subdomain.LOWER]
+    return matrix[n_rows:, :n_rows], rows[Subdomain.UPPER], rows[Subdomain.LOWER]
 
 
 def test_friction_kernel_on_equal_traces(small_mesh):
@@ -345,6 +351,17 @@ def test_row_of_and_expand_consistency(ops):
     assert u[s] == u[m]
 
 
+def raw_nodes(layout):
+    """Each raw dof's node coordinates and whether it is a pressure dof."""
+    coords, pressure = np.empty((layout.n_raw, 2)), np.zeros(layout.n_raw, dtype=bool)
+    for sub, sp in layout.spaces.items():
+        ov, op = layout.offsets[(sub, "velocity")], layout.offsets[(sub, "pressure")]
+        coords[ov : ov + sp.n_velocity_dofs] = np.repeat(sp.velocity_nodes, 2, axis=0)
+        coords[op : op + sp.n_pressure_dofs] = sp.pressure_nodes
+        pressure[op : op + sp.n_pressure_dofs] = True
+    return coords, pressure
+
+
 def test_reduction_contract(ops):
     continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY).layout
     x = ops[1].space.interface_x
@@ -356,8 +373,13 @@ def test_reduction_contract(ops):
         assert np.all(c.data == 1.0)
         members = [np.sort(c.indices[c.indptr[j] : c.indptr[j + 1]]) for j in range(c.shape[1])]
         smallest = np.array([m[0] for m in members])
-        # each column is represented by its smallest raw index, ascending
-        assert np.all(np.diff(smallest) > 0)
+        # each column is represented by its smallest raw index; ranked by it,
+        # the columns are the lexicographic numbering, and they are labelled
+        # in the nested-dissection order of their representatives' nodes
+        lexicographic = np.sort(smallest)
+        coords, pressure = raw_nodes(layout)
+        order = _dissection_order(coords[lexicographic], pressure[lexicographic])
+        np.testing.assert_array_equal(smallest, lexicographic[order])
         for j, m in enumerate(members):
             assert np.all(layout.col_of[m] == j)
         kept = np.concatenate(members)
@@ -383,6 +405,28 @@ def test_reduction_contract(ops):
     others = np.ones(prescribed.n_raw, dtype=bool)
     others[ifx] = False
     assert np.all(prescribed.x_bc[others] == 0.0)
+
+
+@pytest.mark.parametrize("cells", [(1, 1, 1), (3, 2, 1), (5, 1, 3)])
+def test_dissection_numbering_on_degenerate_meshes(cells):
+    # one column of cells, where the middle vertex column is the seam, and
+    # odd nx, where no vertex column sits at the middle
+    mesh = build_layered_mesh(Geometry(), *cells)
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    for mode in CouplingMode:
+        layout = assemble_coupled_system(disc.op_upper, disc.op_lower, mode).layout
+        coords, pressure = raw_nodes(layout)
+        order = _dissection_order(coords, pressure)
+        np.testing.assert_array_equal(np.sort(order), np.arange(layout.n_raw))
+        np.testing.assert_array_equal(
+            np.unique(layout.col_of[layout.col_of >= 0]), np.arange(layout.n_reduced)
+        )
+    # every solve certifies at the default tolerance, or raises
+    solve_monolithic_friction(mesh, 1.0, 1.0, FORCE, FORCE, alpha=10.0, disc=disc)
+    solve_monolithic_continuity(mesh, 1.0, 1.0, FORCE, FORCE, disc=disc)
+    for op in (disc.op_upper, disc.op_lower):
+        sys = assemble_robin_subproblem(op, 10.0, np.ones(len(op.space.interface_nodes)))
+        solve(sys.matrix, sys.rhs)
 
 
 def test_continuity_traces_identical_after_expand(ops):
