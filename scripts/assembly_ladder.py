@@ -25,6 +25,10 @@ and, for each monolithic system (friction at alpha = ALPHA, continuity):
     <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
                         relative residual (both from the last repeat)
 
+and `ru_maxrss_mb`, the process's peak resident set after that mesh.  The
+ladder ascends, so each mesh's figure is the peak up to and including it,
+set by the largest factorization so far.
+
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
 S+100, ... for monolithic-64x32x8), alternating which side runs first, and
@@ -41,6 +45,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -59,11 +64,15 @@ SIDES = ("parent", "change")
 def time_phases(src: Path) -> dict:
     """mesh -> phase -> median seconds (or count), for the package under src/src."""
     sys.path.insert(0, str(src / "src"))
+    from stokescouple import linalg
     from stokescouple.coupling import _friction_multiplier_system
     from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
     from stokescouple.fem import assemble_interface_friction, assemble_stokes, build_space
-    from stokescouple.linalg import CsrMatrix, factorize
     from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
+
+    # The matrix container was CsrMatrix before the systems were held in
+    # compressed columns; a parent checkout may still have it.
+    container = getattr(linalg, "CscMatrix", None) or linalg.CsrMatrix
 
     force = BodyForce(1.0, -1.0)
     out = {}
@@ -94,7 +103,7 @@ def time_phases(src: Path) -> dict:
         friction, friction_rhs = _friction_multiplier_system(uncoupled, trace_mass, ALPHA)
         continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
         systems = {
-            "friction": (CsrMatrix.from_scipy(friction), friction_rhs),
+            "friction": (container.from_scipy(friction), friction_rhs),
             "continuity": (continuity.matrix, continuity.rhs),
         }
         del friction, continuity
@@ -102,7 +111,7 @@ def time_phases(src: Path) -> dict:
             seconds = {"factorize": [], "solve": [], "certify": []}
             for _ in range(REPEATS[spec]):
                 start = time.perf_counter()
-                fact = factorize(matrix)
+                fact = linalg.factorize(matrix)
                 seconds["factorize"].append(time.perf_counter() - start)
                 start = time.perf_counter()
                 _, report = fact.solve(rhs)
@@ -113,6 +122,7 @@ def time_phases(src: Path) -> dict:
                 out[spec][f"{name}.{phase}"] = round(statistics.median(values), 6)
             out[spec][f"{name}.lu_nnz"] = report.lu_nnz
             out[spec][f"{name}.residual"] = report.relative_residual
+        out[spec]["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
 

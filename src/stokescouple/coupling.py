@@ -52,7 +52,7 @@ from .fem import (
     check_periodic_trace,
     dirichlet_trace_lift,
 )
-from .linalg import CsrMatrix, SolveReport, factorize, solve
+from .linalg import CscMatrix, SolveReport, factorize, solve
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -161,7 +161,7 @@ def _field_from_solution(disc: Discretization, layout, x: np.ndarray, alpha_used
 
 def _friction_multiplier_system(
     system: SparseSystem, trace_mass: scipy.sparse.csr_matrix, alpha: float
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
     """Border the uncoupled two-layer system with the interface traction.
 
     The multiplier lam lives on the n_trace - 1 periodic trace dofs (the
@@ -188,15 +188,23 @@ def _friction_multiplier_system(
     )
     fold_mass = fold.T @ trace_mass
     b = fold_mass @ (layout.trace_map(Subdomain.UPPER) - layout.trace_map(Subdomain.LOWER))
-    n, k = system.matrix.n_rows, n_trace - 1
-    # [A, B^T] as the sum of two n x (n + k) matrices on disjoint columns,
-    # A's arrays taken as they are, then the border rows [B, -M_p / alpha]
-    a = system.matrix
-    a_wide = scipy.sparse.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n + k))
-    bt = b.T.tocsr()
-    bt_wide = scipy.sparse.csr_matrix((bt.data, bt.indices + n, bt.indptr), shape=(n, n + k))
-    border = scipy.sparse.hstack([b, -(fold_mass @ fold) / alpha], format="csr")
-    matrix = scipy.sparse.vstack([a_wide + bt_wide, border], format="csr")
+    a, n, k = system.matrix, system.matrix.n_rows, n_trace - 1
+    # Compressed columns written in place: column j < n is A's column j over
+    # B's (rows n + i), column n + m is B's row m over the border block.
+    right = scipy.sparse.vstack([b.T, -(fold_mass @ fold) / alpha], format="coo").tocsc()
+    below = b.tocsc()
+    below.sort_indices()
+    indptr = np.concatenate([a.indptr + below.indptr, a.nnz + below.nnz + right.indptr[1:]])
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    data = np.empty(indptr[-1])
+    left = indptr[n]
+    at = np.arange(below.nnz) + np.repeat(a.indptr[1:], np.diff(below.indptr))  # B's places
+    from_a = np.ones(left, dtype=bool)
+    from_a[at] = False
+    indices[:left][from_a], data[:left][from_a] = a.indices, a.data
+    indices[at], data[at] = below.indices + n, below.data
+    indices[left:], data[left:] = right.indices, right.data
+    matrix = scipy.sparse.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
     return matrix, np.concatenate([system.rhs, np.zeros(k)])
 
 
@@ -224,12 +232,13 @@ def solve_monolithic_friction(
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
-    if alpha == 0.0:
-        x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
-    else:
-        matrix, rhs = _friction_multiplier_system(system, disc.trace_mass, alpha)
-        x, _ = solve(CsrMatrix.from_scipy(matrix), rhs, tol=solver_tol)
-    return _field_from_solution(disc, system.layout, x[: system.layout.n_rows], alpha)
+    layout, matrix, rhs = system.layout, system.matrix, system.rhs
+    if alpha != 0.0:
+        bordered, rhs = _friction_multiplier_system(system, disc.trace_mass, alpha)
+        matrix = CscMatrix(*bordered.shape, bordered.indptr, bordered.indices, bordered.data)
+    del system  # the uncoupled matrix goes before the bordered one is factored
+    x, _ = solve(matrix, rhs, tol=solver_tol)
+    return _field_from_solution(disc, layout, x[: layout.n_rows], alpha)
 
 
 def solve_monolithic_continuity(
@@ -314,8 +323,8 @@ class ConvergenceReport:
 # Right-hand sides per block solve of a half-step map.  One call for all
 # n_trace + 1 columns keeps the rhs, the solution, SuperLU's workspace and
 # the residual alive at once, four n_rows x (n_trace + 1) arrays: on the
-# default 32x16x4 mesh that raised the peak RSS of a schwarz `run` from 84.5
-# to 91 MB.
+# default 32x16x4 mesh that raises the peak RSS of a schwarz `run` from 80
+# to 87 MB (fresh processes, 2-core x86-64 host, numpy 2.4 / scipy 1.17).
 _BLOCK_COLUMNS = 8
 
 

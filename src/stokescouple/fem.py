@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .linalg import CsrMatrix
+from .linalg import CscMatrix
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -306,6 +307,12 @@ class StokesOperator:
     mass: scipy.sparse.csr_matrix
     load: np.ndarray
     gauge: np.ndarray
+
+    @cached_property
+    def layer_layout(self) -> DofLayout:
+        """The layer's own layout, with no interface dof fixed: the same for
+        the Robin subproblem at every alpha, so it is built once."""
+        return _single_layer_layout(self.space)
 
 
 def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOperator:
@@ -592,7 +599,7 @@ class DofLayout:
 class SparseSystem:
     """Assembled, constraint-reduced linear system with its dof layout."""
 
-    matrix: CsrMatrix
+    matrix: CscMatrix
     rhs: np.ndarray
     layout: DofLayout
 
@@ -677,7 +684,9 @@ def _assemble_reduced(
     """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
     (layer blocks, `extra`, and the gauge border, whose multipliers take raw
     indices past the layers' dofs) maps through `layout.col_of`.  Entries on
-    a dropped row vanish; those on a prescribed column move to the rhs."""
+    a dropped row vanish; those on a prescribed column move to the rhs.  The
+    scatter lands in compressed columns, the arrays SuperLU factors, and the
+    system holds them without a copy."""
     offsets = layout.offsets
     n_raw, n_red, n = layout.n_raw, layout.n_reduced, layout.n_rows
     b_raw = np.zeros(n_raw)
@@ -703,13 +712,15 @@ def _assemble_reduced(
     rhs[:n_red] = np.bincount(layout.col_of[live], b_raw[live], n_red) - np.bincount(
         rows[lifted], vals[lifted] * layout.x_bc[raw_cols[lifted]], n_red
     )
-    del parts, raw_rows, raw_cols, lifted  # free the copies before the CSR step, the peak
+    del parts, raw_rows, raw_cols, lifted  # free the copies before the CSC step, the peak
     kept = (rows >= 0) & (cols >= 0)
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    matrix = _scatter(rows, cols, vals, (n, n))
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()  # canonical
     del rows, cols, vals, kept
     matrix.eliminate_zeros()  # entries that cancel exactly, as the product C^T A C drops them
-    return SparseSystem(matrix=CsrMatrix.from_scipy(matrix), rhs=rhs, layout=layout)
+    return SparseSystem(
+        matrix=CscMatrix(n, n, matrix.indptr, matrix.indices, matrix.data), rhs=rhs, layout=layout
+    )
 
 
 def assemble_coupled_system(
@@ -787,7 +798,7 @@ def assemble_robin_subproblem(
         raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
     space = op.space
     neighbor_trace = _check_trace(space, neighbor_trace, "neighbor trace")
-    layout = _single_layer_layout(space)
+    layout = op.layer_layout
     m_iface = _interface_trace_mass(space.interface_x)
     ifx = _interface_dofs(layout.offsets, space)
     coo = m_iface.tocoo()

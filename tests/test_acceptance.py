@@ -35,7 +35,7 @@ from stokescouple.coupling import (
 )
 from stokescouple.fem import BodyForce
 from stokescouple.linalg import (
-    CsrMatrix,
+    CscMatrix,
     ResidualCertificationError,
     solve,
 )
@@ -360,7 +360,7 @@ def test_criterion_7_property_suites(record_criterion):
 
     # solver residual certification: reported residual honored, breach raises
     rng = np.random.default_rng(3)
-    matrix = CsrMatrix.from_scipy(rng.standard_normal((40, 40)) + 40.0 * np.eye(40))
+    matrix = CscMatrix.from_scipy(rng.standard_normal((40, 40)) + 40.0 * np.eye(40))
     rhs = rng.standard_normal(40)
     _, report = solve(matrix, rhs, tol=1e-10)
     # a breach needs a nonzero residual; an exact solve could satisfy any tolerance

@@ -31,7 +31,7 @@ from stokescouple.fem import (
     build_space,
     dirichlet_trace_lift,
 )
-from stokescouple.linalg import CsrMatrix, solve
+from stokescouple.linalg import CscMatrix, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
 
 
@@ -451,7 +451,7 @@ def test_galerkin_smoke_random_test_vectors(ops):
     uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
     trace_mass = assemble_interface_friction(ops[0].space, ops[1].space)
     matrix, rhs = _friction_multiplier_system(uncoupled, trace_mass, 10.0)
-    matrix = CsrMatrix.from_scipy(matrix)
+    matrix = CscMatrix.from_scipy(matrix)
     x, _ = solve(matrix, rhs)
     ax = matrix.to_scipy() @ x
     rng = np.random.default_rng(42)

@@ -1,17 +1,20 @@
 """Direct-solver contract: certification, determinism, error handling."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokescouple.coupling import _friction_multiplier_system, discretize
+from stokescouple import linalg
+from stokescouple.coupling import _friction_multiplier_system, discretize, solve_monolithic_friction
 from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
 from stokescouple.linalg import (
-    CsrMatrix,
+    CscMatrix,
     DimensionMismatchError,
     ResidualCertificationError,
     SingularSystemError,
@@ -23,7 +26,7 @@ from stokescouple.mesh import Geometry, build_layered_mesh
 
 def dense(a):
     a = np.asarray(a, dtype=float)
-    return CsrMatrix.from_scipy(a)
+    return CscMatrix.from_scipy(a)
 
 
 def test_two_by_two_saddle_example():
@@ -198,18 +201,81 @@ def test_saddle_systems_fill_stays_symmetric():
     friction, _ = _friction_multiplier_system(base, disc.trace_mass, 10.0)
     continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
     fills = [
-        factorize(CsrMatrix.from_scipy(friction)).lu_nnz,
+        factorize(CscMatrix.from_scipy(friction)).lu_nnz,
         factorize(continuity.matrix).lu_nnz,
     ]
     assert max(fills) <= 900_000, fills
 
 
-def test_csr_indices_sorted_and_deduplicated():
-    A = CsrMatrix.from_triplets(2, 2, [0, 0, 0], [1, 0, 1], [1.0, 2.0, 3.0])
+def test_csc_indices_sorted_and_deduplicated():
+    A = CscMatrix.from_triplets(2, 2, [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
     assert A.nnz == 2
-    row0 = A.indices[A.indptr[0]:A.indptr[1]]
-    assert list(row0) == [0, 1]
+    col0 = A.indices[A.indptr[0]:A.indptr[1]]
+    assert list(col0) == [0, 1]
     np.testing.assert_array_equal(A.data[:2], [2.0, 4.0])
+
+
+def _nbytes(matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+@pytest.fixture(scope="module")
+def disc_32():
+    force = BodyForce(1.0, -1.0)
+    return discretize(build_layered_mesh(Geometry(), 32, 16, 4), 1.0, 1.0, force, force)
+
+
+def test_factorize_copies_no_matrix_array(disc_32):
+    # SuperLU's own allocations are invisible to tracemalloc, numpy's are
+    # not: a copy of the 1.1 MB continuity system would show as a full copy.
+    matrix = assemble_coupled_system(disc_32.op_upper, disc_32.op_lower, CouplingMode.CONTINUITY).matrix
+    tracemalloc.start()
+    try:
+        factorize(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * _nbytes(matrix), (peak, _nbytes(matrix))
+
+
+def test_superlu_receives_the_matrix_arrays(monkeypatch):
+    received = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(a, **kwargs):
+        received.append(a)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    matrix = dense([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    fact = factorize(matrix)
+    (a,) = received
+    assert a.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(a, name), getattr(matrix, name))
+    assert a is fact._product
+
+
+def test_friction_solve_holds_one_matrix_when_it_factors(disc_32, monkeypatch):
+    # Only the bordered matrix, its rhs and the layout are alive when the
+    # friction system is factored: no uncoupled system, widened copy or stack.
+    seen = {}
+    factorize_ = linalg.factorize
+
+    def measuring_factorize(matrix):
+        seen["held"] = tracemalloc.get_traced_memory()[0] - seen["start"]
+        seen["bytes"] = _nbytes(matrix)
+        return factorize_(matrix)
+
+    monkeypatch.setattr(linalg, "factorize", measuring_factorize)
+    tracemalloc.start()
+    try:
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        d = disc_32
+        solve_monolithic_friction(d.mesh, d.nu1, d.nu2, d.force1, d.force2, 10.0, disc=d)
+    finally:
+        tracemalloc.stop()
+    assert seen["held"] < 1.5 * seen["bytes"], seen
 
 
 @settings(max_examples=25, deadline=None)
