@@ -25,10 +25,6 @@ and, for each monolithic system (friction at alpha = ALPHA, continuity):
     <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
                         relative residual (both from the last repeat)
 
-and `ru_maxrss_mb`, the process's peak resident set after that mesh.  The
-ladder ascends, so each mesh's figure is the peak up to and including it,
-set by the largest factorization so far.
-
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
 S+100, ... for monolithic-64x32x8), alternating which side runs first, and
@@ -45,7 +41,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -122,7 +117,6 @@ def time_phases(src: Path) -> dict:
                 out[spec][f"{name}.{phase}"] = round(statistics.median(values), 6)
             out[spec][f"{name}.lu_nnz"] = report.lu_nnz
             out[spec][f"{name}.residual"] = report.relative_residual
-        out[spec]["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
 

@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from . import fem
 from .fem import (
     BodyForce,
     CouplingMode,
@@ -49,8 +47,6 @@ from .fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     build_space,
-    check_periodic_trace,
-    dirichlet_trace_lift,
 )
 from .linalg import CscMatrix, SolveReport, factorize, solve
 from .mesh import Mesh, Subdomain
@@ -59,7 +55,6 @@ __all__ = [
     "Discretization",
     "CoupledField",
     "SchwarzConfig",
-    "IterationRecord",
     "ConvergenceReport",
     "StagnationReport",
     "discretize",
@@ -283,13 +278,6 @@ class SchwarzConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    increment_l2: float
-    jump_l2: float
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Outcome of the alternating solver.  converged=False (DidNotConverge)
     is data, not an error: final holds the last iterate either way.
@@ -298,8 +286,7 @@ class ConvergenceReport:
     half-step maps (upper layer first); reconstruction_reports holds the
     solves that rebuild the upper and the lower field from the last traces.
     setup_s is the time spent building both half-step maps, iterate_s the
-    time of the trace iteration and the reconstruction.  The per-iteration
-    norms are kept as arrays; records lists them as IterationRecords.
+    time of the trace iteration and the reconstruction.
     """
 
     converged: bool
@@ -312,12 +299,31 @@ class ConvergenceReport:
     setup_s: float
     iterate_s: float
 
-    @cached_property
-    def records(self) -> list[IterationRecord]:
-        return [
-            IterationRecord(iteration=n, increment_l2=float(inc), jump_l2=float(jump))
-            for n, (inc, jump) in enumerate(zip(self.increments, self.jumps), start=1)
-        ]
+
+def _check_trace(space: MixedSpace, trace: np.ndarray, what: str) -> np.ndarray:
+    """A trace given at the layer's interface nodes, ascending x: one finite
+    value per node."""
+    trace = np.asarray(trace, dtype=np.float64)
+    if trace.shape != (len(space.interface_nodes),):
+        raise ValueError(
+            f"{what} has shape {trace.shape}, expected ({len(space.interface_nodes)},)"
+        )
+    bad = np.flatnonzero(~np.isfinite(trace))
+    if len(bad):
+        raise ValueError(f"{what} must be finite, got {trace[bad[0]]} at interface node {bad[0]}")
+    return trace
+
+
+def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trace") -> np.ndarray:
+    """A trace prescribed pointwise at the layer's interface nodes: one entry
+    per node, and one value at the periodically identified end nodes x = 0
+    and x = L (the reduction keeps a single dof for both)."""
+    trace = _check_trace(space, trace, what)
+    if trace[0] != trace[-1]:
+        raise ValueError(
+            f"{what} must be periodic, got {trace[0]} at x = 0 and {trace[-1]} at x = L"
+        )
+    return trace
 
 
 # Right-hand sides per block solve of a half-step map.  One call for all
@@ -328,15 +334,43 @@ class ConvergenceReport:
 _BLOCK_COLUMNS = 8
 
 
-class _RobinSide:
+class _HalfStep:
+    """One layer's half-step against a neighbor trace g, factored once.
+
+    The half-step matrix does not depend on g, which enters the rhs as
+    coupling @ g: `system` and `coupling` are what `fem`'s single-layer
+    assemblers return.  Every solve is certified at solver_tol.
+    """
+
+    def __init__(
+        self,
+        sub: Subdomain,
+        system: SparseSystem,
+        coupling: scipy.sparse.csr_matrix,
+        solver_tol: float,
+    ):
+        self.sub = sub
+        self.solver_tol = solver_tol
+        self.layout = system.layout
+        self.rhs = system.rhs  # the rhs at g = 0
+        self.coupling = coupling
+        self.factorization = factorize(system.matrix)
+
+    def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+        """Certified full-field half-step: (raw velocity, raw pressure, report)."""
+        x, report = self.factorization.solve(self.rhs + self.coupling @ g, tol=self.solver_tol)
+        out = self.layout.expand(x)
+        return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
+
+
+class _RobinSide(_HalfStep):
     """One layer's Robin half-step as an affine map of the neighbor trace.
 
-    The half-step matrix does not depend on the neighbor trace g, which
-    enters the rhs as coupling @ g, with coupling = trace_map^T (alpha M)
-    and M the trace mass.  So the solved vector is x(g) = x0 + X g and the
-    raw velocity u(g) = u0 + R g.  Certified block solves against the
-    columns of [rhs(0), coupling] give x0 and X, a few columns at a time;
-    from U = [u0, R] only n_trace-sized products are kept:
+    The neighbor trace g enters the rhs as coupling @ g, with coupling =
+    trace_map^T (alpha M) and M the trace mass.  So the solved vector is
+    x(g) = x0 + X g and the raw velocity u(g) = u0 + R g.  Certified block
+    solves against the columns of [rhs(0), coupling] give x0 and X, a few
+    columns at a time; from U = [u0, R] only n_trace-sized products are kept:
 
     - the trace map t(g) = t0 + T g, with T = R[ifx] and t0 = u0[ifx];
     - the Gram matrix G = R^T M_u R of the velocity mass M_u, so the squared
@@ -352,21 +386,12 @@ class _RobinSide:
 
     def __init__(self, disc: Discretization, sub: Subdomain, alpha: float, solver_tol: float):
         op = disc.op(sub)
+        super().__init__(sub, *assemble_robin_subproblem(op, alpha), solver_tol)
         n_trace = len(op.space.interface_nodes)
-        system = assemble_robin_subproblem(op, alpha, np.zeros(n_trace))
-        layout = system.layout
-        self.sub = sub
-        self.solver_tol = solver_tol
-        self.layout = layout
-        self.base_rhs = system.rhs  # neighbor trace contributes nothing at zero
-        # rhs(g) = base_rhs + coupling @ g
-        self.coupling = (layout.trace_map(sub).T @ (alpha * disc.trace_mass)).tocsr()
-        self.factorization = factorize(system.matrix)
-
-        rhs = scipy.sparse.hstack([self.base_rhs[:, None], self.coupling], format="csc")
+        layout = self.layout
+        rhs = scipy.sparse.hstack([self.rhs[:, None], self.coupling], format="csc")
         offset = layout.offsets[(sub, "velocity")]
-        velocity = slice(offset, offset + op.space.n_velocity_dofs)
-        to_velocity = layout.reduction[velocity]
+        to_velocity = layout.reduction[offset : offset + op.space.n_velocity_dofs]
         blocks = [slice(j, j + _BLOCK_COLUMNS) for j in range(0, n_trace + 1, _BLOCK_COLUMNS)]
         u = np.empty((op.space.n_velocity_dofs, n_trace + 1))
         self.setup_reports = []
@@ -374,7 +399,6 @@ class _RobinSide:
             x, report = self.factorization.solve(rhs[:, cols].toarray(), tol=solver_tol)
             u[:, cols] = to_velocity @ x[: layout.n_reduced]
             self.setup_reports.append(report)
-        u[:, 0] += layout.x_bc[velocity]
         ifx = 2 * op.space.interface_nodes
         self.t0 = u[ifx, 0]
         self.T = u[ifx, 1:]
@@ -396,13 +420,6 @@ class _RobinSide:
     def velocity_sq(self, g: np.ndarray) -> float:
         """Squared velocity L2 norm of u(g)."""
         return float(g @ (self.G @ g) + 2.0 * (self.h @ g) + self.c)
-
-    def solve(self, neighbor_trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field half-step: (raw velocity, raw pressure, report)."""
-        rhs = self.base_rhs + self.coupling @ neighbor_trace
-        x, report = self.factorization.solve(rhs, tol=self.solver_tol)
-        out = self.layout.expand(x)
-        return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
 
 
 # Entries of the power stack [K, ..., K^B] of the trace iteration: B
@@ -466,9 +483,7 @@ def schwarz_solve(
     g0 = config.initial_neighbor_trace
     if g0 is None:
         g0 = np.zeros(n_trace)
-    g0 = np.asarray(g0, dtype=np.float64)
-    if g0.shape != (n_trace,):
-        raise ValueError(f"initial trace has shape {g0.shape}, expected ({n_trace},)")
+    g0 = _check_trace(disc.space_upper, g0, "initial trace")
 
     start = time.perf_counter()
     upper = _RobinSide(disc, Subdomain.UPPER, config.alpha, config.solver_tol)
@@ -551,30 +566,6 @@ class StagnationReport:
     final: CoupledField
 
 
-class _DirichletSide:
-    """One layer's prefactorized Dirichlet half-step solver: the matrix does
-    not depend on the imposed trace, which enters the rhs through the lift."""
-
-    def __init__(self, disc: Discretization, sub: Subdomain, solver_tol: float):
-        op = disc.op(sub)
-        self.sub = sub
-        self.solver_tol = solver_tol
-        self.ifx = 2 * op.space.interface_nodes
-        system = assemble_dirichlet_subproblem(op, np.zeros(len(self.ifx)))
-        self.layout = system.layout
-        self.base_rhs = system.rhs
-        self.lift = dirichlet_trace_lift(op, system.layout)
-        self.factorization = factorize(system.matrix)
-
-    def solve(self, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (raw velocity vector, raw pressure vector)."""
-        x, _ = self.factorization.solve(self.base_rhs - self.lift @ trace, tol=self.solver_tol)
-        out = self.layout.expand(x)
-        u = out[(self.sub, "velocity")]
-        u[self.ifx] = trace
-        return u, out[(self.sub, "pressure")]
-
-
 def dirichlet_exchange_demo(
     mesh: Mesh,
     nu1: float,
@@ -614,9 +605,11 @@ def dirichlet_exchange_demo(
     for k in range(steps):
         sub = Subdomain.UPPER if k % 2 == 0 else Subdomain.LOWER
         if sub not in solvers:
-            solvers[sub] = _DirichletSide(disc, sub, solver_tol)
-        fields[sub] = solvers[sub].solve(g)
-        trace = disc.trace_of(sub, fields[sub][0])
+            solvers[sub] = _HalfStep(sub, *assemble_dirichlet_subproblem(disc.op(sub)), solver_tol)
+        u, p, _ = solvers[sub].solve(g)
+        u[2 * disc.space(sub).interface_nodes] = g  # the imposed trace, eliminated as zero
+        fields[sub] = (u, p)
+        trace = disc.trace_of(sub, u)
         sides.append(sub.name.lower())
         if traces:
             deltas.append(float(np.max(np.abs(trace - traces[-1]))))

@@ -11,9 +11,11 @@ Velocity dofs are numbered 2*node + component with P2 nodes sorted
 lexicographically by coordinates (x, then z); pressure dofs follow the same
 convention on vertices.  Constraints (wall Dirichlet, interface
 no-penetration, x-periodicity, continuity identification) are eliminated
-symmetrically through a 0/1 reduction operator C: the solved system is
-C^T A C augmented with one integral-mean pressure-gauge row per layer,
-scattered in one pass through C's raw -> reduced index map, not multiplied.
+symmetrically through a 0/1 reduction operator C, and every eliminated dof is
+zero: a single-layer half-step takes its neighbor's interface trace through
+a trace operator on the rhs.  The solved system is C^T A C augmented with
+one integral-mean pressure-gauge row per layer, scattered in one pass
+through C's raw -> reduced index map, not multiplied.
 The reduced unknowns are numbered in nested-dissection order of their
 nodes, with the gauge rows last, because `linalg.factorize` eliminates them
 in the order given: on 64x32x8 the continuity system fills 4.35M L+U
@@ -47,8 +49,6 @@ __all__ = [
     "assemble_coupled_system",
     "assemble_robin_subproblem",
     "assemble_dirichlet_subproblem",
-    "check_periodic_trace",
-    "dirichlet_trace_lift",
 ]
 
 # ---------------------------------------------------------------------------
@@ -171,14 +171,6 @@ class MixedSpace:
     @property
     def interface_x(self) -> np.ndarray:
         return self.velocity_nodes[self.interface_nodes, 0]
-
-    def constraint_table(self) -> list[tuple]:
-        """Flat listing used by tests: (kind, ...) tuples."""
-        rows: list[tuple] = [("zero_dirichlet", "velocity", int(d)) for d in self.dirichlet_vdofs]
-        rows += [("periodic", "velocity", int(s), int(m)) for s, m in self.periodic_vdofs]
-        rows += [("periodic", "pressure", int(s), int(m)) for s, m in self.periodic_pdofs]
-        rows.append(("pressure_gauge", self.subdomain.name.lower()))
-        return rows
 
 
 def build_space(mesh: Mesh, subdomain: Subdomain) -> MixedSpace:
@@ -312,7 +304,7 @@ class StokesOperator:
     def layer_layout(self) -> DofLayout:
         """The layer's own layout, with no interface dof fixed: the same for
         the Robin subproblem at every alpha, so it is built once."""
-        return _single_layer_layout(self.space)
+        return _build_layout([self.space], *_offsets_for([self.space]))
 
 
 def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOperator:
@@ -488,21 +480,19 @@ def _reduction(
     n_raw: int,
     pairs: np.ndarray,
     fixed: np.ndarray,
-    values: np.ndarray,
     coords: np.ndarray,
     pressure: np.ndarray,
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Eliminate identified and Dirichlet raw dofs.
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """Eliminate identified and zero-Dirichlet raw dofs.
 
     pairs (k, 2) identifies raw dofs; the classes are the connected
-    components of that graph.  A class with a member in `fixed` is dropped
-    and every member takes that member's value from `values`.  Every other
-    class becomes one reduced column, represented by its smallest raw index;
-    the columns are numbered in the nested-dissection order of their
-    representatives' node `coords` (`pressure` flags the pressure dofs), so
-    SuperLU can factor the system in the order it arrives.  Returns the 0/1
-    reduction operator C (raw x reduced), the inhomogeneous-value vector
-    x_bc, and the raw -> reduced column map (-1 where dropped).
+    components of that graph.  A class with a member in `fixed` is dropped:
+    every member is zero.  Every other class becomes one reduced column,
+    represented by its smallest raw index; the columns are numbered in the
+    nested-dissection order of their representatives' node `coords`
+    (`pressure` flags the pressure dofs), so SuperLU can factor the system in
+    the order it arrives.  Returns the 0/1 reduction operator C (raw x
+    reduced) and the raw -> reduced column map (-1 where dropped).
     """
     graph = scipy.sparse.coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_raw, n_raw)
@@ -510,8 +500,6 @@ def _reduction(
     n_class, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
     class_dropped = np.zeros(n_class, dtype=bool)
     class_dropped[label[fixed]] = True
-    class_value = np.zeros(n_class)
-    class_value[label[fixed]] = values
     dropped = class_dropped[label]
 
     _, smallest = np.unique(label, return_index=True)
@@ -525,7 +513,7 @@ def _reduction(
     c = scipy.sparse.csr_matrix(
         (np.ones(len(keep)), (keep, col_of[keep])), shape=(n_raw, len(kept))
     )
-    return c, class_value[label], col_of
+    return c, col_of
 
 
 _FIELD_VELOCITY = "velocity"
@@ -543,7 +531,6 @@ class DofLayout:
     offsets: dict           # (subdomain, field) -> raw offset
     n_raw: int
     reduction: scipy.sparse.csr_matrix = field(repr=False)
-    x_bc: np.ndarray = field(repr=False)
     col_of: np.ndarray = field(repr=False)
     gauge_subdomains: tuple
 
@@ -572,7 +559,7 @@ class DofLayout:
     def trace_map(self, sub: Subdomain) -> scipy.sparse.csr_matrix:
         """Solved vector -> horizontal velocity at `sub`'s interface nodes,
         ascending x: the interface rows of the reduction, zero on the gauge
-        columns.  A trace prescribed as Dirichlet data lives in x_bc instead."""
+        columns."""
         cols = self.col_of[_interface_dofs(self.offsets, self.spaces[sub])]
         rows = np.nonzero(cols >= 0)[0]
         shape = (len(cols), self.n_rows)
@@ -581,7 +568,7 @@ class DofLayout:
     def expand(self, x: np.ndarray) -> dict:
         """Split a solved vector into raw per-(subdomain, field) vectors with
         constraints materialized; gauge multipliers under ('gauge', subdomain)."""
-        raw = self.reduction @ x[: self.n_reduced] + self.x_bc
+        raw = self.reduction @ x[: self.n_reduced]
         out = {}
         for (sub, fieldname), off in self.offsets.items():
             size = (
@@ -620,31 +607,25 @@ def _build_layout(
     n_raw: int,
     pairs: list[np.ndarray] = (),
     fixed: list[np.ndarray] = (),
-    values: list[np.ndarray] = (),
 ) -> DofLayout:
     """Every layer's periodic identification and zero velocity dofs, plus
-    the identified raw `pairs` and the `fixed` raw dofs prescribed to
-    `values`."""
-    pairs, fixed, values = list(pairs), list(fixed), list(values)
+    the identified raw `pairs` and the `fixed` raw dofs, also zero."""
+    pairs, fixed = list(pairs), list(fixed)
     coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
         op = offsets[(sp.subdomain, _FIELD_PRESSURE)]
         pairs += [ov + sp.periodic_vdofs, op + sp.periodic_pdofs]
         fixed.append(ov + sp.dirichlet_vdofs)
-        values.append(np.zeros(len(sp.dirichlet_vdofs)))
         coords[ov : ov + sp.n_velocity_dofs] = np.repeat(sp.velocity_nodes, 2, axis=0)
         coords[op : op + sp.n_pressure_dofs] = sp.pressure_nodes
         pressure[op : op + sp.n_pressure_dofs] = True
-    c, x_bc, col_of = _reduction(
-        n_raw, np.vstack(pairs), np.concatenate(fixed), np.concatenate(values), coords, pressure
-    )
+    c, col_of = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed), coords, pressure)
     return DofLayout(
         spaces={sp.subdomain: sp for sp in spaces},
         offsets=offsets,
         n_raw=n_raw,
         reduction=c,
-        x_bc=x_bc,
         col_of=col_of,
         gauge_subdomains=tuple(sp.subdomain for sp in spaces),
     )
@@ -679,12 +660,11 @@ def _assemble_reduced(
     ops: list[StokesOperator],
     layout: DofLayout,
     extra: tuple | None,
-    extra_rhs_raw: np.ndarray | None,
 ) -> SparseSystem:
     """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
     (layer blocks, `extra`, and the gauge border, whose multipliers take raw
     indices past the layers' dofs) maps through `layout.col_of`.  Entries on
-    a dropped row vanish; those on a prescribed column move to the rhs.  The
+    a dropped row or column vanish, since every dropped dof is zero.  The
     scatter lands in compressed columns, the arrays SuperLU factors, and the
     system holds them without a copy."""
     offsets = layout.offsets
@@ -700,19 +680,14 @@ def _assemble_reduced(
         parts += [(p, g, op.gauge), (g, p, op.gauge)]
     if extra is not None:
         parts.append(extra)
-    if extra_rhs_raw is not None:
-        b_raw += extra_rhs_raw
 
     raw_rows, raw_cols, vals = (np.concatenate(a) for a in zip(*parts))
     index = np.concatenate([layout.col_of, n_red + np.arange(len(ops))]).astype(_index_type(n))
     rows, cols = index.take(raw_rows), index.take(raw_cols)
-    lifted = (rows >= 0) & (cols < 0)
     live = layout.col_of >= 0
     rhs = np.zeros(n)
-    rhs[:n_red] = np.bincount(layout.col_of[live], b_raw[live], n_red) - np.bincount(
-        rows[lifted], vals[lifted] * layout.x_bc[raw_cols[lifted]], n_red
-    )
-    del parts, raw_rows, raw_cols, lifted  # free the copies before the CSC step, the peak
+    rhs[:n_red] = np.bincount(layout.col_of[live], b_raw[live], n_red)
+    del parts, raw_rows, raw_cols  # free the copies before the CSC step, the peak
     kept = (rows >= 0) & (cols >= 0)
     rows, cols, vals = rows[kept], cols[kept], vals[kept]
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()  # canonical
@@ -746,91 +721,59 @@ def assemble_coupled_system(
     else:
         raise ValueError(f"unknown coupling mode {mode!r}")
     layout = _build_layout(spaces, offsets, n_raw, pairs=pairs)
-    return _assemble_reduced([op_upper, op_lower], layout, None, None)
+    return _assemble_reduced([op_upper, op_lower], layout, None)
 
 
-def _single_layer_layout(
-    space: MixedSpace, trace_values: np.ndarray | None = None
-) -> DofLayout:
-    """One layer's layout; trace_values, if given, prescribe the horizontal
-    interface velocity (inhomogeneous Dirichlet data)."""
-    offsets, n_raw = _offsets_for([space])
-    if trace_values is None:
-        return _build_layout([space], offsets, n_raw)
-    fixed = [_interface_dofs(offsets, space)]
-    return _build_layout([space], offsets, n_raw, fixed=fixed, values=[trace_values])
-
-
-def _check_trace(space: MixedSpace, trace: np.ndarray, what: str) -> np.ndarray:
-    trace = np.asarray(trace, dtype=np.float64)
-    if trace.shape != (len(space.interface_nodes),):
-        raise ValueError(
-            f"{what} has shape {trace.shape}, expected ({len(space.interface_nodes)},)"
-        )
-    return trace
-
-
-def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trace") -> np.ndarray:
-    """A trace prescribed pointwise at the layer's interface nodes: one entry
-    per node, and one value at the periodically identified end nodes x = 0
-    and x = L (the reduction keeps a single dof for both)."""
-    trace = _check_trace(space, trace, what)
-    if trace[0] != trace[-1]:
-        raise ValueError(
-            f"{what} must be periodic, got {trace[0]} at x = 0 and {trace[-1]} at x = L"
-        )
-    return trace
+# ---------------------------------------------------------------------------
+# single-layer half-steps.  Each takes the neighbor's horizontal velocity g
+# at the interface nodes, ascending x, and is affine in it: the matrix does
+# not depend on g, which enters the rhs as E @ g.  Each returns the system
+# at g = 0 and the trace operator E (solved rows x interface nodes).
 
 
 def assemble_robin_subproblem(
     op: StokesOperator,
     alpha: float,
-    neighbor_trace: np.ndarray,
-) -> SparseSystem:
-    """One layer with the friction condition against a frozen neighbor trace.
+) -> tuple[SparseSystem, scipy.sparse.csr_matrix]:
+    """One layer with the friction condition against the neighbor trace:
+    the Robin half-step of the alternating solver.
 
-    Adds alpha * M_trace on the layer's own horizontal interface dofs and
-    alpha * M_trace @ neighbor_trace to the rhs: the Robin half-step of the
-    alternating solver.  neighbor_trace holds the neighbor's horizontal
-    velocity at the interface nodes in ascending-x order.
+    Adds alpha * M_trace on the layer's own horizontal interface dofs, and
+    E = trace_map^T (alpha * M_trace) takes the neighbor trace to the rhs.
     """
     if not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
     space = op.space
-    neighbor_trace = _check_trace(space, neighbor_trace, "neighbor trace")
     layout = op.layer_layout
-    m_iface = _interface_trace_mass(space.interface_x)
+    m_iface = alpha * _interface_trace_mass(space.interface_x)
     ifx = _interface_dofs(layout.offsets, space)
     coo = m_iface.tocoo()
-    extra = (ifx[coo.row], ifx[coo.col], alpha * coo.data)
-    extra_rhs = np.zeros(layout.n_raw)
-    extra_rhs[ifx] = alpha * (m_iface @ neighbor_trace)
-    return _assemble_reduced([op], layout, extra, extra_rhs)
+    extra = (ifx[coo.row], ifx[coo.col], coo.data)
+    coupling = (layout.trace_map(space.subdomain).T @ m_iface).tocsr()
+    return _assemble_reduced([op], layout, extra), coupling
 
 
-def assemble_dirichlet_subproblem(op: StokesOperator, trace_values: np.ndarray) -> SparseSystem:
-    """One layer with the horizontal interface velocity prescribed pointwise
-    (inhomogeneous Dirichlet data): the half-step of the plain
-    trace-swapping iteration.  The trace must be periodic
-    (`check_periodic_trace`)."""
-    trace_values = check_periodic_trace(op.space, trace_values)
-    return _assemble_reduced([op], _single_layer_layout(op.space, trace_values), None, None)
+def assemble_dirichlet_subproblem(
+    op: StokesOperator,
+) -> tuple[SparseSystem, scipy.sparse.csr_matrix]:
+    """One layer with the horizontal interface velocity prescribed pointwise:
+    the half-step of the plain trace-swapping iteration.
 
-
-def dirichlet_trace_lift(op: StokesOperator, layout: DofLayout) -> scipy.sparse.csr_matrix:
-    """How a prescribed interface trace enters the Dirichlet subproblem's rhs.
-
-    The matrix of `assemble_dirichlet_subproblem` does not depend on the
-    trace, and its rhs is rhs(0) - lift @ trace, where lift holds the
-    reduced interface columns of the raw matrix (zero on the gauge rows).
-    The trace must take one value at the periodically identified end nodes.
+    The interface dofs are eliminated as zero, so the solution expands to
+    zero there and the prescribed trace itself is the interface velocity.
+    E = -lift, with lift the reduced interface columns of the raw matrix
+    (zero on the gauge rows).  The trace must take one value at the
+    periodically identified end nodes x = 0 and x = L.
     """
-    ifx = _interface_dofs(layout.offsets, op.space)
-    trace_index = np.full(layout.n_raw, -1)
+    space = op.space
+    offsets, n_raw = _offsets_for([space])
+    ifx = _interface_dofs(offsets, space)
+    layout = _build_layout([space], offsets, n_raw, fixed=[ifx])
+    trace_index = np.full(n_raw, -1)
     trace_index[ifx] = np.arange(len(ifx))
-    rows, cols, vals = (np.concatenate(a) for a in zip(*_layer_triplets([op], layout.offsets)))
+    rows, cols, vals = (np.concatenate(a) for a in zip(*_layer_triplets([op], offsets)))
     rows, cols = layout.col_of.take(rows), trace_index.take(cols)
     on = (rows >= 0) & (cols >= 0)
-    lift = _scatter(rows[on], cols[on], vals[on], (layout.n_rows, len(ifx)))
-    lift.eliminate_zeros()
-    return lift
+    coupling = _scatter(rows[on], cols[on], -vals[on], (layout.n_rows, len(ifx)))
+    coupling.eliminate_zeros()
+    return _assemble_reduced([op], layout, None), coupling

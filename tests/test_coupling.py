@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from stokescouple import coupling
 from stokescouple.coupling import (
     SchwarzConfig,
     _block_iterations,
@@ -255,7 +256,7 @@ def test_schwarz_tight_tolerance_agrees_with_monolithic():
     mono = solve_monolithic_friction(mesh, 1.0, 1.0, FORCE, FORCE, alpha=10.0, disc=disc)
     gap = disc.velocity_l2(report.final.u1 - mono.u1, report.final.u2 - mono.u2)
     assert gap <= 1e-6
-    assert report.records[-1].jump_l2 == pytest.approx(
+    assert report.jumps[-1] == pytest.approx(
         disc.jump_l2(mono.u1, mono.u2), rel=1e-9
     )
 
@@ -278,7 +279,7 @@ def test_schwarz_cap_reported_as_did_not_converge():
     report = schwarz_solve(small_mesh(), 1.0, 1.0, FORCE, FORCE, config)
     assert not report.converged
     assert report.n_iterations == 50
-    assert len(report.records) == 50
+    assert len(report.increments) == len(report.jumps) == 50
     assert np.all(np.isfinite(report.final.u1))
 
 
@@ -301,20 +302,21 @@ def test_schwarz_config_validation():
 def test_schwarz_record_fields_are_consistent():
     config = SchwarzConfig(alpha=10.0, tol_increment=1e-3, max_iter=1000)
     report = schwarz_solve(small_mesh(), 1.0, 1.0, FORCE, FORCE, config)
-    assert [r.iteration for r in report.records] == list(range(1, report.n_iterations + 1))
+    assert len(report.increments) == len(report.jumps) == report.n_iterations
     assert np.all(report.increments > 0)
-    assert report.records[-1].increment_l2 < 1e-3 <= report.records[-2].increment_l2
+    assert report.increments[-1] < 1e-3 <= report.increments[-2]
 
 
 def reference_alternation(disc, config):
     """The alternating solver in full-field form: every half-step assembles
-    its Robin subproblem against the neighbor's current trace and solves it
-    from scratch; the increment and the jump are measured on the fields.
-    Returns (n_iterations, increments, jumps, (u1, p1, u2, p2))."""
+    its Robin subproblem, takes the neighbor's current trace into its rhs
+    and solves it from scratch; the increment and the jump are measured on
+    the fields.  Returns (n_iterations, increments, jumps, (u1, p1, u2, p2))."""
 
     def half_step(sub, neighbor_trace):
-        system = assemble_robin_subproblem(disc.op(sub), config.alpha, neighbor_trace)
-        x, _ = solve(system.matrix, system.rhs, tol=config.solver_tol)
+        system, trace_operator = assemble_robin_subproblem(disc.op(sub), config.alpha)
+        rhs = system.rhs + trace_operator @ neighbor_trace
+        x, _ = solve(system.matrix, rhs, tol=config.solver_tol)
         out = system.layout.expand(x)
         return out[(sub, "velocity")], out[(sub, "pressure")]
 
@@ -349,7 +351,7 @@ def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
     n, increments, jumps, fields = reference_alternation(disc, config)
     assert report.n_iterations == n
     np.testing.assert_allclose(report.increments, increments, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose([r.jump_l2 for r in report.records], jumps, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(report.jumps, jumps, rtol=1e-9, atol=0.0)
     final = report.final
     for got, want in zip((final.u1, final.p1, final.u2, final.p2), fields):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -408,7 +410,6 @@ def test_schwarz_blocks_match_sequential_iteration(stop):
     assert (report.n_iterations, report.converged) == expected
     np.testing.assert_allclose(report.increments, increments, rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(report.jumps, jumps, rtol=1e-10, atol=0.0)
-    assert [r.jump_l2 for r in report.records] == report.jumps.tolist()
     # the fields are rebuilt from the neighbor traces of the last iteration
     for sub, u, g in [
         (Subdomain.UPPER, report.final.u1, g_upper),
@@ -453,6 +454,25 @@ def test_dirichlet_demo_freezes_any_starting_trace():
     for t in demo.traces:
         assert np.array_equal(t, g0)
     assert all(d == 0.0 for d in demo.deltas)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_trace_is_rejected_before_any_solve(monkeypatch, bad):
+    mesh = small_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    trace = np.zeros(len(disc.space_upper.interface_nodes))
+    trace[3] = bad
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was attempted")
+
+    monkeypatch.setattr(coupling, "factorize", no_solve)
+    monkeypatch.setattr(coupling, "solve", no_solve)
+    config = SchwarzConfig(alpha=10.0, initial_neighbor_trace=trace)
+    with pytest.raises(ValueError, match="initial trace must be finite"):
+        schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
+    with pytest.raises(ValueError, match="initial trace must be finite"):
+        dirichlet_exchange_demo(mesh, 1.0, 1.0, FORCE, FORCE, steps=2, initial_trace=trace, disc=disc)
 
 
 def test_dirichlet_demo_validation():

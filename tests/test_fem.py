@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse
 
 from stokescouple.coupling import (
+    _check_trace,
     _friction_multiplier_system,
+    check_periodic_trace,
     discretize,
     solve_monolithic_continuity,
     solve_monolithic_friction,
@@ -29,7 +31,6 @@ from stokescouple.fem import (
     _p2_reference_grads,
     _p2_values,
     build_space,
-    dirichlet_trace_lift,
 )
 from stokescouple.linalg import CscMatrix, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
@@ -90,7 +91,7 @@ def test_dof_numbering_is_lexicographic(spaces):
         assert keys == sorted(keys)
 
 
-def test_constraint_table(spaces):
+def test_constraint_table(spaces, ops):
     upper, lower = spaces
     # walls: both components pinned; interface: vertical component pinned
     z = upper.velocity_nodes[:, 1]
@@ -111,8 +112,9 @@ def test_constraint_table(spaces):
         ps, pm = upper.velocity_nodes[s // 2], upper.velocity_nodes[m // 2]
         assert ps[0] == 100.0 and pm[0] == 0.0 and ps[1] == pm[1]
     # exactly one pressure gauge per layer
-    table = upper.constraint_table()
-    assert sum(1 for row in table if row[0] == "pressure_gauge") == 1
+    for op in ops:
+        assert op.layer_layout.gauge_subdomains == (op.space.subdomain,)
+    assert assemble_coupled_system(*ops, CouplingMode.UNCOUPLED).layout.n_gauge == 2
 
 
 @pytest.mark.parametrize("geometry", [Geometry(), Geometry(length=7.0, z_plus=2.0, z_minus=-3.0)])
@@ -264,10 +266,9 @@ def test_friction_kernel_on_equal_traces(small_mesh):
 
 def test_friction_rejects_bad_alpha(small_mesh):
     op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
-    trace = np.zeros(len(op.space.interface_nodes))
     for alpha in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="friction coefficient"):
-            assemble_robin_subproblem(op, alpha, trace)
+            assemble_robin_subproblem(op, alpha)
         with pytest.raises(ValueError, match="friction coefficient"):
             solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=alpha)
 
@@ -326,7 +327,7 @@ def test_uncoupled_equals_friction_alpha_zero(small_mesh, ops):
     # alpha = 0 Robin half-step: zero interface stress either way
     field = solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=0.0)
     for op, u in zip(ops, (field.u1, field.u2)):
-        sys = assemble_robin_subproblem(op, 0.0, np.zeros(len(op.space.interface_nodes)))
+        sys, _ = assemble_robin_subproblem(op, 0.0)
         x, _ = solve(sys.matrix, sys.rhs)
         single = sys.layout.expand(x)[(op.space.subdomain, "velocity")]
         np.testing.assert_allclose(u, single, rtol=0, atol=1e-12 * np.abs(single).max())
@@ -364,10 +365,7 @@ def raw_nodes(layout):
 
 def test_reduction_contract(ops):
     continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY).layout
-    x = ops[1].space.interface_x
-    trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1])
-    trace[-1] = trace[0]
-    prescribed = assemble_dirichlet_subproblem(ops[1], trace).layout
+    prescribed = assemble_dirichlet_subproblem(ops[1])[0].layout
     for layout in (continuity, prescribed):
         c = layout.reduction.tocsc()
         assert np.all(c.data == 1.0)
@@ -396,15 +394,11 @@ def test_reduction_contract(ops):
     assert continuity.col_of[iface[Subdomain.UPPER][-1]] == col
     assert np.sort(continuity.reduction.tocsc()[:, col].indices)[0] == iface[Subdomain.UPPER][0]
 
-    # the prescribed value reaches every member of its class, x = L included
+    # the prescribed interface dofs are dropped, x = L included
     ifx = prescribed.offsets[(Subdomain.LOWER, "velocity")] + 2 * prescribed.spaces[
         Subdomain.LOWER
     ].interface_nodes
     assert np.all(prescribed.col_of[ifx] == -1)
-    np.testing.assert_array_equal(prescribed.x_bc[ifx], trace)
-    others = np.ones(prescribed.n_raw, dtype=bool)
-    others[ifx] = False
-    assert np.all(prescribed.x_bc[others] == 0.0)
 
 
 @pytest.mark.parametrize("cells", [(1, 1, 1), (3, 2, 1), (5, 1, 3)])
@@ -425,8 +419,8 @@ def test_dissection_numbering_on_degenerate_meshes(cells):
     solve_monolithic_friction(mesh, 1.0, 1.0, FORCE, FORCE, alpha=10.0, disc=disc)
     solve_monolithic_continuity(mesh, 1.0, 1.0, FORCE, FORCE, disc=disc)
     for op in (disc.op_upper, disc.op_lower):
-        sys = assemble_robin_subproblem(op, 10.0, np.ones(len(op.space.interface_nodes)))
-        solve(sys.matrix, sys.rhs)
+        sys, coupling = assemble_robin_subproblem(op, 10.0)
+        solve(sys.matrix, sys.rhs + coupling @ np.ones(len(op.space.interface_nodes)))
 
 
 def test_continuity_traces_identical_after_expand(ops):
@@ -467,7 +461,7 @@ def test_robin_subproblem_matches_channel_half_step(small_mesh):
     space = build_space(small_mesh, Subdomain.UPPER)
     op = assemble_stokes(space, 1.0, FORCE)
     alpha = 10.0
-    sys = assemble_robin_subproblem(op, alpha, np.zeros(len(space.interface_nodes)))
+    sys, coupling = assemble_robin_subproblem(op, alpha)
     x, _ = solve(sys.matrix, sys.rhs)
     u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
     c = alpha * 1250.0 / (1.0 + 50.0 * alpha)
@@ -475,54 +469,45 @@ def test_robin_subproblem_matches_channel_half_step(small_mesh):
     np.testing.assert_allclose(u[2 * space.interface_nodes], d, rtol=1e-10)
     # and with a constant neighbor trace g: c = alpha (1250 - g)/(1 + 50 alpha)
     g = 40.0
-    sys2 = assemble_robin_subproblem(op, alpha, np.full(len(space.interface_nodes), g))
-    x2, _ = solve(sys2.matrix, sys2.rhs)
-    u2 = sys2.layout.expand(x2)[(Subdomain.UPPER, "velocity")]
+    x2, _ = solve(sys.matrix, sys.rhs + coupling @ np.full(len(space.interface_nodes), g))
+    u2 = sys.layout.expand(x2)[(Subdomain.UPPER, "velocity")]
     c2 = alpha * (1250.0 - g) / (1.0 + 50.0 * alpha)
     np.testing.assert_allclose(u2[2 * space.interface_nodes], 1250.0 - 50.0 * c2, rtol=1e-10)
 
 
 def test_robin_trace_shape_validation(small_mesh):
     op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
+    system, coupling = assemble_robin_subproblem(op, 1.0)
+    assert coupling.shape == (system.matrix.n_rows, len(op.space.interface_nodes))
+    with pytest.raises(ValueError, match="neighbor trace has shape"):
+        _check_trace(op.space, np.zeros(3), "neighbor trace")
     with pytest.raises(ValueError):
-        assemble_robin_subproblem(op, 1.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        assemble_robin_subproblem(op, np.inf, np.zeros(len(op.space.interface_nodes)))
+        assemble_robin_subproblem(op, np.inf)
 
 
 def test_dirichlet_subproblem_imposes_trace(small_mesh):
     space = build_space(small_mesh, Subdomain.LOWER)
     trace = np.full(len(space.interface_nodes), 9.25)
-    sys = assemble_dirichlet_subproblem(assemble_stokes(space, 1.0, FORCE), trace)
-    x, _ = solve(sys.matrix, sys.rhs)
+    sys, coupling = assemble_dirichlet_subproblem(assemble_stokes(space, 1.0, FORCE))
+    x, _ = solve(sys.matrix, sys.rhs + coupling @ trace)
     u = sys.layout.expand(x)[(Subdomain.LOWER, "velocity")]
-    np.testing.assert_array_equal(u[2 * space.interface_nodes], trace)
+    # the trace is eliminated, so the solution expands to zero on it
+    iface = space.velocity_nodes[:, 1] == 0.0
+    assert np.all(u[0::2][iface] == 0.0)
     # interior solves the channel problem with that boundary value:
     # u(z) = -z^2/2 + c z + d, u(-5) = 0, u(0) = 9.25
     d = 9.25
     c = (d - 12.5) / 5.0
-    z = space.velocity_nodes[:, 1]
-    np.testing.assert_allclose(u[0::2], -0.5 * z**2 + c * z + d, atol=1e-9)
+    z = space.velocity_nodes[~iface, 1]
+    np.testing.assert_allclose(u[0::2][~iface], -0.5 * z**2 + c * z + d, atol=1e-9)
 
 
 def test_dirichlet_subproblem_rejects_nonperiodic_trace(small_mesh):
-    op = assemble_stokes(build_space(small_mesh, Subdomain.LOWER), 1.0, FORCE)
-    trace = np.ones(len(op.space.interface_nodes))
+    space = build_space(small_mesh, Subdomain.LOWER)
+    trace = np.ones(len(space.interface_nodes))
     trace[-1] = 5.0  # x = L is the x = 0 node: one value cannot be both
     with pytest.raises(ValueError, match="periodic"):
-        assemble_dirichlet_subproblem(op, trace)
-
-
-def test_dirichlet_trace_lift_reproduces_assembled_rhs(small_mesh):
-    op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
-    x = op.space.interface_x
-    trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1]) + x / 17.0
-    trace[-1] = trace[0]  # periodic: x = L is the x = 0 node
-    base = assemble_dirichlet_subproblem(op, np.zeros(len(x)))
-    imposed = assemble_dirichlet_subproblem(op, trace)
-    assert (base.matrix.to_scipy() != imposed.matrix.to_scipy()).nnz == 0
-    lifted = base.rhs - dirichlet_trace_lift(op, base.layout) @ trace
-    np.testing.assert_allclose(lifted, imposed.rhs, rtol=0, atol=1e-12 * np.abs(imposed.rhs).max())
+        check_periodic_trace(space, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +581,9 @@ def reference_raw_matrix(ops, layout):
     ).tocsr()
 
 
-def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None):
-    """(matrix, rhs) of the reduced system on `layout`."""
+def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None, x_pin=None):
+    """(matrix, rhs) of the reduced system on `layout`, with the dropped raw
+    dofs at x_pin (zero by default)."""
     b_raw = np.zeros(layout.n_raw)
     for op in ops:
         ov = layout.offsets[(op.space.subdomain, "velocity")]
@@ -609,7 +595,9 @@ def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None):
         b_raw = b_raw + extra_rhs_raw
     c = layout.reduction
     a_red = (c.T @ a_raw @ c).tocsr()
-    b_red = c.T @ (b_raw - a_raw @ layout.x_bc)
+    if x_pin is not None:
+        b_raw = b_raw - a_raw @ x_pin
+    b_red = c.T @ b_raw
     g_rows = []
     for op in ops:
         g_raw = np.zeros(layout.n_raw)
@@ -683,19 +671,22 @@ def test_assembly_matches_the_reference(cells):
     x = op.space.interface_x
     trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1]) + x / 17.0
     for alpha in (0.0, 10.0, 1e9):
-        system = assemble_robin_subproblem(op, alpha, trace)
+        system, coupling = assemble_robin_subproblem(op, alpha)
         matrix, rhs = reference_robin(ref, system.layout, alpha, trace)
         assert_same_sparse(system.matrix.to_scipy(), matrix)
-        assert_close_vector(system.rhs, rhs)
+        assert_close_vector(system.rhs + coupling @ trace, rhs)
 
+    # the Dirichlet half-step against C^T (b_raw - A_raw x_pin), x_pin the
+    # trace on the interface dofs and zero elsewhere
     trace[-1] = trace[0]
-    system = assemble_dirichlet_subproblem(op, trace)
-    assert np.any(system.layout.x_bc != 0.0)
-    matrix, rhs = reference_reduced([ref], system.layout)
+    system, coupling = assemble_dirichlet_subproblem(op)
+    layout = system.layout
+    x_pin = np.zeros(layout.n_raw)
+    x_pin[layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes] = trace
+    matrix, rhs = reference_reduced([ref], layout, x_pin=x_pin)
     assert_same_sparse(system.matrix.to_scipy(), matrix)
-    assert_close_vector(system.rhs, rhs)
-    lift = dirichlet_trace_lift(op, system.layout)
-    assert_same_sparse(lift, reference_lift(ref, system.layout))
+    assert_close_vector(system.rhs + coupling @ trace, rhs)
+    assert_same_sparse(coupling, -reference_lift(ref, layout))
 
 
 def test_manufactured_solution_convergence_order():
@@ -735,8 +726,8 @@ def test_manufactured_solution_convergence_order():
         # g = u_x - (nu/alpha) du_x/dz
         g = np.sin(k * xs) * (s1(0.0) - (nu / alpha) * s2(0.0))
         op = assemble_stokes(space, nu, BodyForce(evaluator=body))
-        sys = assemble_robin_subproblem(op, alpha, g)
-        x, _ = solve(sys.matrix, sys.rhs)
+        sys, coupling = assemble_robin_subproblem(op, alpha)
+        x, _ = solve(sys.matrix, sys.rhs + coupling @ g)
         u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
 
         tri_pts, _, det = _cell_geometry(space)
