@@ -4,22 +4,24 @@ Monolithic solves assemble both layers into one system.  Friction borders
 the uncoupled system with an interface-traction multiplier lam = alpha *
 jump on the periodic trace, [[A, B^T], [B, -M_p / alpha]]: eliminating lam
 gives the alpha-weighted penalty system, but no matrix entry grows with
-alpha, so every friction solve is certified at the caller's tolerance.
-Continuity identifies the two horizontal traces (the alpha = inf limit).
-The alternating solver decomposes by layer: starting from
-an upper-layer solve against a zero neighbor trace, it repeatedly solves the
+alpha, so every friction solve is certified at one tolerance for every
+alpha.  Continuity identifies the two horizontal traces (the alpha = inf
+limit).  The alternating solver decomposes by layer: starting from an
+upper-layer solve against a zero neighbor trace, it repeatedly solves the
 lower layer against the newest upper trace and then the upper layer against
 the newest lower trace (Robin half-steps with the friction coefficient), and
 stops when the L2 norm of the velocity increment over both layers drops below
-a tolerance.  Each half-step matrix is independent of the exchanged trace, so
-a half-step is an affine map of the neighbor trace: each layer is factored
-once, certified block solves of a few columns each span its map, and the
-iteration then runs on interface traces of length n_trace = 2 nx + 1 alone,
-with the increment norm exact through a Gram matrix of each layer's
-velocity response.  On the traces a full iteration is the affine map s <- a
-+ K s of the upper trace, which the loop advances a block of iterations per
-numpy call through the precomputed powers of K.  When it stops, one
-certified solve per layer rebuilds the fields.
+a tolerance.  A Robin half-step is the layer's friction-free problem driven
+by the traction lam = alpha * (neighbor trace - own trace), the monolithic
+multiplier on one layer.  Each layer's friction-free matrix is factored once
+per `Discretization`, and certified block solves span its traction-to-trace
+map; alpha enters only dense algebra on the n_trace - 1 periodic trace
+unknowns, and a half-step is an affine map of the neighbor trace.  The
+iteration runs on traces of length n_trace = 2 nx + 1 alone, the increment
+norm exact through Gram matrices of each layer's velocity response, as the
+map s <- a + K s of the upper trace, advanced a block of iterations per
+numpy call through the powers of K.  When it stops, one certified solve per
+layer rebuilds the fields.
 
 `dirichlet_exchange_demo` runs the same alternation with pure Dirichlet trace
 exchange instead: each solve copies the imposed trace verbatim, so the traces
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -101,6 +104,14 @@ class Discretization:
         d = self.trace_of(Subdomain.UPPER, u1) - self.trace_of(Subdomain.LOWER, u2)
         return float(np.sqrt(d @ (self.trace_mass @ d)))
 
+    @cached_property
+    def interface_cores(self) -> dict[Subdomain, _InterfaceCore]:
+        """Each layer's alpha-free Robin core, upper first, built on first use
+        and kept for every later alternating solve; it holds no reference
+        back to self."""
+        subs = (Subdomain.UPPER, Subdomain.LOWER)
+        return {sub: _InterfaceCore(self.op(sub), self.trace_mass) for sub in subs}
+
 
 def discretize(
     mesh: Mesh, nu1: float, nu2: float, force1: BodyForce, force2: BodyForce
@@ -154,6 +165,14 @@ def _field_from_solution(disc: Discretization, layout, x: np.ndarray, alpha_used
     )
 
 
+def _fold(n_trace: int) -> scipy.sparse.csr_matrix:
+    """The periodic fold P, (n_trace, n_trace - 1): the x = L node repeats x = 0."""
+    return scipy.sparse.csr_matrix(
+        (np.ones(n_trace), (np.arange(n_trace), np.append(np.arange(n_trace - 1), 0))),
+        shape=(n_trace, n_trace - 1),
+    )
+
+
 def _friction_multiplier_system(
     system: SparseSystem, trace_mass: scipy.sparse.csr_matrix, alpha: float
 ) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
@@ -162,8 +181,8 @@ def _friction_multiplier_system(
     The multiplier lam lives on the n_trace - 1 periodic trace dofs (the
     x = L node is the x = 0 node).  With T_upper / T_lower the layout's
     `trace_map`s, taking solved unknowns to the full horizontal traces, and
-    P folding the full trace onto the periodic one, B = P^T M (T_upper -
-    T_lower) and M_p = P^T M P, and the system is
+    P the periodic fold (`_fold`), B = P^T M (T_upper - T_lower) and M_p =
+    P^T M P, and the system is
 
         [[A, B^T], [B, -M_p / alpha]] [x; lam] = [b; 0].
 
@@ -177,10 +196,7 @@ def _friction_multiplier_system(
     """
     layout = system.layout
     n_trace = trace_mass.shape[0]
-    fold = scipy.sparse.csr_matrix(
-        (np.ones(n_trace), (np.arange(n_trace), np.append(np.arange(n_trace - 1), 0))),
-        shape=(n_trace, n_trace - 1),
-    )
+    fold = _fold(n_trace)
     fold_mass = fold.T @ trace_mass
     b = fold_mass @ (layout.trace_map(Subdomain.UPPER) - layout.trace_map(Subdomain.LOWER))
     a, n, k = system.matrix, system.matrix.n_rows, n_trace - 1
@@ -210,7 +226,6 @@ def solve_monolithic_friction(
     force1: BodyForce,
     force2: BodyForce,
     alpha: float,
-    solver_tol: float = 1e-10,
     disc: Discretization | None = None,
 ) -> CoupledField:
     """Both layers in one system, coupled by the friction law through an
@@ -219,7 +234,7 @@ def solve_monolithic_friction(
     Solving for the traction lam = alpha * jump instead of adding an
     alpha-weighted trace-jump penalty keeps the matrix entries independent
     of the size of alpha, so the energy identity holds near roundoff and the
-    solve is certified at solver_tol for every finite alpha.  alpha = 0
+    solve is certified at one tolerance for every finite alpha.  alpha = 0
     leaves lam = 0: the two layers are solved uncoupled.
     """
     if not (np.isfinite(alpha) and alpha >= 0.0):
@@ -232,7 +247,7 @@ def solve_monolithic_friction(
         bordered, rhs = _friction_multiplier_system(system, disc.trace_mass, alpha)
         matrix = CscMatrix(*bordered.shape, bordered.indptr, bordered.indices, bordered.data)
     del system  # the uncoupled matrix goes before the bordered one is factored
-    x, _ = solve(matrix, rhs, tol=solver_tol)
+    x, _ = solve(matrix, rhs)
     return _field_from_solution(disc, layout, x[: layout.n_rows], alpha)
 
 
@@ -242,7 +257,6 @@ def solve_monolithic_continuity(
     nu2: float,
     force1: BodyForce,
     force2: BodyForce,
-    solver_tol: float = 1e-10,
     disc: Discretization | None = None,
 ) -> CoupledField:
     """Both layers with the horizontal interface traces identified (the
@@ -250,7 +264,7 @@ def solve_monolithic_continuity(
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
-    x, _ = solve(system.matrix, system.rhs, tol=solver_tol)
+    x, _ = solve(system.matrix, system.rhs)
     return _field_from_solution(disc, system.layout, x, float("inf"))
 
 
@@ -266,7 +280,6 @@ class SchwarzConfig:
     tol_increment: float = 1e-3
     max_iter: int = 100_000
     initial_neighbor_trace: np.ndarray | None = None
-    solver_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
@@ -282,11 +295,14 @@ class ConvergenceReport:
     """Outcome of the alternating solver.  converged=False (DidNotConverge)
     is data, not an error: final holds the last iterate either way.
 
-    setup_reports holds the certified block solves that span the two
-    half-step maps (upper layer first); reconstruction_reports holds the
-    solves that rebuild the upper and the lower field from the last traces.
-    setup_s is the time spent building both half-step maps, iterate_s the
-    time of the trace iteration and the reconstruction.
+    setup_reports holds the certified block solves that spanned the two
+    layers' interface cores (upper first), built once per `Discretization`:
+    every run on one discretization reports the same solves.
+    reconstruction_reports holds the solves that rebuild the upper and the
+    lower field from the last traces.  setup_s is this run's time for both
+    half-step maps: the cores, near zero once an earlier run built them, and
+    the per-alpha dense algebra.  iterate_s is the time of the trace
+    iteration and the reconstruction.
     """
 
     converged: bool
@@ -326,88 +342,109 @@ def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trac
     return trace
 
 
-# Right-hand sides per block solve of a half-step map.  One call for all
-# n_trace + 1 columns keeps the rhs, the solution, SuperLU's workspace and
-# the residual alive at once, four n_rows x (n_trace + 1) arrays: on the
-# default 32x16x4 mesh that raises the peak RSS of a schwarz `run` from 80
-# to 87 MB (fresh processes, 2-core x86-64 host, numpy 2.4 / scipy 1.17).
+# Right-hand sides per block solve of an interface core.  One call for all
+# n_trace columns keeps the rhs, the solution, SuperLU's workspace and the
+# residual alive at once, four n_rows x n_trace arrays: on the default
+# 32x16x4 mesh that raises the peak RSS of a schwarz `run` from 80 to 87 MB
+# (fresh processes, 2-core x86-64 host, numpy 2.4 / scipy 1.17).
 _BLOCK_COLUMNS = 8
 
 
 class _HalfStep:
-    """One layer's half-step against a neighbor trace g, factored once.
+    """One layer against interface data d, factored once.  The matrix does
+    not depend on d, which enters the rhs as coupling @ d: `system` and
+    `coupling` are what `fem`'s single-layer assemblers return."""
 
-    The half-step matrix does not depend on g, which enters the rhs as
-    coupling @ g: `system` and `coupling` are what `fem`'s single-layer
-    assemblers return.  Every solve is certified at solver_tol.
-    """
-
-    def __init__(
-        self,
-        sub: Subdomain,
-        system: SparseSystem,
-        coupling: scipy.sparse.csr_matrix,
-        solver_tol: float,
-    ):
+    def __init__(self, sub: Subdomain, system: SparseSystem, coupling: scipy.sparse.csr_matrix):
         self.sub = sub
-        self.solver_tol = solver_tol
         self.layout = system.layout
-        self.rhs = system.rhs  # the rhs at g = 0
+        self.rhs = system.rhs  # the rhs at d = 0
         self.coupling = coupling
         self.factorization = factorize(system.matrix)
 
-    def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field half-step: (raw velocity, raw pressure, report)."""
-        x, report = self.factorization.solve(self.rhs + self.coupling @ g, tol=self.solver_tol)
+    def solve(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+        """Certified full-field solve: (raw velocity, raw pressure, report)."""
+        x, report = self.factorization.solve(self.rhs + self.coupling @ d)
         out = self.layout.expand(x)
         return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
 
 
-class _RobinSide(_HalfStep):
-    """One layer's Robin half-step as an affine map of the neighbor trace.
+class _InterfaceCore(_HalfStep):
+    """One layer driven by an interface traction: the alpha-free core of
+    its Robin half-steps.
 
-    The neighbor trace g enters the rhs as coupling @ g, with coupling =
-    trace_map^T (alpha M) and M the trace mass.  So the solved vector is
-    x(g) = x0 + X g and the raw velocity u(g) = u0 + R g.  Certified block
-    solves against the columns of [rhs(0), coupling] give x0 and X, a few
-    columns at a time; from U = [u0, R] only n_trace-sized products are kept:
-
-    - the trace map t(g) = t0 + T g, with T = R[ifx] and t0 = u0[ifx];
-    - the Gram matrix G = R^T M_u R of the velocity mass M_u, so the squared
-      L2 norm of a velocity increment u(g) - u(g') is exactly
-      (g - g')^T G (g - g');
-    - h = R^T M_u u0 and c = u0^T M_u u0, so ||u(g)||^2 = g^T G g + 2 h^T g + c
-      (the lower layer's first increment, taken from the zero field).
-
-    The factorization is kept for the one certified solve that reconstructs
-    the layer's field at the stop; U is dropped with the setup, so what
-    stays is O(n_trace^2) rather than O(n_dof * n_trace).
+    `assemble_robin_subproblem` gives the layer with free tangential traction
+    and E = T_p^T, which takes a traction y on the n_trace - 1 periodic trace
+    dofs to the rhs: the solved vector is x0 + X y, the raw velocity u0 + R y.
+    Certified block solves against the columns of [rhs(0), E] span it; of
+    U = [u0, R] only n_trace-sized products are kept: the periodic trace
+    tau0 + S y (tau0 = T_p x0, S = T_p X) and the Gram matrix U^T M_u U of
+    the velocity mass M_u.  The factorization stays for the solve that
+    rebuilds the field at the stop.
     """
 
-    def __init__(self, disc: Discretization, sub: Subdomain, alpha: float, solver_tol: float):
-        op = disc.op(sub)
-        super().__init__(sub, *assemble_robin_subproblem(op, alpha), solver_tol)
-        n_trace = len(op.space.interface_nodes)
-        layout = self.layout
+    def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix):
+        space = op.space
+        super().__init__(space.subdomain, *assemble_robin_subproblem(op))
+        layout, k = self.layout, self.coupling.shape[1]
         rhs = scipy.sparse.hstack([self.rhs[:, None], self.coupling], format="csc")
-        offset = layout.offsets[(sub, "velocity")]
-        to_velocity = layout.reduction[offset : offset + op.space.n_velocity_dofs]
-        blocks = [slice(j, j + _BLOCK_COLUMNS) for j in range(0, n_trace + 1, _BLOCK_COLUMNS)]
-        u = np.empty((op.space.n_velocity_dofs, n_trace + 1))
+        offset = layout.offsets[(space.subdomain, "velocity")]
+        to_velocity = layout.reduction[offset : offset + space.n_velocity_dofs]
+        blocks = [slice(j, j + _BLOCK_COLUMNS) for j in range(0, k + 1, _BLOCK_COLUMNS)]
+        u = np.empty((space.n_velocity_dofs, k + 1))
         self.setup_reports = []
         for cols in blocks:
-            x, report = self.factorization.solve(rhs[:, cols].toarray(), tol=solver_tol)
+            x, report = self.factorization.solve(rhs[:, cols].toarray())
             u[:, cols] = to_velocity @ x[: layout.n_reduced]
             self.setup_reports.append(report)
-        ifx = 2 * op.space.interface_nodes
-        self.t0 = u[ifx, 0]
-        self.T = u[ifx, 1:]
-        gram = np.empty((n_trace + 1, n_trace + 1))  # U^T M_u U
+        periodic = u[2 * space.interface_nodes[:-1]]
+        self.tau0, self.S = periodic[:, 0], periodic[:, 1:]
+        self.gram = np.empty((k + 1, k + 1))
         for cols in blocks:
-            gram[:, cols] = u.T @ (op.mass @ u[:, cols])
-        self.G = gram[1:, 1:]
-        self.h = gram[1:, 0]
-        self.c = float(gram[0, 0])
+            self.gram[:, cols] = u.T @ (op.mass @ u[:, cols])
+        fold = _fold(k + 1)
+        fold_mass = (fold.T @ trace_mass).toarray()  # P^T M
+        mass_p = fold_mass @ fold  # M_p = P^T M P
+        self.mass_s = mass_p @ self.S
+        self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
+
+    def robin(self, alpha: float) -> _RobinMap:
+        """The Robin half-step with friction coefficient alpha, an affine map
+        of the neighbor trace g.
+
+        Its traction y = alpha P^T M (g - P (tau0 + S y)), with M the trace
+        mass and P the periodic fold, solves (I/alpha + M_p S) y = P^T M g -
+        M_p tau0.  That matrix stays bounded as alpha grows, and S has no null
+        direction on the periodic trace.  At alpha = 0, y = 0.
+        """
+        if not (np.isfinite(alpha) and alpha >= 0.0):
+            raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
+        y = np.zeros(self.traction_rhs.shape)
+        if alpha > 0.0:
+            y = np.linalg.solve(np.eye(len(y)) / alpha + self.mass_s, self.traction_rhs)
+        return _RobinMap(self, y)
+
+
+class _RobinMap:
+    """One layer's Robin half-step at one alpha, whose traction is y [1; g]
+    against the neighbor trace g (see `_InterfaceCore.robin`).
+
+    It keeps the trace map t(g) = t0 + T g, [t0, T] = P ([tau0, 0] + S y),
+    and [[c, h^T], [h, G]] = Y^T gram Y with Y = [[1, 0], y]: the squared L2
+    norm of the velocity u(g) is g^T G g + 2 h^T g + c (the lower layer's
+    first increment, from the zero field), and that of an increment u(g +
+    d) - u(g) is exactly d^T G d.
+    """
+
+    def __init__(self, core: _InterfaceCore, y: np.ndarray):
+        self.core, self.y = core, y
+        trace = core.S @ y
+        trace[:, 0] += core.tau0
+        trace = trace[np.append(np.arange(len(y)), 0)]  # P: x = L repeats x = 0
+        self.t0, self.T = trace[:, 0], trace[:, 1:]
+        span = np.vstack([np.eye(1, y.shape[1]), y])
+        gram = span.T @ core.gram @ span
+        self.c, self.h, self.G = float(gram[0, 0]), gram[1:, 0], gram[1:, 1:]
 
     def trace(self, neighbor_trace: np.ndarray) -> np.ndarray:
         """This layer's interface trace after a half-step against neighbor_trace."""
@@ -420,6 +457,10 @@ class _RobinSide(_HalfStep):
     def velocity_sq(self, g: np.ndarray) -> float:
         """Squared velocity L2 norm of u(g)."""
         return float(g @ (self.G @ g) + 2.0 * (self.h @ g) + self.c)
+
+    def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+        """Certified full-field half-step: (raw velocity, raw pressure, report)."""
+        return self.core.solve(self.y[:, 0] + self.y[:, 1:] @ g)
 
 
 # Entries of the power stack [K, ..., K^B] of the trace iteration: B
@@ -465,12 +506,13 @@ def schwarz_solve(
     has L2 norm below tol_increment; hitting max_iter first is reported as
     converged=False.
 
-    Each half-step is applied through its precomputed affine map (see
-    `_RobinSide`), so after iteration 1 the upper trace follows s_n = a +
-    K s_(n-1) with K = T_upper T_lower.  The loop advances it B iterations
-    per step (`_block_iterations`): the stack [K, ..., K^B] and its offsets
-    map the current s_n to the next B traces at once, from the exact current
-    trace, so no error carries from block to block.  The increment norm is
+    Each half-step is applied through its affine map (`_RobinMap`, from the
+    layer's cached `Discretization.interface_cores`), so after iteration 1
+    the upper trace follows s_n = a + K s_(n-1) with K = T_upper T_lower.
+    The loop advances it B iterations per step (`_block_iterations`): the
+    stack [K, ..., K^B] and its offsets map the current s_n to the next B
+    traces at once, from the exact current trace, so no error carries from
+    block to block.  The increment norm is
     exact through the Gram matrices and jump_l2 comes from the two traces
     and the trace mass; a block stops at its first increment below
     tol_increment, so the counts are those of one-step-at-a-time iteration.
@@ -486,8 +528,7 @@ def schwarz_solve(
     g0 = _check_trace(disc.space_upper, g0, "initial trace")
 
     start = time.perf_counter()
-    upper = _RobinSide(disc, Subdomain.UPPER, config.alpha, config.solver_tol)
-    lower = _RobinSide(disc, Subdomain.LOWER, config.alpha, config.solver_tol)
+    upper, lower = (core.robin(config.alpha) for core in disc.interface_cores.values())
     setup_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -542,7 +583,7 @@ def schwarz_solve(
         increments=np.concatenate(increments),
         jumps=np.concatenate(jumps),
         final=final,
-        setup_reports=tuple(upper.setup_reports + lower.setup_reports),
+        setup_reports=tuple(upper.core.setup_reports + lower.core.setup_reports),
         reconstruction_reports=(report_upper, report_lower),
         setup_s=setup_s,
         iterate_s=iterate_s,
@@ -574,7 +615,6 @@ def dirichlet_exchange_demo(
     force2: BodyForce,
     steps: int,
     initial_trace: np.ndarray | None = None,
-    solver_tol: float = 1e-10,
     disc: Discretization | None = None,
 ) -> StagnationReport:
     """Alternate single-layer solves exchanging pure Dirichlet traces.
@@ -605,7 +645,7 @@ def dirichlet_exchange_demo(
     for k in range(steps):
         sub = Subdomain.UPPER if k % 2 == 0 else Subdomain.LOWER
         if sub not in solvers:
-            solvers[sub] = _HalfStep(sub, *assemble_dirichlet_subproblem(disc.op(sub)), solver_tol)
+            solvers[sub] = _HalfStep(sub, *assemble_dirichlet_subproblem(disc.op(sub)))
         u, p, _ = solvers[sub].solve(g)
         u[2 * disc.space(sub).interface_nodes] = g  # the imposed trace, eliminated as zero
         fields[sub] = (u, p)

@@ -12,10 +12,11 @@ lexicographically by coordinates (x, then z); pressure dofs follow the same
 convention on vertices.  Constraints (wall Dirichlet, interface
 no-penetration, x-periodicity, continuity identification) are eliminated
 symmetrically through a 0/1 reduction operator C, and every eliminated dof is
-zero: a single-layer half-step takes its neighbor's interface trace through
-a trace operator on the rhs.  The solved system is C^T A C augmented with
-one integral-mean pressure-gauge row per layer, scattered in one pass
-through C's raw -> reduced index map, not multiplied.
+zero: a single-layer half-step takes its interface data (the neighbor's
+trace, or an interface traction) through an operator on the rhs.  The
+solved system is C^T A C augmented with one integral-mean pressure-gauge row
+per layer, scattered in one pass through C's raw -> reduced index map, not
+multiplied.
 The reduced unknowns are numbered in nested-dissection order of their
 nodes, with the gauge rows last, because `linalg.factorize` eliminates them
 in the order given: on 64x32x8 the continuity system fills 4.35M L+U
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -300,12 +300,6 @@ class StokesOperator:
     load: np.ndarray
     gauge: np.ndarray
 
-    @cached_property
-    def layer_layout(self) -> DofLayout:
-        """The layer's own layout, with no interface dof fixed: the same for
-        the Robin subproblem at every alpha, so it is built once."""
-        return _build_layout([self.space], *_offsets_for([self.space]))
-
 
 def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOperator:
     if not (np.isfinite(nu) and nu > 0.0):
@@ -546,16 +540,6 @@ class DofLayout:
     def n_rows(self) -> int:
         return self.n_reduced + self.n_gauge
 
-    def raw_index(self, subdomain: Subdomain, fieldname: str, node: int, comp: int = 0) -> int:
-        off = self.offsets[(subdomain, fieldname)]
-        if fieldname == _FIELD_VELOCITY:
-            return off + 2 * node + comp
-        return off + node
-
-    def row_of(self, subdomain: Subdomain, fieldname: str, node: int, comp: int = 0) -> int:
-        """Solved-system row of a raw dof, or -1 if constrained away."""
-        return int(self.col_of[self.raw_index(subdomain, fieldname, node, comp)])
-
     def trace_map(self, sub: Subdomain) -> scipy.sparse.csr_matrix:
         """Solved vector -> horizontal velocity at `sub`'s interface nodes,
         ascending x: the interface rows of the reduction, zero on the gauge
@@ -656,14 +640,10 @@ def _layer_triplets(ops: list[StokesOperator], offsets: dict) -> list[tuple]:
     return parts
 
 
-def _assemble_reduced(
-    ops: list[StokesOperator],
-    layout: DofLayout,
-    extra: tuple | None,
-) -> SparseSystem:
+def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSystem:
     """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
-    (layer blocks, `extra`, and the gauge border, whose multipliers take raw
-    indices past the layers' dofs) maps through `layout.col_of`.  Entries on
+    (layer blocks and the gauge border, whose multipliers take raw indices
+    past the layers' dofs) maps through `layout.col_of`.  Entries on
     a dropped row or column vanish, since every dropped dof is zero.  The
     scatter lands in compressed columns, the arrays SuperLU factors, and the
     system holds them without a copy."""
@@ -678,8 +658,6 @@ def _assemble_reduced(
         p = offsets[(op.space.subdomain, _FIELD_PRESSURE)] + np.arange(op.space.n_pressure_dofs)
         g = np.full(len(p), n_raw + k)
         parts += [(p, g, op.gauge), (g, p, op.gauge)]
-    if extra is not None:
-        parts.append(extra)
 
     raw_rows, raw_cols, vals = (np.concatenate(a) for a in zip(*parts))
     index = np.concatenate([layout.col_of, n_red + np.arange(len(ops))]).astype(_index_type(n))
@@ -721,36 +699,31 @@ def assemble_coupled_system(
     else:
         raise ValueError(f"unknown coupling mode {mode!r}")
     layout = _build_layout(spaces, offsets, n_raw, pairs=pairs)
-    return _assemble_reduced([op_upper, op_lower], layout, None)
+    return _assemble_reduced([op_upper, op_lower], layout)
 
 
 # ---------------------------------------------------------------------------
-# single-layer half-steps.  Each takes the neighbor's horizontal velocity g
-# at the interface nodes, ascending x, and is affine in it: the matrix does
-# not depend on g, which enters the rhs as E @ g.  Each returns the system
-# at g = 0 and the trace operator E (solved rows x interface nodes).
+# single-layer half-steps.  Each is affine in its interface data, which
+# enters the rhs as E @ data: the matrix does not depend on it.  Each returns
+# the system at zero data and the operator E (solved rows x data entries).
 
 
 def assemble_robin_subproblem(
     op: StokesOperator,
-    alpha: float,
 ) -> tuple[SparseSystem, scipy.sparse.csr_matrix]:
-    """One layer with the friction condition against the neighbor trace:
-    the Robin half-step of the alternating solver.
+    """One layer with free tangential traction at the interface (alpha = 0):
+    the alpha-free core of the alternating solver's Robin half-steps.
 
-    Adds alpha * M_trace on the layer's own horizontal interface dofs, and
-    E = trace_map^T (alpha * M_trace) takes the neighbor trace to the rhs.
+    E = T_p^T takes a traction y on the n_trace - 1 periodic trace dofs to
+    the rhs, with T_p the layout's `trace_map` less its x = L row (a repeat
+    of x = 0).  The Robin half-step against the neighbor trace g is this
+    system with the traction y = alpha P^T M (g - P T_p x): M the trace mass,
+    P the periodic fold.
     """
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
     space = op.space
-    layout = op.layer_layout
-    m_iface = alpha * _interface_trace_mass(space.interface_x)
-    ifx = _interface_dofs(layout.offsets, space)
-    coo = m_iface.tocoo()
-    extra = (ifx[coo.row], ifx[coo.col], coo.data)
-    coupling = (layout.trace_map(space.subdomain).T @ m_iface).tocsr()
-    return _assemble_reduced([op], layout, extra), coupling
+    layout = _build_layout([space], *_offsets_for([space]))
+    traction = layout.trace_map(space.subdomain)[:-1].T.tocsr()
+    return _assemble_reduced([op], layout), traction
 
 
 def assemble_dirichlet_subproblem(
@@ -776,4 +749,4 @@ def assemble_dirichlet_subproblem(
     on = (rows >= 0) & (cols >= 0)
     coupling = _scatter(rows[on], cols[on], -vals[on], (layout.n_rows, len(ifx)))
     coupling.eliminate_zeros()
-    return _assemble_reduced([op], layout, None), coupling
+    return _assemble_reduced([op], layout), coupling

@@ -33,9 +33,10 @@ time: an 8-column block solve of the alternating solver's set-up on
 
 A right-hand side may be a vector or an (n, k) block of columns; each column
 is certified on its own.  A factorization handle is exposed separately
-because the alternating solver solves each half-step matrix for blocks of
-right-hand sides that span its affine response to the neighbor trace, and
-once more to reconstruct the field at the stop.
+because the alternating solver factors each layer's friction-free matrix
+once per discretization, solves it for blocks of right-hand sides that span
+its affine response to an interface traction, and once more per run to
+rebuild the field at the stop.
 """
 
 from __future__ import annotations
@@ -92,15 +93,6 @@ class CscMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-
-    @classmethod
-    def from_triplets(cls, n_rows: int, n_cols: int, rows, cols, values) -> "CscMatrix":
-        coo = scipy.sparse.coo_matrix(
-            (np.asarray(values, dtype=np.float64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(n_rows, n_cols),
-        )
-        return cls.from_scipy(coo.tocsc())
 
     @classmethod
     def from_scipy(cls, m) -> "CscMatrix":

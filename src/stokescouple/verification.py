@@ -19,7 +19,8 @@ satisfied exactly (up to solver precision) by every friction solution.
 `run_alpha_sweep` runs, for each friction coefficient, the monolithic solve
 (for the distance-to-continuity, jump and energy columns) and the
 alternating solver (for the iteration-count column), against one shared
-continuity reference solution.
+continuity reference solution.  Every row shares one discretization, so the
+alternating solver's alpha-free interface cores are built once per sweep.
 """
 
 from __future__ import annotations
@@ -274,52 +275,40 @@ class SweepRow:
 class SweepResult:
     rows: list[SweepRow]
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.rows])
 
-    @property
-    def n_iterations(self) -> np.ndarray:
-        return np.array([r.n_iterations for r in self.rows])
+def _failed_row(alpha: float, exc: Exception) -> SweepRow:
+    nan = float("nan")
+    return SweepRow(
+        alpha=alpha, n_iterations=0, converged=False, w_dist_to_continuity=nan,
+        jump_l2=nan, energy_residual=nan, error=f"{type(exc).__name__}: {exc}",
+    )
 
 
-def _sweep_row(
-    mesh: Mesh,
-    nu1: float,
-    nu2: float,
-    force1: BodyForce,
-    force2: BodyForce,
-    disc: Discretization,
-    continuity: CoupledField,
-    alpha: float,
-    tol_increment: float,
-    max_iter: int,
-) -> SweepRow:
+def _monolithic_row(d: Discretization, continuity: CoupledField, alpha: float) -> SweepRow:
+    """A row's diagnostic columns, from the monolithic friction solve."""
     try:
-        mono = solve_monolithic_friction(
-            mesh, nu1, nu2, force1, force2, alpha=alpha, disc=disc
-        )
-        config = SchwarzConfig(alpha=alpha, tol_increment=tol_increment, max_iter=max_iter)
-        report = schwarz_solve(mesh, nu1, nu2, force1, force2, config, disc=disc)
+        mono = solve_monolithic_friction(d.mesh, d.nu1, d.nu2, d.force1, d.force2, alpha, disc=d)
         return SweepRow(
-            alpha=alpha,
-            n_iterations=report.n_iterations,
-            converged=report.converged,
+            alpha=alpha, n_iterations=0, converged=False,
             w_dist_to_continuity=w_norm(_difference(mono, continuity)),
-            jump_l2=jump_norm(mono),
-            energy_residual=energy_residual(mono),
+            jump_l2=jump_norm(mono), energy_residual=energy_residual(mono),
         )
     except Exception as exc:  # per-row failures are data; the sweep continues
-        nan = float("nan")
-        return SweepRow(
-            alpha=alpha,
-            n_iterations=0,
-            converged=False,
-            w_dist_to_continuity=nan,
-            jump_l2=nan,
-            energy_residual=nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(alpha, exc)
+
+
+def _alternating_row(
+    d: Discretization, row: SweepRow, tol_increment: float, max_iter: int
+) -> SweepRow:
+    """The row with the alternating solver's columns, or its failure."""
+    if row.error is not None:
+        return row
+    try:
+        config = SchwarzConfig(alpha=row.alpha, tol_increment=tol_increment, max_iter=max_iter)
+        report = schwarz_solve(d.mesh, d.nu1, d.nu2, d.force1, d.force2, config, disc=d)
+        return dataclasses.replace(row, n_iterations=report.n_iterations, converged=report.converged)
+    except Exception as exc:
+        return _failed_row(row.alpha, exc)
 
 
 def check_alphas(alphas) -> list[float]:
@@ -349,16 +338,15 @@ def run_alpha_sweep(
 
     alphas must pass `check_alphas`.  The continuity
     reference is solved once on the same mesh, so the distance column
-    isolates the pure coefficient effect.  Rows are in the input order.
+    isolates the pure coefficient effect, and the alternating solver's
+    interface cores are factored once for every alpha.  Rows are in the
+    input order.
     """
     alphas = check_alphas(alphas)
     disc = discretize(mesh, nu1, nu2, force1, force2)
     continuity = solve_monolithic_continuity(mesh, nu1, nu2, force1, force2, disc=disc)
-    return SweepResult(
-        rows=[
-            _sweep_row(
-                mesh, nu1, nu2, force1, force2, disc, continuity, a, tol_increment, max_iter
-            )
-            for a in alphas
-        ]
-    )
+    # Every monolithic solve comes before the first alternating one, which
+    # caches the interface cores on disc: no monolithic factorization is
+    # alive beside them, and the sweep peaks no higher than its solves do.
+    rows = [_monolithic_row(disc, continuity, a) for a in alphas]
+    return SweepResult(rows=[_alternating_row(disc, r, tol_increment, max_iter) for r in rows])

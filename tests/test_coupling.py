@@ -13,6 +13,7 @@ solver precision.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,21 +24,16 @@ from stokescouple.coupling import (
     SchwarzConfig,
     _block_iterations,
     _friction_multiplier_system,
-    _RobinSide,
     dirichlet_exchange_demo,
     discretize,
     schwarz_solve,
     solve_monolithic_continuity,
     solve_monolithic_friction,
 )
-from stokescouple.fem import (
-    BodyForce,
-    CouplingMode,
-    assemble_coupled_system,
-    assemble_robin_subproblem,
-)
-from stokescouple.linalg import solve
+from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
+from stokescouple.linalg import factorize, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
+from test_fem import robin_solve, robin_system
 
 GEOM = Geometry()  # length 100, z in [-5, 50]
 FORCE = BodyForce(1.0, -1.0)
@@ -308,16 +304,16 @@ def test_schwarz_record_fields_are_consistent():
 
 
 def reference_alternation(disc, config):
-    """The alternating solver in full-field form: every half-step assembles
-    its Robin subproblem, takes the neighbor's current trace into its rhs
-    and solves it from scratch; the increment and the jump are measured on
-    the fields.  Returns (n_iterations, increments, jumps, (u1, p1, u2, p2))."""
+    """The alternating solver in full-field form: every half-step builds its
+    Robin matrix (`robin_system`), takes the neighbor's current trace into
+    its rhs and solves it from scratch; the increment and the jump are
+    measured on the fields.  Returns (n_iterations, increments, jumps, (u1,
+    p1, u2, p2))."""
 
     def half_step(sub, neighbor_trace):
-        system, trace_operator = assemble_robin_subproblem(disc.op(sub), config.alpha)
-        rhs = system.rhs + trace_operator @ neighbor_trace
-        x, _ = solve(system.matrix, rhs, tol=config.solver_tol)
-        out = system.layout.expand(x)
+        matrix, rhs, trace_operator, layout = robin_system(disc.op(sub), config.alpha)
+        x, _ = solve(matrix, rhs + trace_operator @ neighbor_trace)
+        out = layout.expand(x)
         return out[(sub, "velocity")], out[(sub, "pressure")]
 
     u1, p1 = half_step(Subdomain.UPPER, config.initial_neighbor_trace)
@@ -361,8 +357,8 @@ def sequential_trace_loop(disc, config):
     """The trace iteration one step at a time over the solver's own
     half-step maps.  Returns (n, converged, increments, jumps, final
     neighbor traces of the upper and the lower layer)."""
-    upper = _RobinSide(disc, Subdomain.UPPER, config.alpha, config.solver_tol)
-    lower = _RobinSide(disc, Subdomain.LOWER, config.alpha, config.solver_tol)
+    upper = disc.interface_cores[Subdomain.UPPER].robin(config.alpha)
+    lower = disc.interface_cores[Subdomain.LOWER].robin(config.alpha)
     mass = disc.trace_mass.toarray()
     g_upper = np.zeros(len(disc.space_upper.interface_nodes))
     g_lower = None  # the lower field starts at zero
@@ -415,17 +411,69 @@ def test_schwarz_blocks_match_sequential_iteration(stop):
         (Subdomain.UPPER, report.final.u1, g_upper),
         (Subdomain.LOWER, report.final.u2, g_lower),
     ]:
-        want = _RobinSide(disc, sub, config.alpha, config.solver_tol).solve(g)[0]
+        want = disc.interface_cores[sub].robin(config.alpha).solve(g)[0]
         assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_schwarz_reports_its_certified_solves():
-    config = SchwarzConfig(alpha=10.0, tol_increment=1e-3, max_iter=1000, solver_tol=1e-11)
+    # every solve is certified at linalg.DEFAULT_TOLERANCE; on this mesh
+    # each lands below 1e-11 as well
+    config = SchwarzConfig(alpha=10.0, tol_increment=1e-3, max_iter=1000)
     report = schwarz_solve(small_mesh(), 1.0, 1.0, FORCE, FORCE, config)
     assert len(report.setup_reports) >= 2 and len(report.reconstruction_reports) == 2
     solves = report.setup_reports + report.reconstruction_reports
-    assert all(0.0 <= r.relative_residual <= config.solver_tol for r in solves)
+    assert all(0.0 <= r.relative_residual <= 1e-11 for r in solves)
     assert report.setup_s > 0.0 and report.iterate_s > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0, 1e3, 1e6, 1e9])
+def test_robin_maps_match_the_test_built_robin_solve(alpha):
+    # each layer's map against the span of the Robin matrix built here:
+    # solved for [rhs(0), E], whose velocity columns are [u0, R]
+    disc = discretize(default_mesh(), 1.0, 1.0, FORCE, FORCE)
+    for sub, core in disc.interface_cores.items():
+        op, robin = disc.op(sub), core.robin(alpha)
+        matrix, rhs, coupling, layout = robin_system(op, alpha)
+        x, _ = solve(matrix, np.column_stack([rhs, coupling.toarray()]))
+        u = np.column_stack([layout.expand(col)[(sub, "velocity")] for col in x.T])
+        ifx = 2 * op.space.interface_nodes
+        t_ref, r = u[ifx, 1:], u[:, 1:]
+        g_ref = r.T @ (op.mass @ r)
+        assert np.max(np.abs(robin.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+        # t0 = P (tau0 + S w0) cancels to a small trace: judged on the field
+        assert np.max(np.abs(robin.t0 - u[ifx, 0])) <= 1e-13 * np.max(np.abs(u[:, 0]))
+        assert np.max(np.abs(robin.G - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(robin.h - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
+        assert robin.c == pytest.approx(u[:, 0] @ (op.mass @ u[:, 0]), rel=1e-10)
+        x_trace = op.space.interface_x
+        for g in (3.0 + x_trace / 17.0, 3.0 + np.cos(2.0 * np.pi * x_trace / GEOM.length)):
+            want = robin_solve(op, alpha, g)
+            assert np.max(np.abs(robin.solve(g)[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_schwarz_factors_each_layer_once_per_discretization(monkeypatch):
+    mesh = default_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    factored = []
+
+    def counting(matrix):
+        factored.append(matrix.n_rows)
+        return factorize(matrix)
+
+    monkeypatch.setattr(coupling, "factorize", counting)
+    reports = [
+        schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, SchwarzConfig(alpha=alpha), disc=disc)
+        for alpha in (10.0, 100.0, 1e9)
+    ]
+    assert [r.n_iterations for r in reports] == [536, 4265, 2]
+    assert len(factored) == 2
+    assert reports[2].setup_reports == reports[0].setup_reports
+    # the cores hold no reference back to the discretization: it is freed
+    # as soon as the last reference to it goes
+    cores = disc.interface_cores
+    ref = weakref.ref(disc)
+    del disc, reports
+    assert ref() is None and len(cores) == 2
 
 
 # ---------------------------------------------------------------------------

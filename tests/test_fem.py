@@ -59,6 +59,30 @@ def layer_ops(mesh, nu1=1.0, nu2=1.0, force=FORCE):
     )
 
 
+def robin_system(op, alpha):
+    """The Robin half-step with coefficient alpha, built here with scipy
+    from the package's alpha = 0 system A0 and traction operator T_p^T:
+    (matrix, rhs at g = 0, E, layout), with matrix A0 + alpha T_p^T M_p T_p
+    and E = alpha T_p^T P^T M taking the neighbor trace g to the rhs.  M is
+    the trace mass, P the periodic fold (x = L is the x = 0 dof) and M_p =
+    P^T M P."""
+    system, traction = assemble_robin_subproblem(op)
+    n = len(op.space.interface_nodes)
+    fold = scipy.sparse.csr_matrix(
+        (np.ones(n), (np.arange(n), np.r_[np.arange(n - 1), 0])), shape=(n, n - 1)
+    )
+    fold_mass = fold.T @ _interface_trace_mass(op.space.interface_x)
+    matrix = system.matrix.to_scipy() + alpha * (traction @ (fold_mass @ fold) @ traction.T)
+    return CscMatrix.from_scipy(matrix), system.rhs, alpha * (traction @ fold_mass), system.layout
+
+
+def robin_solve(op, alpha, g):
+    """Raw velocity of the test-built Robin half-step against trace g."""
+    matrix, rhs, coupling, layout = robin_system(op, alpha)
+    x, _ = solve(matrix, rhs + coupling @ g)
+    return layout.expand(x)[(op.space.subdomain, "velocity")]
+
+
 @pytest.fixture(scope="module")
 def ops(small_mesh):
     return layer_ops(small_mesh)
@@ -113,7 +137,7 @@ def test_constraint_table(spaces, ops):
         assert ps[0] == 100.0 and pm[0] == 0.0 and ps[1] == pm[1]
     # exactly one pressure gauge per layer
     for op in ops:
-        assert op.layer_layout.gauge_subdomains == (op.space.subdomain,)
+        assert assemble_robin_subproblem(op)[0].layout.gauge_subdomains == (op.space.subdomain,)
     assert assemble_coupled_system(*ops, CouplingMode.UNCOUPLED).layout.n_gauge == 2
 
 
@@ -239,15 +263,15 @@ def test_interface_trace_mass_matches_analytic(spaces):
 def multiplier_border(mesh):
     """The friction multiplier system's B block on `mesh` (rows: periodic
     trace dofs, columns: solved unknowns of the uncoupled system) and the
-    solved rows of each layer's horizontal interface velocity, found
-    node by node through `row_of`."""
+    solved rows of each layer's horizontal interface velocity, read from
+    `col_of` at their raw indices."""
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
     matrix, _ = _friction_multiplier_system(system, disc.trace_mass, 7.0)
     n_rows = system.matrix.n_rows  # the multiplier unknowns come last
     layout = system.layout
     rows = {
-        sub: np.array([layout.row_of(sub, "velocity", int(n)) for n in disc.space(sub).interface_nodes])
+        sub: layout.col_of[layout.offsets[(sub, "velocity")] + 2 * disc.space(sub).interface_nodes]
         for sub in (Subdomain.UPPER, Subdomain.LOWER)
     }
     return matrix[n_rows:, :n_rows], rows[Subdomain.UPPER], rows[Subdomain.LOWER]
@@ -265,10 +289,10 @@ def test_friction_kernel_on_equal_traces(small_mesh):
 
 
 def test_friction_rejects_bad_alpha(small_mesh):
-    op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
+    core = discretize(small_mesh, 1.0, 1.0, FORCE, FORCE).interface_cores[Subdomain.UPPER]
     for alpha in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="friction coefficient"):
-            assemble_robin_subproblem(op, alpha)
+            core.robin(alpha)
         with pytest.raises(ValueError, match="friction coefficient"):
             solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=alpha)
 
@@ -327,21 +351,22 @@ def test_uncoupled_equals_friction_alpha_zero(small_mesh, ops):
     # alpha = 0 Robin half-step: zero interface stress either way
     field = solve_monolithic_friction(small_mesh, 1.0, 1.0, FORCE, FORCE, alpha=0.0)
     for op, u in zip(ops, (field.u1, field.u2)):
-        sys, _ = assemble_robin_subproblem(op, 0.0)
+        sys, _ = assemble_robin_subproblem(op)
         x, _ = solve(sys.matrix, sys.rhs)
         single = sys.layout.expand(x)[(op.space.subdomain, "velocity")]
         np.testing.assert_allclose(u, single, rtol=0, atol=1e-12 * np.abs(single).max())
 
 
-def test_row_of_and_expand_consistency(ops):
+def test_col_of_and_expand_consistency(ops):
     sys = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
     layout = sys.layout
     upper = layout.spaces[Subdomain.UPPER]
+    offset = layout.offsets[(Subdomain.UPPER, "velocity")]
     # a wall dof is constrained away; a mid-layer dof is live
     wall_node = int(np.nonzero(upper.velocity_nodes[:, 1] == 50.0)[0][0])
-    assert layout.row_of(Subdomain.UPPER, "velocity", wall_node, 0) == -1
+    assert layout.col_of[offset + 2 * wall_node] == -1
     interior = int(np.nonzero((upper.velocity_nodes[:, 1] == 25.0) & (upper.velocity_nodes[:, 0] == 0.0))[0][0])
-    row = layout.row_of(Subdomain.UPPER, "velocity", interior, 0)
+    row = int(layout.col_of[offset + 2 * interior])
     assert row >= 0
     x, _ = solve(sys.matrix, sys.rhs)
     out = layout.expand(x)
@@ -419,8 +444,9 @@ def test_dissection_numbering_on_degenerate_meshes(cells):
     solve_monolithic_friction(mesh, 1.0, 1.0, FORCE, FORCE, alpha=10.0, disc=disc)
     solve_monolithic_continuity(mesh, 1.0, 1.0, FORCE, FORCE, disc=disc)
     for op in (disc.op_upper, disc.op_lower):
-        sys, coupling = assemble_robin_subproblem(op, 10.0)
-        solve(sys.matrix, sys.rhs + coupling @ np.ones(len(op.space.interface_nodes)))
+        robin_solve(op, 10.0, np.ones(len(op.space.interface_nodes)))
+    for core in disc.interface_cores.values():
+        core.robin(10.0).solve(np.ones(len(core.tau0) + 1))
 
 
 def test_continuity_traces_identical_after_expand(ops):
@@ -456,33 +482,43 @@ def test_galerkin_smoke_random_test_vectors(ops):
 
 
 def test_robin_subproblem_matches_channel_half_step(small_mesh):
-    # upper layer, zero neighbor trace: u(z) = -z^2/2 + c z + d with
-    # c = alpha 1250 / (1 + 50 alpha), d = 1250 - 50 c
-    space = build_space(small_mesh, Subdomain.UPPER)
-    op = assemble_stokes(space, 1.0, FORCE)
-    alpha = 10.0
-    sys, coupling = assemble_robin_subproblem(op, alpha)
-    x, _ = solve(sys.matrix, sys.rhs)
-    u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
-    c = alpha * 1250.0 / (1.0 + 50.0 * alpha)
-    d = 1250.0 - 50.0 * c
-    np.testing.assert_allclose(u[2 * space.interface_nodes], d, rtol=1e-10)
-    # and with a constant neighbor trace g: c = alpha (1250 - g)/(1 + 50 alpha)
-    g = 40.0
-    x2, _ = solve(sys.matrix, sys.rhs + coupling @ np.full(len(space.interface_nodes), g))
-    u2 = sys.layout.expand(x2)[(Subdomain.UPPER, "velocity")]
-    c2 = alpha * (1250.0 - g) / (1.0 + 50.0 * alpha)
-    np.testing.assert_allclose(u2[2 * space.interface_nodes], 1250.0 - 50.0 * c2, rtol=1e-10)
+    # u(z) = -z^2/2 + c z + d against a constant neighbor trace g, through
+    # each layer's interface core.  Upper: c = alpha (1250 - g)/(1 + 50
+    # alpha), d = 1250 - 50 c.  Lower: c = alpha (g - 12.5)/(1 + 5 alpha),
+    # d = 12.5 + 5 c.  Near alpha = inf the trace is about g, and g = 0
+    # would leave only roundoff of a 1e-8 trace.
+    disc = discretize(small_mesh, 1.0, 1.0, FORCE, FORCE)
+    exact = {
+        Subdomain.UPPER: lambda a, g: 1250.0 - 50.0 * a * (1250.0 - g) / (1.0 + 50.0 * a),
+        Subdomain.LOWER: lambda a, g: 12.5 + 5.0 * a * (g - 12.5) / (1.0 + 5.0 * a),
+    }
+    cases = [(10.0, 0.0), (10.0, 40.0), (1e6, 40.0), (1e9, 40.0)]
+    for sub, core in disc.interface_cores.items():
+        space, ifx = disc.space(sub), 2 * disc.space(sub).interface_nodes
+        for alpha, g in cases:
+            robin = core.robin(alpha)
+            trace = np.full(len(space.interface_nodes), g)
+            want = exact[sub](alpha, g)
+            np.testing.assert_allclose(robin.trace(trace), want, rtol=1e-10)
+            np.testing.assert_allclose(robin.solve(trace)[0][ifx], want, rtol=1e-10)
+        # a non-periodic trace against the Robin system built here
+        trace = 3.0 + space.interface_x / 17.0
+        for alpha in (10.0, 1e6, 1e9):
+            got = core.robin(alpha).solve(trace)[0]
+            assert_close_vector(got, robin_solve(disc.op(sub), alpha, trace), rtol=1e-12)
 
 
 def test_robin_trace_shape_validation(small_mesh):
     op = assemble_stokes(build_space(small_mesh, Subdomain.UPPER), 1.0, FORCE)
-    system, coupling = assemble_robin_subproblem(op, 1.0)
-    assert coupling.shape == (system.matrix.n_rows, len(op.space.interface_nodes))
+    system, traction = assemble_robin_subproblem(op)
+    n_trace = len(op.space.interface_nodes)
+    assert traction.shape == (system.matrix.n_rows, n_trace - 1)
+    # T_p^T: the trace map without its x = L row, which repeats the x = 0 one
+    trace_map = system.layout.trace_map(Subdomain.UPPER).toarray()
+    np.testing.assert_array_equal(trace_map[-1], trace_map[0])
+    np.testing.assert_array_equal(traction.T.toarray(), trace_map[:-1])
     with pytest.raises(ValueError, match="neighbor trace has shape"):
         _check_trace(op.space, np.zeros(3), "neighbor trace")
-    with pytest.raises(ValueError):
-        assemble_robin_subproblem(op, np.inf)
 
 
 def test_dirichlet_subproblem_imposes_trace(small_mesh):
@@ -671,10 +707,10 @@ def test_assembly_matches_the_reference(cells):
     x = op.space.interface_x
     trace = 3.0 + np.sin(2.0 * np.pi * x / x[-1]) + x / 17.0
     for alpha in (0.0, 10.0, 1e9):
-        system, coupling = assemble_robin_subproblem(op, alpha)
-        matrix, rhs = reference_robin(ref, system.layout, alpha, trace)
-        assert_same_sparse(system.matrix.to_scipy(), matrix)
-        assert_close_vector(system.rhs + coupling @ trace, rhs)
+        matrix, rhs, coupling, layout = robin_system(op, alpha)
+        ref_matrix, ref_rhs = reference_robin(ref, layout, alpha, trace)
+        assert_same_sparse(matrix.to_scipy(), ref_matrix)
+        assert_close_vector(rhs + coupling @ trace, ref_rhs)
 
     # the Dirichlet half-step against C^T (b_raw - A_raw x_pin), x_pin the
     # trace on the interface dofs and zero elsewhere
@@ -726,9 +762,7 @@ def test_manufactured_solution_convergence_order():
         # g = u_x - (nu/alpha) du_x/dz
         g = np.sin(k * xs) * (s1(0.0) - (nu / alpha) * s2(0.0))
         op = assemble_stokes(space, nu, BodyForce(evaluator=body))
-        sys, coupling = assemble_robin_subproblem(op, alpha)
-        x, _ = solve(sys.matrix, sys.rhs + coupling @ g)
-        u = sys.layout.expand(x)[(Subdomain.UPPER, "velocity")]
+        u = robin_solve(op, alpha, g)
 
         tri_pts, _, det = _cell_geometry(space)
         p2v = _p2_values(_TRI_POINTS)

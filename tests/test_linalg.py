@@ -208,7 +208,8 @@ def test_saddle_systems_fill_stays_symmetric():
 
 
 def test_csc_indices_sorted_and_deduplicated():
-    A = CscMatrix.from_triplets(2, 2, [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
+    triplets = ([1.0, 2.0, 3.0], ([1, 0, 1], [0, 0, 0]))
+    A = CscMatrix.from_scipy(scipy.sparse.coo_matrix(triplets, shape=(2, 2)))
     assert A.nnz == 2
     col0 = A.indices[A.indptr[0]:A.indptr[1]]
     assert list(col0) == [0, 1]
