@@ -14,8 +14,11 @@ force (1, -1)):
     validate         validate_mesh
     spaces           build_space, both layers
     assemble_stokes  assemble_stokes, both layers
-    reduction        assemble_coupled_system, continuity and uncoupled modes
-    border           _friction_multiplier_system at alpha = ALPHA
+    continuity       the continuity system, from the layer operators
+    friction         the friction system at alpha = ALPHA, from the layer
+                     operators (`assemble_coupled_system`; a checkout from
+                     before it bordered the per-layer systems assembles the
+                     uncoupled two-layer system and borders it instead)
 
 and, for each monolithic system (friction at alpha = ALPHA, continuity):
 
@@ -56,18 +59,41 @@ ALPHA = 10.0
 SIDES = ("parent", "change")
 
 
+def assemblers(ops: list, trace_mass) -> tuple:
+    """(continuity, friction): each assembles its monolithic system from the
+    layer operators and returns (matrix, rhs), the matrix as `factorize`
+    takes it."""
+    from stokescouple import fem, linalg
+
+    def assemble(coupling):
+        system = fem.assemble_coupled_system(*ops, coupling)
+        return system.matrix, system.rhs
+
+    if not hasattr(fem, "CouplingMode"):
+        return (lambda: assemble(float("inf"))), (lambda: assemble(ALPHA))
+
+    # A checkout from before friction bordered the per-layer systems: it
+    # borders the uncoupled two-layer system.  Its matrix container was
+    # CsrMatrix before the systems were held in compressed columns.
+    from stokescouple.coupling import _friction_multiplier_system
+
+    def friction():
+        uncoupled = fem.assemble_coupled_system(*ops, fem.CouplingMode.UNCOUPLED)
+        matrix, rhs = _friction_multiplier_system(uncoupled, trace_mass, ALPHA)
+        if hasattr(linalg, "CscMatrix"):  # as its solve_monolithic_friction wraps it
+            return linalg.CscMatrix(*matrix.shape, matrix.indptr, matrix.indices, matrix.data), rhs
+        return linalg.CsrMatrix.from_scipy(matrix), rhs
+
+    return (lambda: assemble(fem.CouplingMode.CONTINUITY)), friction
+
+
 def time_phases(src: Path) -> dict:
     """mesh -> phase -> median seconds (or count), for the package under src/src."""
     sys.path.insert(0, str(src / "src"))
     from stokescouple import linalg
-    from stokescouple.coupling import _friction_multiplier_system
-    from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
-    from stokescouple.fem import assemble_interface_friction, assemble_stokes, build_space
+    from stokescouple.fem import BodyForce, assemble_interface_friction, assemble_stokes
+    from stokescouple.fem import build_space
     from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
-
-    # The matrix container was CsrMatrix before the systems were held in
-    # compressed columns; a parent checkout may still have it.
-    container = getattr(linalg, "CscMatrix", None) or linalg.CsrMatrix
 
     force = BodyForce(1.0, -1.0)
     out = {}
@@ -76,15 +102,14 @@ def time_phases(src: Path) -> dict:
         mesh = build_layered_mesh(Geometry(), *cells)
         spaces = [build_space(mesh, sub) for sub in (Subdomain.UPPER, Subdomain.LOWER)]
         ops = [assemble_stokes(space, 1.0, force) for space in spaces]
-        uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-        trace_mass = assemble_interface_friction(*spaces)
+        continuity, friction = assemblers(ops, assemble_interface_friction(*spaces))
         phases = {
             "mesh": lambda: build_layered_mesh(Geometry(), *cells),
             "validate": lambda: validate_mesh(mesh),
             "spaces": lambda: [build_space(mesh, sp.subdomain) for sp in spaces],
             "assemble_stokes": lambda: [assemble_stokes(sp, 1.0, force) for sp in spaces],
-            "reduction": lambda: [assemble_coupled_system(*ops, mode) for mode in CouplingMode],
-            "border": lambda: _friction_multiplier_system(uncoupled, trace_mass, ALPHA),
+            "continuity": continuity,
+            "friction": friction,
         }
         out[spec] = {}
         for name, call in phases.items():
@@ -95,14 +120,8 @@ def time_phases(src: Path) -> dict:
                 seconds.append(time.perf_counter() - start)
             out[spec][name] = round(statistics.median(seconds), 6)
 
-        friction, friction_rhs = _friction_multiplier_system(uncoupled, trace_mass, ALPHA)
-        continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
-        systems = {
-            "friction": (container.from_scipy(friction), friction_rhs),
-            "continuity": (continuity.matrix, continuity.rhs),
-        }
-        del friction, continuity
-        for name, (matrix, rhs) in systems.items():
+        for name, assemble in (("friction", friction), ("continuity", continuity)):
+            matrix, rhs = assemble()
             seconds = {"factorize": [], "solve": [], "certify": []}
             for _ in range(REPEATS[spec]):
                 start = time.perf_counter()

@@ -31,25 +31,21 @@ ALPHAS = (10.0, 100.0, 1000.0)
 REPEATS = 3
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent))
-    args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src) / "src"))
-
+def ladder(meshes=MESHES, alphas=ALPHAS, repeats=REPEATS) -> list:
+    """One row per (mesh, alpha), for the package already importable."""
     from stokescouple.coupling import SchwarzConfig, schwarz_solve
     from stokescouple.fem import BodyForce
     from stokescouple.mesh import Geometry, build_layered_mesh
 
     force = BodyForce(1.0, -1.0)
     rows = []
-    for spec in MESHES:
+    for spec in meshes:
         nx, nzu, nzl = (int(v) for v in spec.split("x"))
         mesh = build_layered_mesh(Geometry(), nx, nzu, nzl)
-        for alpha in ALPHAS:
+        for alpha in alphas:
             config = SchwarzConfig(alpha=alpha)
             # no disc: each solve discretizes afresh
-            runs = [schwarz_solve(mesh, 1.0, 1.0, force, force, config) for _ in range(REPEATS)]
+            runs = [schwarz_solve(mesh, 1.0, 1.0, force, force, config) for _ in range(repeats)]
             n = runs[0].n_iterations
             assert all(r.n_iterations == n for r in runs)
             iterate_s = statistics.median(r.iterate_s for r in runs)
@@ -64,7 +60,15 @@ def main() -> None:
                     "us_per_iter": round(1e6 * iterate_s / n, 2),
                 }
             )
-    print(json.dumps({"src": args.src, "repeats": REPEATS, "rows": rows}))
+    return rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent))
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src) / "src"))
+    print(json.dumps({"src": args.src, "repeats": REPEATS, "rows": ladder()}))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .mesh import Geometry, Mesh, Subdomain, build_layered_mesh, mesh_size, vali
 from .verification import (
     ChannelOracle,
     channel_exact,
-    channel_fd,
     energy_residual,
     jump_norm,
     l2_norm,
@@ -40,7 +39,6 @@ __all__ = [
     "Subdomain",
     "build_layered_mesh",
     "channel_exact",
-    "channel_fd",
     "dirichlet_exchange_demo",
     "discretize",
     "energy_residual",

@@ -55,7 +55,7 @@ __all__ = [
     "main",
 ]
 
-MODES = ("monolithic-friction", "monolithic-continuity", "schwarz", "dirichlet-demo")
+MODES = ("monolithic-friction", "monolithic-continuity", "schwarz")
 FORMATS = ("vtk", "csv")
 SWEEP_HEADER = [
     "alpha",
@@ -237,8 +237,8 @@ def _render_value(value) -> str:
 
 
 def render_config(config: RunConfig) -> str:
-    """Inverse of parse_config (exact round-trip); used by tests and to
-    record the effective configuration next to outputs."""
+    """Inverse of parse_config (exact round-trip): the config text that
+    parses back to `config`."""
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
@@ -400,14 +400,11 @@ def _check_runnable(config: RunConfig) -> None:
         raise ValidationError("alpha", "alpha finite for mode schwarz")
 
 
-def _cmd_run(config: RunConfig, steps: int = 8) -> int:
+def _cmd_run(config: RunConfig) -> int:
     _check_runnable(config)
     mesh = config.build_mesh()
     f1, f2 = config.body_forces()
     directory = _ensure_dir(config)
-
-    if config.mode == "dirichlet-demo":
-        return _run_demo(config, mesh, f1, f2, directory, steps)
 
     if config.mode == "schwarz":
         schwarz = SchwarzConfig(
@@ -440,7 +437,10 @@ def _cmd_run(config: RunConfig, steps: int = 8) -> int:
     return 0
 
 
-def _run_demo(config, mesh, f1, f2, directory, steps) -> int:
+def _cmd_demo(config: RunConfig, steps: int) -> int:
+    mesh = config.build_mesh()
+    f1, f2 = config.body_forces()
+    directory = _ensure_dir(config)
     demo = dirichlet_exchange_demo(mesh, config.nu1, config.nu2, f1, f2, steps=steps)
     written = []
     if "csv" in config.formats:
@@ -529,12 +529,6 @@ def _parse_alphas(text: str) -> list:
         raise ValidationError("alphas", str(exc)) from None
 
 
-def _at_least_one(field: str, value: int) -> int:
-    if value < 1:
-        raise ValidationError(field, f"{field} >= 1")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stokescouple",
@@ -571,11 +565,9 @@ def main(argv=None) -> int:
             return _cmd_sweep(config, _parse_alphas(args.alphas))
         if args.command == "validate":
             return _cmd_validate(config)
-        steps = _at_least_one("steps", args.steps)
-        demo_config = dataclasses.replace(config, mode="dirichlet-demo")
-        mesh = demo_config.build_mesh()
-        f1, f2 = demo_config.body_forces()
-        return _run_demo(demo_config, mesh, f1, f2, _ensure_dir(demo_config), steps)
+        if args.steps < 1:
+            raise ValidationError("steps", "steps >= 1")
+        return _cmd_demo(config, args.steps)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,32 +1,33 @@
 """Solution drivers for the two-layer problem.
 
-Monolithic solves assemble both layers into one system.  Friction borders
-the uncoupled system with an interface-traction multiplier lam = alpha *
-jump on the periodic trace, [[A, B^T], [B, -M_p / alpha]]: eliminating lam
-gives the alpha-weighted penalty system, but no matrix entry grows with
-alpha, so every friction solve is certified at one tolerance for every
-alpha.  Continuity identifies the two horizontal traces (the alpha = inf
-limit).  The alternating solver decomposes by layer: starting from an
-upper-layer solve against a zero neighbor trace, it repeatedly solves the
-lower layer against the newest upper trace and then the upper layer against
-the newest lower trace (Robin half-steps with the friction coefficient), and
-stops when the L2 norm of the velocity increment over both layers drops below
-a tolerance.  A Robin half-step is the layer's friction-free problem driven
-by the traction lam = alpha * (neighbor trace - own trace), the monolithic
-multiplier on one layer.  Each layer's friction-free matrix is factored once
-per `Discretization`, and certified block solves span its traction-to-trace
-map; alpha enters only dense algebra on the n_trace - 1 periodic trace
-unknowns, and a half-step is an affine map of the neighbor trace.  The
-iteration runs on traces of length n_trace = 2 nx + 1 alone, the increment
-norm exact through Gram matrices of each layer's velocity response, as the
-map s <- a + K s of the upper trace, advanced a block of iterations per
-numpy call through the powers of K.  When it stops, one certified solve per
-layer rebuilds the fields.
+Monolithic solves factor one two-layer system (`fem.assemble_coupled_system`):
+friction borders the layers' friction-free systems with an interface-traction
+multiplier lam = alpha * jump, so no matrix entry grows with alpha and every
+friction solve is certified at one tolerance; continuity identifies the two
+horizontal traces (the alpha = inf limit).  The alternating solver
+decomposes by layer: starting from an upper-layer solve against a zero
+neighbor trace, it repeatedly solves the lower layer against the newest
+upper trace and then the upper layer against the newest lower trace (Robin
+half-steps with the friction coefficient), and stops when the L2 norm of
+the velocity increment over both layers drops below a tolerance.  A Robin
+half-step is the layer's friction-free problem driven by the traction lam =
+alpha * (neighbor trace - own trace), the monolithic multiplier on one
+layer.  Each layer's friction-free matrix, the one the friction system
+borders, is factored once per `Discretization`, and certified block solves
+span its traction-to-trace map; alpha enters only dense algebra on the
+n_trace - 1 periodic trace unknowns, and a half-step is an affine map of the
+neighbor trace.  The iteration runs on traces of length n_trace = 2 nx + 1
+alone, the increment norm exact through Gram matrices of each layer's
+velocity response, as the map s <- a + K s of the upper trace, advanced a
+block of iterations per numpy call through the powers of K.  When it stops,
+one certified solve per layer rebuilds the fields.  The monolithic solves
+share only the assembly with it: they factor their own bordered matrix.
 
 `dirichlet_exchange_demo` runs the same alternation with pure Dirichlet trace
-exchange instead: each solve copies the imposed trace verbatim, so the traces
-freeze after the first exchange and the iteration stagnates away from the
-coupled solution.  It exists to demonstrate why the Robin exchange is used.
+exchange instead: each solve imposes the neighbor trace as a constraint on
+the friction-free system, so the traces freeze after the first exchange and
+the iteration stagnates away from the coupled solution.  It exists to
+demonstrate why the Robin exchange is used.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import scipy.sparse
 
 from .fem import (
     BodyForce,
-    CouplingMode,
     MixedSpace,
     SparseSystem,
     StokesOperator,
@@ -50,8 +50,9 @@ from .fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     build_space,
+    periodic_fold,
 )
-from .linalg import CscMatrix, SolveReport, factorize, solve
+from .linalg import SolveReport, factorize, solve
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -153,70 +154,16 @@ class CoupledField:
         return self.disc.trace_of(sub, u)
 
 
-def _field_from_solution(disc: Discretization, layout, x: np.ndarray, alpha_used: float) -> CoupledField:
-    out = layout.expand(x)
-    return CoupledField(
-        disc=disc,
-        alpha_used=alpha_used,
-        u1=out[(Subdomain.UPPER, "velocity")],
-        p1=out[(Subdomain.UPPER, "pressure")],
-        u2=out[(Subdomain.LOWER, "velocity")],
-        p2=out[(Subdomain.LOWER, "pressure")],
+def _solve_coupled(disc: Discretization, alpha: float) -> CoupledField:
+    """One certified solve of the two-layer system at 0 <= alpha <= inf."""
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, alpha)
+    x, _ = solve(system.matrix, system.rhs)
+    out = system.layout.expand(x)
+    (u1, p1), (u2, p2) = (
+        (out[(sub, "velocity")], out[(sub, "pressure")])
+        for sub in (Subdomain.UPPER, Subdomain.LOWER)
     )
-
-
-def _fold(n_trace: int) -> scipy.sparse.csr_matrix:
-    """The periodic fold P, (n_trace, n_trace - 1): the x = L node repeats x = 0."""
-    return scipy.sparse.csr_matrix(
-        (np.ones(n_trace), (np.arange(n_trace), np.append(np.arange(n_trace - 1), 0))),
-        shape=(n_trace, n_trace - 1),
-    )
-
-
-def _friction_multiplier_system(
-    system: SparseSystem, trace_mass: scipy.sparse.csr_matrix, alpha: float
-) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """Border the uncoupled two-layer system with the interface traction.
-
-    The multiplier lam lives on the n_trace - 1 periodic trace dofs (the
-    x = L node is the x = 0 node).  With T_upper / T_lower the layout's
-    `trace_map`s, taking solved unknowns to the full horizontal traces, and
-    P the periodic fold (`_fold`), B = P^T M (T_upper - T_lower) and M_p =
-    P^T M P, and the system is
-
-        [[A, B^T], [B, -M_p / alpha]] [x; lam] = [b; 0].
-
-    The last row gives lam = alpha * jump, so eliminating lam recovers the
-    penalty matrix A + alpha (T_u - T_l)^T P^T M P (T_u - T_l) exactly, while
-    every entry stays O(1) or O(1/alpha) instead of O(alpha).  The multiplier
-    comes last because `linalg.factorize` eliminates in the order given:
-    eliminated first, it would couple every trace dof of both layers before
-    either layer's interior.  On 64x32x8 at alpha = 10 that fills
-    5.97M L+U entries and factors in 0.59 s, against 3.80M and 0.24 s last.
-    """
-    layout = system.layout
-    n_trace = trace_mass.shape[0]
-    fold = _fold(n_trace)
-    fold_mass = fold.T @ trace_mass
-    b = fold_mass @ (layout.trace_map(Subdomain.UPPER) - layout.trace_map(Subdomain.LOWER))
-    a, n, k = system.matrix, system.matrix.n_rows, n_trace - 1
-    # Compressed columns written in place: column j < n is A's column j over
-    # B's (rows n + i), column n + m is B's row m over the border block.
-    right = scipy.sparse.vstack([b.T, -(fold_mass @ fold) / alpha], format="coo").tocsc()
-    below = b.tocsc()
-    below.sort_indices()
-    indptr = np.concatenate([a.indptr + below.indptr, a.nnz + below.nnz + right.indptr[1:]])
-    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
-    data = np.empty(indptr[-1])
-    left = indptr[n]
-    at = np.arange(below.nnz) + np.repeat(a.indptr[1:], np.diff(below.indptr))  # B's places
-    from_a = np.ones(left, dtype=bool)
-    from_a[at] = False
-    indices[:left][from_a], data[:left][from_a] = a.indices, a.data
-    indices[at], data[at] = below.indices + n, below.data
-    indices[left:], data[left:] = right.indices, right.data
-    matrix = scipy.sparse.csc_matrix((data, indices, indptr), shape=(n + k, n + k))
-    return matrix, np.concatenate([system.rhs, np.zeros(k)])
+    return CoupledField(disc=disc, alpha_used=alpha, u1=u1, p1=p1, u2=u2, p2=p2)
 
 
 def solve_monolithic_friction(
@@ -229,7 +176,7 @@ def solve_monolithic_friction(
     disc: Discretization | None = None,
 ) -> CoupledField:
     """Both layers in one system, coupled by the friction law through an
-    interface-traction multiplier (see `_friction_multiplier_system`).
+    interface-traction multiplier (see `fem.assemble_coupled_system`).
 
     Solving for the traction lam = alpha * jump instead of adding an
     alpha-weighted trace-jump penalty keeps the matrix entries independent
@@ -241,14 +188,7 @@ def solve_monolithic_friction(
         raise ValueError(f"friction mode needs a finite friction coefficient >= 0, got {alpha}")
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
-    layout, matrix, rhs = system.layout, system.matrix, system.rhs
-    if alpha != 0.0:
-        bordered, rhs = _friction_multiplier_system(system, disc.trace_mass, alpha)
-        matrix = CscMatrix(*bordered.shape, bordered.indptr, bordered.indices, bordered.data)
-    del system  # the uncoupled matrix goes before the bordered one is factored
-    x, _ = solve(matrix, rhs)
-    return _field_from_solution(disc, layout, x[: layout.n_rows], alpha)
+    return _solve_coupled(disc, alpha)
 
 
 def solve_monolithic_continuity(
@@ -263,9 +203,7 @@ def solve_monolithic_continuity(
     infinite-friction limit)."""
     if disc is None:
         disc = discretize(mesh, nu1, nu2, force1, force2)
-    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
-    x, _ = solve(system.matrix, system.rhs)
-    return _field_from_solution(disc, system.layout, x, float("inf"))
+    return _solve_coupled(disc, float("inf"))
 
 
 @dataclass(frozen=True)
@@ -402,10 +340,10 @@ class _InterfaceCore(_HalfStep):
         self.gram = np.empty((k + 1, k + 1))
         for cols in blocks:
             self.gram[:, cols] = u.T @ (op.mass @ u[:, cols])
-        fold = _fold(k + 1)
+        fold = periodic_fold(k + 1)
         fold_mass = (fold.T @ trace_mass).toarray()  # P^T M
         mass_p = fold_mass @ fold  # M_p = P^T M P
-        self.mass_s = mass_p @ self.S
+        self.mass_s, self.s_mass = mass_p @ self.S, self.S @ mass_p
         self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
 
     def robin(self, alpha: float) -> _RobinMap:
@@ -416,30 +354,38 @@ class _InterfaceCore(_HalfStep):
         mass and P the periodic fold, solves (I/alpha + M_p S) y = P^T M g -
         M_p tau0.  That matrix stays bounded as alpha grows, and S has no null
         direction on the periodic trace.  At alpha = 0, y = 0.
+
+        The trace at g = 0, tau0 + S y0 with y0 = -(I/alpha + M_p S)^-1 M_p
+        tau0, is the small difference of two large terms (tau0 is 1250 on
+        the upper layer, against a trace near 40).  Pushed through the
+        inverse it is (I/alpha + S M_p)^-1 tau0 / alpha, which does not
+        cancel.
         """
         if not (np.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
-        y = np.zeros(self.traction_rhs.shape)
+        y, trace0 = np.zeros(self.traction_rhs.shape), self.tau0
         if alpha > 0.0:
-            y = np.linalg.solve(np.eye(len(y)) / alpha + self.mass_s, self.traction_rhs)
-        return _RobinMap(self, y)
+            eye = np.eye(len(y)) / alpha
+            y = np.linalg.solve(eye + self.mass_s, self.traction_rhs)
+            trace0 = np.linalg.solve(eye + self.s_mass, self.tau0 / alpha)
+        return _RobinMap(self, y, trace0)
 
 
 class _RobinMap:
     """One layer's Robin half-step at one alpha, whose traction is y [1; g]
     against the neighbor trace g (see `_InterfaceCore.robin`).
 
-    It keeps the trace map t(g) = t0 + T g, [t0, T] = P ([tau0, 0] + S y),
-    and [[c, h^T], [h, G]] = Y^T gram Y with Y = [[1, 0], y]: the squared L2
+    It keeps the trace map t(g) = t0 + T g, [t0, T] = P [trace0, S y_g] with
+    y = [y0, y_g] and trace0 = tau0 + S y0 on the periodic trace, and
+    [[c, h^T], [h, G]] = Y^T gram Y with Y = [[1, 0], y]: the squared L2
     norm of the velocity u(g) is g^T G g + 2 h^T g + c (the lower layer's
     first increment, from the zero field), and that of an increment u(g +
     d) - u(g) is exactly d^T G d.
     """
 
-    def __init__(self, core: _InterfaceCore, y: np.ndarray):
+    def __init__(self, core: _InterfaceCore, y: np.ndarray, trace0: np.ndarray):
         self.core, self.y = core, y
-        trace = core.S @ y
-        trace[:, 0] += core.tau0
+        trace = np.column_stack([trace0, core.S @ y[:, 1:]])
         trace = trace[np.append(np.arange(len(y)), 0)]  # P: x = L repeats x = 0
         self.t0, self.T = trace[:, 0], trace[:, 1:]
         span = np.vstack([np.eye(1, y.shape[1]), y])
@@ -622,9 +568,10 @@ def dirichlet_exchange_demo(
     Each half-step imposes the neighbor's interface velocity pointwise, so
     its own trace equals the imposed data and nothing new is ever produced:
     the iteration stagnates at the initial trace instead of approaching the
-    coupled solution.  Each layer is factorized once; only the rhs follows
-    the imposed trace.  The initial trace must be periodic: its first and
-    last entries sit on the identified nodes x = 0 and x = L."""
+    coupled solution.  Each layer's friction-free system bordered by its
+    trace constraint is factorized once; only the rhs follows the imposed
+    trace.  The initial trace must be periodic: its first and last entries
+    sit on the identified nodes x = 0 and x = L."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if disc is None:
@@ -647,7 +594,8 @@ def dirichlet_exchange_demo(
         if sub not in solvers:
             solvers[sub] = _HalfStep(sub, *assemble_dirichlet_subproblem(disc.op(sub)))
         u, p, _ = solvers[sub].solve(g)
-        u[2 * disc.space(sub).interface_nodes] = g  # the imposed trace, eliminated as zero
+        # the constraint reproduces g to roundoff; the field takes g itself
+        u[2 * disc.space(sub).interface_nodes] = g
         fields[sub] = (u, p)
         trace = disc.trace_of(sub, u)
         sides.append(sub.name.lower())

@@ -1,10 +1,14 @@
 """Taylor-Hood (P2/P1) assembly for the two-layer Stokes problem.
 
-Each layer gets its own mixed space on its half of the mesh; interface trace
-nodes are duplicated between the layers and either left independent
-(uncoupled mode, which the friction solve borders with an interface-traction
-multiplier built from `DofLayout.trace_map`) or identified (continuity
-mode).  The viscous form is the grad-grad form
+Each layer gets its own mixed space on its half of the mesh, with the
+interface trace nodes duplicated between the layers.  One system per layer,
+the layer with free tangential traction at the interface
+(`assemble_robin_subproblem`), serves every interface coupling through a
+border [[A, B^T], [B, C]] written in place in compressed columns: friction
+borders the two layers' systems with an interface-traction multiplier,
+and the Dirichlet half-step borders one layer's system with its trace
+constraint.  Only the continuity limit is assembled jointly, with the two
+horizontal traces identified.  The viscous form is the grad-grad form
 nu * integral(grad u : grad v), not the symmetric-gradient form.
 
 Velocity dofs are numbered 2*node + component with P2 nodes sorted
@@ -12,11 +16,9 @@ lexicographically by coordinates (x, then z); pressure dofs follow the same
 convention on vertices.  Constraints (wall Dirichlet, interface
 no-penetration, x-periodicity, continuity identification) are eliminated
 symmetrically through a 0/1 reduction operator C, and every eliminated dof is
-zero: a single-layer half-step takes its interface data (the neighbor's
-trace, or an interface traction) through an operator on the rhs.  The
-solved system is C^T A C augmented with one integral-mean pressure-gauge row
-per layer, scattered in one pass through C's raw -> reduced index map, not
-multiplied.
+zero.  The reduced system is C^T A C augmented with one integral-mean
+pressure-gauge row per layer, scattered in one pass through C's raw ->
+reduced index map, not multiplied.
 The reduced unknowns are numbered in nested-dissection order of their
 nodes, with the gauge rows last, because `linalg.factorize` eliminates them
 in the order given: on 64x32x8 the continuity system fills 4.35M L+U
@@ -26,7 +28,6 @@ entries in that order, against 5.93M under SuperLU's minimum degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -40,10 +41,11 @@ __all__ = [
     "BodyForce",
     "MixedSpace",
     "StokesOperator",
-    "CouplingMode",
     "DofLayout",
+    "StackedLayout",
     "SparseSystem",
     "build_space",
+    "periodic_fold",
     "assemble_stokes",
     "assemble_interface_friction",
     "assemble_coupled_system",
@@ -285,15 +287,14 @@ def _per_component(scalar: scipy.sparse.csr_matrix, data: np.ndarray) -> scipy.s
 class StokesOperator:
     """Raw (unconstrained) per-layer operators.
 
-    stiffness is the unweighted grad-grad matrix on vector P2 dofs; viscous is
-    nu * stiffness.  divergence maps pressure to velocity test space with the
-    sign of -(p, div v); the pressure equation uses its transpose.  gauge is
-    the vector of P1 basis integrals for the zero-mean pressure constraint.
+    viscous is nu times the grad-grad matrix on vector P2 dofs.  divergence
+    maps pressure to velocity test space with the sign of -(p, div v); the
+    pressure equation uses its transpose.  gauge is the vector of P1 basis
+    integrals for the zero-mean pressure constraint.
     """
 
     space: MixedSpace
     nu: float
-    stiffness: scipy.sparse.csr_matrix
     viscous: scipy.sparse.csr_matrix
     divergence: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
@@ -341,13 +342,13 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     comp = np.arange(2)
     vdofs = (2 * cv[:, :, None] + comp).reshape(nt, 12)  # local vector dof 2 i + c
 
-    # stiffness and mass act on each component alike: one COO -> CSR over the
+    # viscous and mass act on each component alike: one COO -> CSR over the
     # scalar (node, node) pairs sums both (complex data, real: K, imag: M),
     # and each is then laid onto the vector dofs with arrays of its own
     km = k_local.transpose(2, 0, 1) + 1j * (m_ref * area_w[:, None, None])
     both = _scatter(cv[:, :, None], cv[:, None, :], km, (nv, nv))
     del km
-    stiffness = _per_component(both, both.data.real)
+    viscous = _per_component(both, nu * both.data.real)
     mass = _per_component(both, both.data.imag)
     del both
 
@@ -361,8 +362,7 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     return StokesOperator(
         space=space,
         nu=nu,
-        stiffness=stiffness,
-        viscous=nu * stiffness,
+        viscous=viscous,
         divergence=divergence,
         mass=mass,
         load=load,
@@ -370,9 +370,20 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     )
 
 
-def _interface_trace_mass(x: np.ndarray) -> scipy.sparse.csr_matrix:
-    """1D quadratic mass matrix over the interface nodes at positions x
-    (vertices interleaved with midpoints, ascending)."""
+def assemble_interface_friction(
+    space_upper: MixedSpace, space_lower: MixedSpace
+) -> scipy.sparse.csr_matrix:
+    """Quadratic trace mass matrix M of the interface z = 0, over the
+    interface nodes in ascending x (vertices interleaved with midpoints).
+
+    The friction law couples the horizontal traces through M: the penalty
+    form is alpha (u_upper - u_lower)^T M (v_upper - v_lower), and the
+    friction system's multiplier border is built from it.  Both layers must
+    share the interface discretization.
+    """
+    x = space_upper.interface_x
+    if not np.array_equal(x, space_lower.interface_x):
+        raise ValueError("interface discretizations of the two layers do not match")
     n = len(x)
     if n < 3 or n % 2 == 0:
         raise ValueError("interface node list must interleave vertices and midpoints")
@@ -385,21 +396,13 @@ def _interface_trace_mass(x: np.ndarray) -> scipy.sparse.csr_matrix:
     return _scatter(seg[:, :, None], seg[:, None, :], local, (n, n))
 
 
-def assemble_interface_friction(
-    space_upper: MixedSpace, space_lower: MixedSpace
-) -> scipy.sparse.csr_matrix:
-    """Quadratic trace mass matrix M of the interface z = 0, over the
-    interface nodes in ascending x.
-
-    The friction law couples the horizontal traces through M: the penalty
-    form is alpha (u_upper - u_lower)^T M (v_upper - v_lower), and the
-    friction solve's multiplier border is built from it.  Both layers must
-    share the interface discretization.
-    """
-    xu = space_upper.interface_x
-    if not np.array_equal(xu, space_lower.interface_x):
-        raise ValueError("interface discretizations of the two layers do not match")
-    return _interface_trace_mass(xu)
+def periodic_fold(n_trace: int) -> scipy.sparse.csr_matrix:
+    """The periodic fold P, (n_trace, n_trace - 1): the trace at x = L repeats
+    the one at x = 0, the same solved unknown."""
+    return scipy.sparse.csr_matrix(
+        (np.ones(n_trace), (np.arange(n_trace), np.append(np.arange(n_trace - 1), 0))),
+        shape=(n_trace, n_trace - 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +570,27 @@ class DofLayout:
 
 
 @dataclass(frozen=True)
+class StackedLayout:
+    """Solved vector = each layer's solved rows in turn, then the border's."""
+
+    layers: tuple  # one DofLayout per layer, upper first
+
+    def expand(self, x: np.ndarray) -> dict:
+        """`DofLayout.expand` of every layer's rows; the border's are dropped."""
+        out, start = {}, 0
+        for layout in self.layers:
+            out.update(layout.expand(x[start : start + layout.n_rows]))
+            start += layout.n_rows
+        return out
+
+
+@dataclass(frozen=True)
 class SparseSystem:
     """Assembled, constraint-reduced linear system with its dof layout."""
 
     matrix: CscMatrix
     rhs: np.ndarray
-    layout: DofLayout
-
-
-class CouplingMode(Enum):
-    CONTINUITY = "continuity"
-    UNCOUPLED = "uncoupled"
+    layout: DofLayout | StackedLayout
 
 
 def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
@@ -586,15 +599,11 @@ def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
 
 
 def _build_layout(
-    spaces: list[MixedSpace],
-    offsets: dict,
-    n_raw: int,
-    pairs: list[np.ndarray] = (),
-    fixed: list[np.ndarray] = (),
+    spaces: list[MixedSpace], offsets: dict, n_raw: int, pairs: list[np.ndarray] = ()
 ) -> DofLayout:
     """Every layer's periodic identification and zero velocity dofs, plus
-    the identified raw `pairs` and the `fixed` raw dofs, also zero."""
-    pairs, fixed = list(pairs), list(fixed)
+    the identified raw `pairs`."""
+    pairs, fixed = list(pairs), []
     coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
@@ -626,36 +635,26 @@ def _offsets_for(spaces: list[MixedSpace]) -> tuple[dict, int]:
     return offsets, pos
 
 
-def _layer_triplets(ops: list[StokesOperator], offsets: dict) -> list[tuple]:
-    """Raw (rows, cols, values) blocks of the unconstrained block matrix
-    [[nu K, D], [D^T, 0]] of every layer."""
-    parts = []
-    for op in ops:
-        ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
-        op_ = offsets[(op.space.subdomain, _FIELD_PRESSURE)]
-        k = op.viscous.tocoo()
-        d = op.divergence.tocoo()
-        d_rows, d_cols = d.row + ov, d.col + op_
-        parts += [(k.row + ov, k.col + ov, k.data), (d_rows, d_cols, d.data), (d_cols, d_rows, d.data)]
-    return parts
-
-
 def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSystem:
     """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
-    (layer blocks and the gauge border, whose multipliers take raw indices
-    past the layers' dofs) maps through `layout.col_of`.  Entries on
-    a dropped row or column vanish, since every dropped dof is zero.  The
-    scatter lands in compressed columns, the arrays SuperLU factors, and the
-    system holds them without a copy."""
+    of the layer blocks [[nu K, D], [D^T, 0]] and of the gauge border (whose
+    multipliers take raw indices past the layers' dofs) maps through
+    `layout.col_of`.  Entries on a dropped row or column vanish, since every
+    dropped dof is zero.  The scatter lands in compressed columns, the
+    arrays SuperLU factors, and the system holds them without a copy."""
     offsets = layout.offsets
     n_raw, n_red, n = layout.n_raw, layout.n_reduced, layout.n_rows
     b_raw = np.zeros(n_raw)
-    parts = _layer_triplets(ops, offsets)
+    parts = []
     for k, op in enumerate(ops):
         ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
+        op_ = offsets[(op.space.subdomain, _FIELD_PRESSURE)]
         b_raw[ov : ov + op.space.n_velocity_dofs] = op.load
+        v, d = op.viscous.tocoo(), op.divergence.tocoo()
+        d_rows, d_cols = d.row + ov, d.col + op_
+        parts += [(v.row + ov, v.col + ov, v.data), (d_rows, d_cols, d.data), (d_cols, d_rows, d.data)]
         # gauge border: one zero-mean constraint per layer's pressure
-        p = offsets[(op.space.subdomain, _FIELD_PRESSURE)] + np.arange(op.space.n_pressure_dofs)
+        p = op_ + np.arange(op.space.n_pressure_dofs)
         g = np.full(len(p), n_raw + k)
         parts += [(p, g, op.gauge), (g, p, op.gauge)]
 
@@ -676,30 +675,85 @@ def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSys
     )
 
 
-def assemble_coupled_system(
-    op_upper: StokesOperator, op_lower: StokesOperator, mode: CouplingMode
-) -> SparseSystem:
-    """Assemble the two-layer system from the layers' raw operators in the
-    requested coupling mode.
+def _border(a: CscMatrix, below, corner) -> CscMatrix:
+    """[[A, B^T], [B, C]] for the square A, with B = `below` (k x n) and C =
+    `corner` (k x k) any scipy sparse matrices.
 
-    UNCOUPLED leaves the layers independent (zero interface stress); the
-    friction solve borders it with the interface-traction multiplier.
-    CONTINUITY identifies the horizontal interface traces (the alpha = inf
-    limit of the friction law).
+    Written straight into the result's compressed columns: column j < n is
+    A's column j over B's (rows n + i), column n + m is B's row m over C's
+    column m.  No COO copy of A is made.  Every input entry is kept, and
+    sorted columns stay sorted, so the result is canonical when A is.
     """
+    n, k = a.n_rows, below.shape[0]
+    b, bt, c = (scipy.sparse.csc_matrix(m) for m in (below, below.T, corner))
+    for m in (b, bt, c):
+        m.sort_indices()
+    indptr = np.concatenate([a.indptr + b.indptr, a.nnz + b.nnz + bt.indptr[1:] + c.indptr[1:]])
+    indptr = indptr.astype(_index_type(n + k), copy=False)
+    indices, data = np.empty(indptr[-1], dtype=indptr.dtype), np.empty(indptr[-1])
+    start = 0
+    for top, bottom in ((a, b), (bt, c)):
+        end = start + top.indptr[-1] + bottom.indptr[-1]
+        # each bottom entry follows its column's top entries
+        at = np.arange(bottom.indptr[-1]) + np.repeat(top.indptr[1:], np.diff(bottom.indptr))
+        on_top = np.ones(end - start, dtype=bool)
+        on_top[at] = False
+        part_indices, part_data = indices[start:end], data[start:end]
+        part_indices[on_top], part_data[on_top] = top.indices, top.data
+        part_indices[at], part_data[at] = bottom.indices + n, bottom.data
+        start = end
+    return CscMatrix(n + k, n + k, indptr, indices, data)
+
+
+def assemble_coupled_system(
+    op_upper: StokesOperator, op_lower: StokesOperator, alpha: float
+) -> SparseSystem:
+    """Assemble the two-layer system coupled by the friction law with
+    coefficient 0 <= alpha <= inf.
+
+    alpha = inf is the continuity limit: one reduction over both layers
+    identifies their horizontal interface traces.  A finite alpha borders
+    the layers' own friction-free systems (`assemble_robin_subproblem`) with
+    the interface traction lam = alpha * jump on the n_trace - 1 periodic
+    trace dofs, J = [T_upper, -T_lower] the jump of the layers' periodic
+    trace maps (each the transpose of the layer's traction operator E):
+
+        [[blockdiag(A_upper, A_lower), J^T M_p], [M_p J, -M_p / alpha]],
+
+    with M_p = P^T M P the trace mass folded by the periodic fold P.  The
+    last row gives lam = alpha * jump, so eliminating lam recovers the
+    penalty matrix blockdiag(A_upper, A_lower) + alpha J^T M_p J exactly,
+    while every entry stays O(1) or O(1/alpha) instead of O(alpha).  alpha
+    = 0 leaves the layers unbordered.  The multiplier comes last because
+    `linalg.factorize` eliminates in the order given: first, it would couple
+    every trace dof of both layers before either layer's interior.
+    """
+    if not alpha >= 0.0:
+        raise ValueError(f"friction coefficient must be >= 0 or inf, got {alpha}")
     spaces = [op_upper.space, op_lower.space]
-    offsets, n_raw = _offsets_for(spaces)
-    if mode == CouplingMode.CONTINUITY:
-        space_u, space_l = spaces
-        if not np.array_equal(space_u.interface_x, space_l.interface_x):
-            raise ValueError("interface discretizations of the two layers do not match")
+    trace_mass = assemble_interface_friction(*spaces)  # checks that the interfaces match
+    if np.isinf(alpha):
+        offsets, n_raw = _offsets_for(spaces)
         pairs = [np.column_stack([_interface_dofs(offsets, sp) for sp in spaces])]
-    elif mode == CouplingMode.UNCOUPLED:
-        pairs = []
-    else:
-        raise ValueError(f"unknown coupling mode {mode!r}")
-    layout = _build_layout(spaces, offsets, n_raw, pairs=pairs)
-    return _assemble_reduced([op_upper, op_lower], layout)
+        return _assemble_reduced([op_upper, op_lower], _build_layout(spaces, offsets, n_raw, pairs))
+
+    (upper, e_upper), (lower, e_lower) = map(assemble_robin_subproblem, (op_upper, op_lower))
+    layout = StackedLayout((upper.layout, lower.layout))
+    rhs = [upper.rhs, lower.rhs]
+    # The upper layer bordered by the lower one's system, itself bordered
+    # by the multiplier: blockdiag(A_upper, A_lower) bordered by B.  Each
+    # layer's matrix goes as soon as it is copied.
+    below = scipy.sparse.csr_matrix((lower.layout.n_rows, upper.layout.n_rows))
+    corner = lower.matrix
+    del lower
+    if alpha > 0.0:
+        fold = periodic_fold(trace_mass.shape[0])
+        mass_p = (fold.T @ trace_mass) @ fold
+        corner = _border(corner, -(mass_p @ e_lower.T), -mass_p / alpha)
+        below = scipy.sparse.vstack([below, mass_p @ e_upper.T], format="csr")
+        rhs.append(np.zeros(mass_p.shape[0]))
+    matrix = _border(upper.matrix, below, corner.to_scipy())
+    return SparseSystem(matrix=matrix, rhs=np.concatenate(rhs), layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +765,12 @@ def assemble_coupled_system(
 def assemble_robin_subproblem(
     op: StokesOperator,
 ) -> tuple[SparseSystem, scipy.sparse.csr_matrix]:
-    """One layer with free tangential traction at the interface (alpha = 0):
-    the alpha-free core of the alternating solver's Robin half-steps.
+    """One layer with free tangential traction at the interface (alpha = 0),
+    the system that every interface coupling is built on: the friction
+    system borders two of them (`assemble_coupled_system`), the Dirichlet
+    half-step borders one with its trace constraint
+    (`assemble_dirichlet_subproblem`), and the alternating solver factors
+    one per layer as the alpha-free core of its Robin half-steps.
 
     E = T_p^T takes a traction y on the n_trace - 1 periodic trace dofs to
     the rhs, with T_p the layout's `trace_map` less its x = L row (a repeat
@@ -732,21 +790,16 @@ def assemble_dirichlet_subproblem(
     """One layer with the horizontal interface velocity prescribed pointwise:
     the half-step of the plain trace-swapping iteration.
 
-    The interface dofs are eliminated as zero, so the solution expands to
-    zero there and the prescribed trace itself is the interface velocity.
-    E = -lift, with lift the reduced interface columns of the raw matrix
-    (zero on the gauge rows).  The trace must take one value at the
-    periodically identified end nodes x = 0 and x = L.
+    The layer's friction-free system A (`assemble_robin_subproblem`, with
+    traction operator E = T_p^T) bordered by the constraint T_p x = g_p on
+    the n_trace - 1 periodic trace dofs: [[A, E], [E^T, 0]], the multiplier
+    being the interface traction.  The returned operator takes the full
+    trace g, whose x = L entry must repeat x = 0, to the constraint rows.
     """
-    space = op.space
-    offsets, n_raw = _offsets_for([space])
-    ifx = _interface_dofs(offsets, space)
-    layout = _build_layout([space], offsets, n_raw, fixed=[ifx])
-    trace_index = np.full(n_raw, -1)
-    trace_index[ifx] = np.arange(len(ifx))
-    rows, cols, vals = (np.concatenate(a) for a in zip(*_layer_triplets([op], offsets)))
-    rows, cols = layout.col_of.take(rows), trace_index.take(cols)
-    on = (rows >= 0) & (cols >= 0)
-    coupling = _scatter(rows[on], cols[on], -vals[on], (layout.n_rows, len(ifx)))
-    coupling.eliminate_zeros()
-    return _assemble_reduced([op], layout), coupling
+    system, traction = assemble_robin_subproblem(op)
+    n, k = system.matrix.n_rows, traction.shape[1]
+    matrix = _border(system.matrix, traction.T, scipy.sparse.csr_matrix((k, k)))
+    rows = scipy.sparse.csr_matrix(
+        (np.ones(k), (n + np.arange(k), np.arange(k))), shape=(n + k, k + 1)
+    )
+    return SparseSystem(matrix, np.concatenate([system.rhs, np.zeros(k)]), system.layout), rows

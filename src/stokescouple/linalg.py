@@ -3,11 +3,12 @@
 The solver is a sparse LU factorization (SuperLU via scipy) with one recipe
 for every system: the natural order, symmetric mode, and a diagonal pivot
 threshold of 0.01.  SuperLU computes no fill-reducing order: `fem` numbers
-the unknowns in nested-dissection order of the mesh, and the friction
-multiplier border comes after them, so the matrix arrives in the order it
-is factored.  Every matrix the package factors is structurally symmetric:
-Stokes blocks [[K, D], [D^T, 0]] reduced by a symmetric C^T A C, bordered by
-gauge rows and, for friction, by the interface-traction multiplier.
+each layer's unknowns in nested-dissection order of the mesh, and every
+border (the friction multiplier, the Dirichlet trace constraint) comes
+after them, so the matrix arrives in the order it is factored.  Every matrix
+the package factors is structurally symmetric: Stokes blocks
+[[K, D], [D^T, 0]] reduced by a symmetric C^T A C, bordered by gauge rows
+and, for friction and the Dirichlet half-step, by an interface multiplier.
 SymmetricMode pivots on the diagonal while it passes the threshold, so the
 factors keep the symmetric fill of that order: on 64x32x8 the continuity
 system fills 4.35M L+U entries (5.93M under minimum degree on A^T + A,
@@ -23,7 +24,8 @@ matrix, never taken from solver internals, and a solve that misses the
 requested tolerance raises instead of returning silently.
 
 Every matrix is held once.  `fem` scatters each system straight into the
-compressed-column arrays SuperLU reads, and `factorize` hands SuperLU a
+compressed-column arrays SuperLU reads, writes every border into them in
+place, and `factorize` hands SuperLU a
 scipy view of those arrays, so no copy of the matrix is made for the
 factorization or kept next to the LU factors; the certification product is
 the same view.  (Factoring the transpose of a row-compressed matrix would

@@ -129,7 +129,7 @@ def test_config_round_trip_custom():
     nu2=st.floats(1e-3, 1e3, allow_nan=False),
     f1=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
     f2=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-    mode=st.sampled_from(("monolithic-friction", "monolithic-continuity", "schwarz", "dirichlet-demo")),
+    mode=st.sampled_from(("monolithic-friction", "monolithic-continuity", "schwarz")),
     alpha=st.one_of(st.floats(0.0, 1e12, allow_nan=False), st.just(float("inf"))),
     tol=st.floats(1e-12, 1.0, allow_nan=False),
     max_iter=st.integers(1, 10**6),
@@ -363,6 +363,19 @@ def test_cli_demo_stagnation(tmp_path, capsys):
     assert [r[1] for r in rows] == ["upper", "lower", "upper", "lower", "upper"]
     assert all(float(r[2]) == 0.0 for r in rows[1:])  # frozen after the first solve
     assert (out / "field.vtk").exists()
+
+
+def test_cli_dirichlet_demo_is_not_a_run_mode(tmp_path, capsys):
+    # demo-stagnation is the one way to run the Dirichlet exchange
+    body = small_config_body(tmp_path / "out", "[coupling]\nmode = dirichlet-demo\n")
+    config = write_config(tmp_path, body)
+    for command in ("run", "validate", "demo-stagnation"):
+        assert main([command, "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("error: mode: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "dirichlet-demo"])
+    assert exc.value.code == 2 and "dirichlet-demo" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_out_dir_env_override(tmp_path, monkeypatch):

@@ -23,17 +23,16 @@ from stokescouple import coupling
 from stokescouple.coupling import (
     SchwarzConfig,
     _block_iterations,
-    _friction_multiplier_system,
     dirichlet_exchange_demo,
     discretize,
     schwarz_solve,
     solve_monolithic_continuity,
     solve_monolithic_friction,
 )
-from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
+from stokescouple.fem import BodyForce, assemble_coupled_system, assemble_robin_subproblem
 from stokescouple.linalg import factorize, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
-from test_fem import robin_solve, robin_system
+from test_fem import reference_trace, robin_solve, robin_system
 
 GEOM = Geometry()  # length 100, z in [-5, 50]
 FORCE = BodyForce(1.0, -1.0)
@@ -128,35 +127,30 @@ def test_monolithic_friction_matches_channel():
     assert b1 - b2 == pytest.approx(1237.5 / 551.0, rel=1e-14)
 
 
-def penalty_matrix(disc, system, alpha):
-    """Reference: the alpha-weighted trace-jump penalty, assembled on the
-    raw dofs as blocks [[+M, -M], [-M, +M]] and reduced together with the
-    uncoupled system's matrix."""
-    layout = system.layout
-    up = layout.offsets[(Subdomain.UPPER, "velocity")] + 2 * disc.space_upper.interface_nodes
-    lo = layout.offsets[(Subdomain.LOWER, "velocity")] + 2 * disc.space_lower.interface_nodes
-    m = disc.trace_mass.tocoo()
-    rows = np.concatenate([up[m.row], up[m.row], lo[m.row], lo[m.row]])
-    cols = np.concatenate([up[m.col], lo[m.col], up[m.col], lo[m.col]])
-    vals = alpha * np.concatenate([m.data, -m.data, -m.data, m.data])
-    raw = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(layout.n_raw, layout.n_raw))
-    reduced = layout.reduction.T @ raw @ layout.reduction
-    gauge = scipy.sparse.csr_matrix((layout.n_gauge, layout.n_gauge))
-    return system.matrix.to_scipy() + scipy.sparse.block_diag([reduced, gauge])
+def penalty_matrix(disc, layouts, alpha):
+    """Reference: the layers' own systems side by side plus the
+    alpha-weighted trace-jump penalty alpha J^T M J, the jump J = [T_upper,
+    -T_lower] read from the interface rows of each layer's reduction."""
+    jump = scipy.sparse.hstack(
+        [reference_trace(layouts[0], Subdomain.UPPER), -reference_trace(layouts[1], Subdomain.LOWER)]
+    )
+    layers = [assemble_robin_subproblem(op)[0].matrix.to_scipy() for op in (disc.op_upper, disc.op_lower)]
+    return scipy.sparse.block_diag(layers) + alpha * (jump.T @ disc.trace_mass @ jump)
 
 
 @pytest.mark.parametrize("alpha", [10.0, 1e12])
 def test_friction_multiplier_eliminates_to_penalty_matrix(alpha):
     mesh = small_mesh()
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
-    matrix, rhs = _friction_multiplier_system(base, disc.trace_mass, alpha)
+    base = assemble_coupled_system(disc.op_upper, disc.op_lower, 0.0)  # unbordered
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, alpha)
+    matrix, rhs = system.matrix.to_scipy(), system.rhs
     n = base.matrix.n_rows  # multiplier unknowns come last
     a, bt = matrix[:n, :n].toarray(), matrix[:n, n:].toarray()
     b, c = matrix[n:, :n].toarray(), matrix[n:, n:].toarray()
     assert np.array_equal(bt, b.T)
     schur = a - bt @ np.linalg.solve(c, b)
-    expected = penalty_matrix(disc, base, alpha).toarray()
+    expected = penalty_matrix(disc, system.layout.layers, alpha).toarray()
     assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
     np.testing.assert_array_equal(rhs, np.concatenate([base.rhs, np.zeros(len(rhs) - n)]))
 
@@ -440,7 +434,8 @@ def test_robin_maps_match_the_test_built_robin_solve(alpha):
         t_ref, r = u[ifx, 1:], u[:, 1:]
         g_ref = r.T @ (op.mass @ r)
         assert np.max(np.abs(robin.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
-        # t0 = P (tau0 + S w0) cancels to a small trace: judged on the field
+        # t0 is small against the field (2.5 against 1250 on the upper layer
+        # at alpha = 10): judged on the field's scale
         assert np.max(np.abs(robin.t0 - u[ifx, 0])) <= 1e-13 * np.max(np.abs(u[:, 0]))
         assert np.max(np.abs(robin.G - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
         assert np.max(np.abs(robin.h - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
@@ -449,6 +444,25 @@ def test_robin_maps_match_the_test_built_robin_solve(alpha):
         for g in (3.0 + x_trace / 17.0, 3.0 + np.cos(2.0 * np.pi * x_trace / GEOM.length)):
             want = robin_solve(op, alpha, g)
             assert np.max(np.abs(robin.solve(g)[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
+def test_robin_trace_map_matches_the_exact_half_step(cells):
+    # Against a constant neighbor trace g the half-step is the channel
+    # profile: upper trace 1250 - 50 alpha (1250 - g) / (1 + 50 alpha),
+    # lower 12.5 + 5 alpha (g - 12.5) / (1 + 5 alpha).  The map's trace at
+    # g = 0 does not cancel, so it stays within 1e-14 for every alpha.
+    disc = discretize(default_mesh(*cells), 1.0, 1.0, FORCE, FORCE)
+    exact = {
+        Subdomain.UPPER: lambda a, g: 1250.0 - 50.0 * a * (1250.0 - g) / (1.0 + 50.0 * a),
+        Subdomain.LOWER: lambda a, g: 12.5 + 5.0 * a * (g - 12.5) / (1.0 + 5.0 * a),
+    }
+    g = np.full(len(disc.space_upper.interface_nodes), 40.0)
+    for sub, core in disc.interface_cores.items():
+        for alpha in (1.0, 10.0, 1e3, 1e6, 1e9):
+            want = exact[sub](alpha, 40.0)
+            error = np.max(np.abs(core.robin(alpha).trace(g) - want)) / abs(want)
+            assert error <= 1e-14, (sub, alpha, error)
 
 
 def test_schwarz_factors_each_layer_once_per_discretization(monkeypatch):

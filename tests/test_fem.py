@@ -8,7 +8,6 @@ import scipy.sparse
 
 from stokescouple.coupling import (
     _check_trace,
-    _friction_multiplier_system,
     check_periodic_trace,
     discretize,
     solve_monolithic_continuity,
@@ -18,7 +17,6 @@ from stokescouple.fem import (
     _TRI_POINTS,
     _TRI_WEIGHTS,
     BodyForce,
-    CouplingMode,
     StokesOperator,
     assemble_coupled_system,
     assemble_dirichlet_subproblem,
@@ -27,7 +25,6 @@ from stokescouple.fem import (
     assemble_stokes,
     _cell_geometry,
     _dissection_order,
-    _interface_trace_mass,
     _p2_reference_grads,
     _p2_values,
     build_space,
@@ -59,6 +56,16 @@ def layer_ops(mesh, nu1=1.0, nu2=1.0, force=FORCE):
     )
 
 
+def folded_mass(space_upper, space_lower):
+    """(P^T M, P): the interface trace mass M and the periodic fold P,
+    (n_trace, n_trace - 1) with x = L on the x = 0 dof, built here."""
+    n = len(space_upper.interface_nodes)
+    fold = scipy.sparse.csr_matrix(
+        (np.ones(n), (np.arange(n), np.r_[np.arange(n - 1), 0])), shape=(n, n - 1)
+    )
+    return fold.T @ assemble_interface_friction(space_upper, space_lower), fold
+
+
 def robin_system(op, alpha):
     """The Robin half-step with coefficient alpha, built here with scipy
     from the package's alpha = 0 system A0 and traction operator T_p^T:
@@ -67,11 +74,7 @@ def robin_system(op, alpha):
     the trace mass, P the periodic fold (x = L is the x = 0 dof) and M_p =
     P^T M P."""
     system, traction = assemble_robin_subproblem(op)
-    n = len(op.space.interface_nodes)
-    fold = scipy.sparse.csr_matrix(
-        (np.ones(n), (np.arange(n), np.r_[np.arange(n - 1), 0])), shape=(n, n - 1)
-    )
-    fold_mass = fold.T @ _interface_trace_mass(op.space.interface_x)
+    fold_mass, fold = folded_mass(op.space, op.space)
     matrix = system.matrix.to_scipy() + alpha * (traction @ (fold_mass @ fold) @ traction.T)
     return CscMatrix.from_scipy(matrix), system.rhs, alpha * (traction @ fold_mass), system.layout
 
@@ -138,7 +141,7 @@ def test_constraint_table(spaces, ops):
     # exactly one pressure gauge per layer
     for op in ops:
         assert assemble_robin_subproblem(op)[0].layout.gauge_subdomains == (op.space.subdomain,)
-    assert assemble_coupled_system(*ops, CouplingMode.UNCOUPLED).layout.n_gauge == 2
+    assert assemble_coupled_system(*ops, np.inf).layout.n_gauge == 2
 
 
 @pytest.mark.parametrize("geometry", [Geometry(), Geometry(length=7.0, z_plus=2.0, z_minus=-3.0)])
@@ -199,17 +202,18 @@ def test_quadrature_exactness_on_reference_elements():
 
 def test_mass_and_stiffness_exact_values(spaces):
     upper, _ = spaces
-    op = assemble_stokes(upper, 1.0, FORCE)
+    op = assemble_stokes(upper, 2.0, FORCE)
+    stiffness = op.viscous / op.nu
     area = 100.0 * 50.0
     # partition of unity: total mass = 2 * area (two components)
     assert op.mass.sum() == pytest.approx(2.0 * area, rel=1e-12)
     # constants are in the kernel of the stiffness
     const = np.tile([1.0, 0.0], len(upper.velocity_nodes))
-    assert np.abs(op.stiffness @ const).max() < 1e-10
+    assert np.abs(stiffness @ const).max() < 1e-10
     # u = (z^2, 0): integral of |grad u|^2 = integral (2z)^2 = 4 L z+^3 / 3
     u = np.zeros(op.space.n_velocity_dofs)
     u[0::2] = upper.velocity_nodes[:, 1] ** 2
-    assert u @ (op.stiffness @ u) == pytest.approx(4.0 * 100.0 * 50.0**3 / 3.0, rel=1e-12)
+    assert u @ (stiffness @ u) == pytest.approx(4.0 * 100.0 * 50.0**3 / 3.0, rel=1e-12)
     # gauge vector integrates P1 basis: sums to the layer area
     assert op.gauge.sum() == pytest.approx(area, rel=1e-12)
 
@@ -261,20 +265,19 @@ def test_interface_trace_mass_matches_analytic(spaces):
 
 
 def multiplier_border(mesh):
-    """The friction multiplier system's B block on `mesh` (rows: periodic
-    trace dofs, columns: solved unknowns of the uncoupled system) and the
-    solved rows of each layer's horizontal interface velocity, read from
+    """The friction system's B block on `mesh` (rows: periodic trace dofs,
+    columns: both layers' solved unknowns, upper first) and the solved rows
+    of each layer's horizontal interface velocity, read from the layer's
     `col_of` at their raw indices."""
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    system = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
-    matrix, _ = _friction_multiplier_system(system, disc.trace_mass, 7.0)
-    n_rows = system.matrix.n_rows  # the multiplier unknowns come last
-    layout = system.layout
-    rows = {
-        sub: layout.col_of[layout.offsets[(sub, "velocity")] + 2 * disc.space(sub).interface_nodes]
-        for sub in (Subdomain.UPPER, Subdomain.LOWER)
-    }
-    return matrix[n_rows:, :n_rows], rows[Subdomain.UPPER], rows[Subdomain.LOWER]
+    system = assemble_coupled_system(disc.op_upper, disc.op_lower, 7.0)
+    upper, lower = system.layout.layers
+    n_rows = upper.n_rows + lower.n_rows  # the multiplier unknowns come last
+    rows = [
+        start + layout.col_of[layout.offsets[(sub, "velocity")] + 2 * disc.space(sub).interface_nodes]
+        for start, layout, sub in zip((0, upper.n_rows), (upper, lower), (Subdomain.UPPER, Subdomain.LOWER))
+    ]
+    return system.matrix.to_scipy()[n_rows:, :n_rows], rows[0], rows[1]
 
 
 def test_friction_kernel_on_equal_traces(small_mesh):
@@ -314,34 +317,37 @@ def expected_reduced_size(nx, nz_upper, nz_lower):
 
 
 def test_system_size_matches_constraint_count(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
+    sys = assemble_coupled_system(*ops, 0.0)
     assert sys.matrix.n_rows == expected_reduced_size(8, 4, 2)
     assert sys.matrix.n_rows == sys.matrix.n_cols == len(sys.rhs)
 
 
 def test_continuity_removes_free_interface_dofs(ops):
-    sysu = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-    sysc = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
-    n_iface_free = len(sysu.layout.spaces[Subdomain.UPPER].interface_nodes) - 1
+    sysu = assemble_coupled_system(*ops, 0.0)
+    sysc = assemble_coupled_system(*ops, np.inf)
+    n_iface_free = len(ops[0].space.interface_nodes) - 1
     assert sysu.matrix.n_rows - sysc.matrix.n_rows == n_iface_free
 
 
 def test_coupled_matrix_is_symmetric(small_mesh):
     ops = layer_ops(small_mesh, 1.0, 2.0)
-    uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-    continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
-    trace_mass = assemble_interface_friction(ops[0].space, ops[1].space)
-    friction, _ = _friction_multiplier_system(uncoupled, trace_mass, 10.0)
-    for a in (uncoupled.matrix.to_scipy(), continuity.matrix.to_scipy(), friction):
+    for alpha in (0.0, np.inf, 10.0):  # uncoupled, continuity, friction
+        a = assemble_coupled_system(*ops, alpha).matrix.to_scipy()
+        assert abs(a - a.T).max() < 1e-12
+    for op in ops:  # the Dirichlet half-step's bordered system
+        a = assemble_dirichlet_subproblem(op)[0].matrix.to_scipy()
         assert abs(a - a.T).max() < 1e-12
 
 
 def test_mode_argument_validation(small_mesh, ops):
-    with pytest.raises(ValueError, match="unknown coupling mode"):
-        assemble_coupled_system(*ops, "friction")
+    # the coefficient selects the coupling: inf is continuity
+    for alpha in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="friction coefficient"):
+            assemble_coupled_system(*ops, alpha)
     coarse_lower = layer_ops(build_layered_mesh(Geometry(), 4, 2, 1))[1]
-    with pytest.raises(ValueError, match="do not match"):
-        assemble_coupled_system(ops[0], coarse_lower, CouplingMode.CONTINUITY)
+    for alpha in (np.inf, 10.0):
+        with pytest.raises(ValueError, match="do not match"):
+            assemble_coupled_system(ops[0], coarse_lower, alpha)
     with pytest.raises(ValueError):
         assemble_stokes(build_space(small_mesh, Subdomain.UPPER), -1.0, FORCE)
 
@@ -358,8 +364,8 @@ def test_uncoupled_equals_friction_alpha_zero(small_mesh, ops):
 
 
 def test_col_of_and_expand_consistency(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-    layout = sys.layout
+    sys = assemble_coupled_system(*ops, 0.0)
+    layout, lower_layout = sys.layout.layers
     upper = layout.spaces[Subdomain.UPPER]
     offset = layout.offsets[(Subdomain.UPPER, "velocity")]
     # a wall dof is constrained away; a mid-layer dof is live
@@ -369,8 +375,15 @@ def test_col_of_and_expand_consistency(ops):
     row = int(layout.col_of[offset + 2 * interior])
     assert row >= 0
     x, _ = solve(sys.matrix, sys.rhs)
-    out = layout.expand(x)
+    out = sys.layout.expand(x)
     assert out[(Subdomain.UPPER, "velocity")][2 * interior] == x[row]
+    # the lower layer's rows follow the upper layer's
+    lower = lower_layout.spaces[Subdomain.LOWER]
+    z, x_ = lower.velocity_nodes[:, 1], lower.velocity_nodes[:, 0]
+    interior = int(np.nonzero((z == -2.5) & (x_ == 0.0))[0][0])
+    offset = lower_layout.offsets[(Subdomain.LOWER, "velocity")]
+    row = int(lower_layout.col_of[offset + 2 * interior])
+    assert out[(Subdomain.LOWER, "velocity")][2 * interior] == x[layout.n_rows + row]
     # periodic partners expand to identical values
     s, m = upper.periodic_vdofs[0]
     u = out[(Subdomain.UPPER, "velocity")]
@@ -389,7 +402,7 @@ def raw_nodes(layout):
 
 
 def test_reduction_contract(ops):
-    continuity = assemble_coupled_system(*ops, CouplingMode.CONTINUITY).layout
+    continuity = assemble_coupled_system(*ops, np.inf).layout
     prescribed = assemble_dirichlet_subproblem(ops[1])[0].layout
     for layout in (continuity, prescribed):
         c = layout.reduction.tocsc()
@@ -419,11 +432,14 @@ def test_reduction_contract(ops):
     assert continuity.col_of[iface[Subdomain.UPPER][-1]] == col
     assert np.sort(continuity.reduction.tocsc()[:, col].indices)[0] == iface[Subdomain.UPPER][0]
 
-    # the prescribed interface dofs are dropped, x = L included
+    # the prescribed interface dofs stay unknowns, x = L on the x = 0 column:
+    # the trace constraint borders them
     ifx = prescribed.offsets[(Subdomain.LOWER, "velocity")] + 2 * prescribed.spaces[
         Subdomain.LOWER
     ].interface_nodes
-    assert np.all(prescribed.col_of[ifx] == -1)
+    cols = prescribed.col_of[ifx]
+    assert np.all(cols >= 0) and cols[-1] == cols[0]
+    assert len(np.unique(cols)) == len(cols) - 1
 
 
 @pytest.mark.parametrize("cells", [(1, 1, 1), (3, 2, 1), (5, 1, 3)])
@@ -432,8 +448,9 @@ def test_dissection_numbering_on_degenerate_meshes(cells):
     # odd nx, where no vertex column sits at the middle
     mesh = build_layered_mesh(Geometry(), *cells)
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    for mode in CouplingMode:
-        layout = assemble_coupled_system(disc.op_upper, disc.op_lower, mode).layout
+    continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, np.inf).layout
+    layers = assemble_coupled_system(disc.op_upper, disc.op_lower, 0.0).layout.layers
+    for layout in (continuity, *layers):
         coords, pressure = raw_nodes(layout)
         order = _dissection_order(coords, pressure)
         np.testing.assert_array_equal(np.sort(order), np.arange(layout.n_raw))
@@ -450,7 +467,7 @@ def test_dissection_numbering_on_degenerate_meshes(cells):
 
 
 def test_continuity_traces_identical_after_expand(ops):
-    sys = assemble_coupled_system(*ops, CouplingMode.CONTINUITY)
+    sys = assemble_coupled_system(*ops, np.inf)
     x, _ = solve(sys.matrix, sys.rhs)
     out = sys.layout.expand(x)
     up = sys.layout.spaces[Subdomain.UPPER]
@@ -468,10 +485,8 @@ def test_weak_incompressibility_of_solutions(small_mesh):
 
 
 def test_galerkin_smoke_random_test_vectors(ops):
-    uncoupled = assemble_coupled_system(*ops, CouplingMode.UNCOUPLED)
-    trace_mass = assemble_interface_friction(ops[0].space, ops[1].space)
-    matrix, rhs = _friction_multiplier_system(uncoupled, trace_mass, 10.0)
-    matrix = CscMatrix.from_scipy(matrix)
+    system = assemble_coupled_system(*ops, 10.0)
+    matrix, rhs = system.matrix, system.rhs
     x, _ = solve(matrix, rhs)
     ax = matrix.to_scipy() @ x
     rng = np.random.default_rng(42)
@@ -527,9 +542,9 @@ def test_dirichlet_subproblem_imposes_trace(small_mesh):
     sys, coupling = assemble_dirichlet_subproblem(assemble_stokes(space, 1.0, FORCE))
     x, _ = solve(sys.matrix, sys.rhs + coupling @ trace)
     u = sys.layout.expand(x)[(Subdomain.LOWER, "velocity")]
-    # the trace is eliminated, so the solution expands to zero on it
+    # the bordered constraint holds on the interface, to roundoff
     iface = space.velocity_nodes[:, 1] == 0.0
-    assert np.all(u[0::2][iface] == 0.0)
+    np.testing.assert_allclose(u[0::2][iface], 9.25, rtol=1e-13)
     # interior solves the channel problem with that boundary value:
     # u(z) = -z^2/2 + c z + d, u(-5) = 0, u(0) = 9.25
     d = 9.25
@@ -597,7 +612,7 @@ def reference_stokes(space, nu, force):
     np.add.at(load, 2 * cv + 1, np.einsum("q,tq,qi->ti", _TRI_WEIGHTS, fz, p2v) * area_w[:, None])
     gauge = np.zeros(npn)
     np.add.at(gauge, cp, np.einsum("q,qj->j", _TRI_WEIGHTS, p1v)[None, :] * area_w[:, None])
-    return StokesOperator(space, nu, stiffness, (nu * stiffness).tocsr(), divergence, mass, load, gauge)
+    return StokesOperator(space, nu, (nu * stiffness).tocsr(), divergence, mass, load, gauge)
 
 
 def reference_raw_matrix(ops, layout):
@@ -617,9 +632,8 @@ def reference_raw_matrix(ops, layout):
     ).tocsr()
 
 
-def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None, x_pin=None):
-    """(matrix, rhs) of the reduced system on `layout`, with the dropped raw
-    dofs at x_pin (zero by default)."""
+def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None):
+    """(matrix, rhs) of the reduced system on `layout`."""
     b_raw = np.zeros(layout.n_raw)
     for op in ops:
         ov = layout.offsets[(op.space.subdomain, "velocity")]
@@ -631,8 +645,6 @@ def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None, x_pin=Non
         b_raw = b_raw + extra_rhs_raw
     c = layout.reduction
     a_red = (c.T @ a_raw @ c).tocsr()
-    if x_pin is not None:
-        b_raw = b_raw - a_raw @ x_pin
     b_red = c.T @ b_raw
     g_rows = []
     for op in ops:
@@ -647,7 +659,7 @@ def reference_reduced(ops, layout, extra_raw=None, extra_rhs_raw=None, x_pin=Non
 
 def reference_robin(op, layout, alpha, neighbor_trace):
     ifx = layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes
-    coo = _interface_trace_mass(op.space.interface_x).tocoo()
+    coo = assemble_interface_friction(op.space, op.space).tocoo()
     n_raw = layout.n_raw
     extra = scipy.sparse.coo_matrix(
         (alpha * coo.data, (ifx[coo.row], ifx[coo.col])), shape=(n_raw, n_raw)
@@ -657,12 +669,12 @@ def reference_robin(op, layout, alpha, neighbor_trace):
     return reference_reduced([op], layout, extra, extra_rhs)
 
 
-def reference_lift(op, layout):
-    ifx = layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes
-    lift = layout.reduction.T @ reference_raw_matrix([op], layout)[:, ifx]
-    return scipy.sparse.vstack(
-        [lift, scipy.sparse.csr_matrix((layout.n_gauge, len(ifx)))], format="csr"
-    )
+def reference_trace(layout, sub):
+    """Solved vector -> `sub`'s horizontal interface velocity, ascending x:
+    the interface rows of the reduction C, zero on the gauge columns."""
+    ifx = layout.offsets[(sub, "velocity")] + 2 * layout.spaces[sub].interface_nodes
+    gauge = scipy.sparse.csr_matrix((len(ifx), layout.n_gauge))
+    return scipy.sparse.hstack([layout.reduction[ifx], gauge], format="csr")
 
 
 def assert_same_sparse(a, b, rtol=1e-14):
@@ -688,20 +700,41 @@ def test_assembly_matches_the_reference(cells):
     ops = layer_ops(mesh, 1.0, 2.5, force)
     refs = [reference_stokes(op.space, op.nu, force) for op in ops]
     for op, ref in zip(ops, refs):
-        for name in ("stiffness", "viscous", "divergence", "mass"):
+        for name in ("viscous", "divergence", "mass"):
             assert_same_sparse(getattr(op, name), getattr(ref, name))
         # separate arrays: an in-place edit of one matrix leaves the other alone
-        assert not np.shares_memory(op.stiffness.indices, op.mass.indices)
-        assert not np.shares_memory(op.stiffness.indptr, op.mass.indptr)
+        assert not np.shares_memory(op.viscous.indices, op.mass.indices)
+        assert not np.shares_memory(op.viscous.indptr, op.mass.indptr)
         assert_close_vector(op.load, ref.load)
         assert_close_vector(op.gauge, ref.gauge)
 
     # every system against the reference reduction of the reference operators
-    for mode in (CouplingMode.CONTINUITY, CouplingMode.UNCOUPLED):
-        system = assemble_coupled_system(*ops, mode)
-        matrix, rhs = reference_reduced(refs, system.layout)
-        assert_same_sparse(system.matrix.to_scipy(), matrix)
-        assert_close_vector(system.rhs, rhs)
+    system = assemble_coupled_system(*ops, np.inf)
+    matrix, rhs = reference_reduced(refs, system.layout)
+    assert_same_sparse(system.matrix.to_scipy(), matrix)
+    assert_close_vector(system.rhs, rhs)
+
+    # friction: each layer's reduction bordered by B = P^T M [T_upper,
+    # -T_lower] and C = -P^T M P / alpha, blocks put together by scipy
+    alpha = 10.0
+    system = assemble_coupled_system(*ops, alpha)
+    layers = [reference_reduced([ref], layout) for ref, layout in zip(refs, system.layout.layers)]
+    fold_mass, fold = folded_mass(ops[0].space, ops[1].space)
+    subs = (Subdomain.UPPER, Subdomain.LOWER)
+    b = [
+        sign * fold_mass @ reference_trace(layout, sub)
+        for sign, layout, sub in zip((1.0, -1.0), system.layout.layers, subs)
+    ]
+    matrix = scipy.sparse.bmat(
+        [
+            [layers[0][0], None, b[0].T],
+            [None, layers[1][0], b[1].T],
+            [b[0], b[1], -(fold_mass @ fold) / alpha],
+        ]
+    )
+    assert_same_sparse(system.matrix.to_scipy(), matrix)
+    rhs = np.concatenate([layers[0][1], layers[1][1], np.zeros(fold.shape[1])])
+    assert_close_vector(system.rhs, rhs)
 
     op, ref = ops[0], refs[0]
     x = op.space.interface_x
@@ -712,17 +745,14 @@ def test_assembly_matches_the_reference(cells):
         assert_same_sparse(matrix.to_scipy(), ref_matrix)
         assert_close_vector(rhs + coupling @ trace, ref_rhs)
 
-    # the Dirichlet half-step against C^T (b_raw - A_raw x_pin), x_pin the
-    # trace on the interface dofs and zero elsewhere
+    # the Dirichlet half-step: the reduction bordered by the constraint
+    # T_p x = g_p, T_p the reduction's interface rows less x = L
     trace[-1] = trace[0]
     system, coupling = assemble_dirichlet_subproblem(op)
-    layout = system.layout
-    x_pin = np.zeros(layout.n_raw)
-    x_pin[layout.offsets[(op.space.subdomain, "velocity")] + 2 * op.space.interface_nodes] = trace
-    matrix, rhs = reference_reduced([ref], layout, x_pin=x_pin)
-    assert_same_sparse(system.matrix.to_scipy(), matrix)
-    assert_close_vector(system.rhs + coupling @ trace, rhs)
-    assert_same_sparse(coupling, -reference_lift(ref, layout))
+    matrix, rhs = reference_reduced([ref], system.layout)
+    t_p = reference_trace(system.layout, op.space.subdomain)[:-1]
+    assert_same_sparse(system.matrix.to_scipy(), scipy.sparse.bmat([[matrix, t_p.T], [t_p, None]]))
+    assert_close_vector(system.rhs + coupling @ trace, np.concatenate([rhs, trace[:-1]]))
 
 
 def test_manufactured_solution_convergence_order():

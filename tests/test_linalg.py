@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokescouple import linalg
-from stokescouple.coupling import _friction_multiplier_system, discretize, solve_monolithic_friction
-from stokescouple.fem import BodyForce, CouplingMode, assemble_coupled_system
+from stokescouple.coupling import discretize, solve_monolithic_friction
+from stokescouple.fem import BodyForce, assemble_coupled_system
 from stokescouple.linalg import (
     CscMatrix,
     DimensionMismatchError,
@@ -191,18 +191,15 @@ def test_solve_report_states_what_the_factorization_did():
 
 def test_saddle_systems_fill_stays_symmetric():
     # Numbered in nested-dissection order and factored as given, the
-    # monolithic systems on 32x16x4 fill 0.70M (friction) and 0.80M
+    # monolithic systems on 32x16x4 fill 0.67M (friction) and 0.80M
     # (continuity) L + U entries; minimum degree on A^T + A gave 1.04M and
     # 1.12M, COLAMD ~2.0M.
     mesh = build_layered_mesh(Geometry(), 32, 16, 4)
     force = BodyForce(1.0, -1.0)
     disc = discretize(mesh, 1.0, 1.0, force, force)
-    base = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.UNCOUPLED)
-    friction, _ = _friction_multiplier_system(base, disc.trace_mass, 10.0)
-    continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, CouplingMode.CONTINUITY)
     fills = [
-        factorize(CscMatrix.from_scipy(friction)).lu_nnz,
-        factorize(continuity.matrix).lu_nnz,
+        factorize(assemble_coupled_system(disc.op_upper, disc.op_lower, alpha).matrix).lu_nnz
+        for alpha in (10.0, float("inf"))  # friction, continuity
     ]
     assert max(fills) <= 900_000, fills
 
@@ -229,7 +226,7 @@ def disc_32():
 def test_factorize_copies_no_matrix_array(disc_32):
     # SuperLU's own allocations are invisible to tracemalloc, numpy's are
     # not: a copy of the 1.1 MB continuity system would show as a full copy.
-    matrix = assemble_coupled_system(disc_32.op_upper, disc_32.op_lower, CouplingMode.CONTINUITY).matrix
+    matrix = assemble_coupled_system(disc_32.op_upper, disc_32.op_lower, float("inf")).matrix
     tracemalloc.start()
     try:
         factorize(matrix)
