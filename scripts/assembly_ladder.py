@@ -20,13 +20,17 @@ force (1, -1)):
                      before it bordered the per-layer systems assembles the
                      uncoupled two-layer system and borders it instead)
 
-and, for each monolithic system (friction at alpha = ALPHA, continuity):
+and, for each monolithic system (friction at alpha = ALPHA, continuity)
+and each layer's interface core (upper_core, lower_core: the layer's
+friction-free system, `assemble_robin_subproblem`):
 
     <system>.factorize  factorize, wall seconds
     <system>.solve      the triangular solves of one rhs (SolveReport.solve_s)
     <system>.certify    the rest of Factorization.solve: the residual check
     <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
                         relative residual (both from the last repeat)
+    <system>.path       how it was factored (SolveReport.ordering): NATURAL
+                        whole, X-FOURIER one Fourier mode along x at a time
 
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
@@ -87,8 +91,17 @@ def assemblers(ops: list, trace_mass) -> tuple:
     return (lambda: assemble(fem.CouplingMode.CONTINUITY)), friction
 
 
+def core(op):
+    """The layer's interface core, (matrix, rhs): its friction-free system."""
+    from stokescouple import fem
+
+    system, _ = fem.assemble_robin_subproblem(op)
+    return system.matrix, system.rhs
+
+
 def time_phases(src: Path) -> dict:
-    """mesh -> phase -> median seconds (or count), for the package under src/src."""
+    """mesh -> phase -> median seconds (or count, or path), for the package
+    under src/src."""
     sys.path.insert(0, str(src / "src"))
     from stokescouple import linalg
     from stokescouple.fem import BodyForce, assemble_interface_friction, assemble_stokes
@@ -120,7 +133,13 @@ def time_phases(src: Path) -> dict:
                 seconds.append(time.perf_counter() - start)
             out[spec][name] = round(statistics.median(seconds), 6)
 
-        for name, assemble in (("friction", friction), ("continuity", continuity)):
+        systems = {
+            "friction": friction,
+            "continuity": continuity,
+            "upper_core": lambda: core(ops[0]),
+            "lower_core": lambda: core(ops[1]),
+        }
+        for name, assemble in systems.items():
             matrix, rhs = assemble()
             seconds = {"factorize": [], "solve": [], "certify": []}
             for _ in range(REPEATS[spec]):
@@ -136,6 +155,7 @@ def time_phases(src: Path) -> dict:
                 out[spec][f"{name}.{phase}"] = round(statistics.median(values), 6)
             out[spec][f"{name}.lu_nnz"] = report.lu_nnz
             out[spec][f"{name}.residual"] = report.relative_residual
+            out[spec][f"{name}.path"] = report.ordering
     return out
 
 
@@ -186,6 +206,9 @@ def summarize(rounds: list) -> dict:
         summary[spec] = {}
         for phase in rounds[0]["parent"][spec]:
             per_side = {side: [r[side][spec][phase] for r in rounds] for side in SIDES}
+            if phase.endswith(".path"):
+                summary[spec][phase] = {side: v[0] for side, v in per_side.items()}
+                continue
             summary[spec][phase] = {
                 **{side: statistics.median(v) for side, v in per_side.items()},
                 "change_lower_in_rounds": sum(

@@ -15,7 +15,9 @@ byte-deterministic for fixed inputs.
 Subcommands: run (one solve; field + report), sweep (friction-coefficient
 sweep; CSV), validate (config + mesh checks only), demo-stagnation (pure
 Dirichlet trace exchange; trace-history CSV).  The COUPLE_OUT_DIR
-environment variable overrides the configured output directory.
+environment variable overrides the configured output directory.  Exit codes:
+0 success, 1 I/O or mesh-validation failure, 2 config or argument error, 3
+out of memory (the message names the phase and the system's size).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .coupling import (
     solve_monolithic_friction,
 )
 from .fem import BodyForce
+from .linalg import OutOfMemoryError
 from .mesh import Mesh, Geometry, Subdomain, build_layered_mesh, validate_mesh
 from .verification import check_alphas, energy_residual, jump_norm, run_alpha_sweep
 
@@ -574,6 +577,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OutOfMemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

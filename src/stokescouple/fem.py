@@ -20,9 +20,16 @@ zero.  The reduced system is C^T A C augmented with one integral-mean
 pressure-gauge row per layer, scattered in one pass through C's raw ->
 reduced index map, not multiplied.
 The reduced unknowns are numbered in nested-dissection order of their
-nodes, with the gauge rows last, because `linalg.factorize` eliminates them
-in the order given: on 64x32x8 the continuity system fills 4.35M L+U
-entries in that order, against 5.93M under SuperLU's minimum degree.
+nodes, with the gauge rows last, because `linalg.factorize` eliminates a
+whole system in the order given: on 64x32x8 the continuity system fills
+4.35M L+U entries in that order, against 5.93M under SuperLU's minimum
+degree.  Each layout also records, from the node coordinates, the cell
+column in x and the in-column position (z first) of every solved row, and
+each assembled matrix carries them (`linalg.XColumns`); every border puts
+trace dof j in column j // 2, and the gauge rows belong to no column.  On
+the layered mesh every column is the same, so `linalg.factorize` factors
+the system one Fourier mode along x at a time; on any other mesh it
+factors it whole, in the dissection order.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .linalg import CscMatrix
+from .linalg import CscMatrix, XColumns, bordered
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -479,7 +486,7 @@ def _reduction(
     fixed: np.ndarray,
     coords: np.ndarray,
     pressure: np.ndarray,
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Eliminate identified and zero-Dirichlet raw dofs.
 
     pairs (k, 2) identifies raw dofs; the classes are the connected
@@ -489,7 +496,8 @@ def _reduction(
     nested-dissection order of their representatives' node `coords`
     (`pressure` flags the pressure dofs), so SuperLU can factor the system in
     the order it arrives.  Returns the 0/1 reduction operator C (raw x
-    reduced) and the raw -> reduced column map (-1 where dropped).
+    reduced), the raw -> reduced column map (-1 where dropped) and each
+    reduced column's representative raw dof.
     """
     graph = scipy.sparse.coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_raw, n_raw)
@@ -510,7 +518,7 @@ def _reduction(
     c = scipy.sparse.csr_matrix(
         (np.ones(len(keep)), (keep, col_of[keep])), shape=(n_raw, len(kept))
     )
-    return c, col_of
+    return c, col_of, kept
 
 
 _FIELD_VELOCITY = "velocity"
@@ -522,6 +530,10 @@ class DofLayout:
     """Raw-block layout plus the reduction taking raw dofs to solved rows.
 
     Solved vector = [reduced dofs, one gauge multiplier per layer].
+    `columns` places the solved rows on the mesh's cell columns in x (see
+    `_x_columns`; None on a mesh whose columns differ), and `sites` holds the
+    (z, kind, x offset) of each in-column position, by which the rows of
+    stacked layouts are merged.
     """
 
     spaces: dict
@@ -530,6 +542,8 @@ class DofLayout:
     reduction: scipy.sparse.csr_matrix = field(repr=False)
     col_of: np.ndarray = field(repr=False)
     gauge_subdomains: tuple
+    columns: XColumns | None = field(default=None, repr=False)
+    sites: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_reduced(self) -> int:
@@ -598,6 +612,62 @@ def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
     return offsets[(space.subdomain, _FIELD_VELOCITY)] + 2 * space.interface_nodes
 
 
+# The in-column kind of a solved row: 3 subdomain + component for velocity,
+# 3 subdomain + 2 for pressure, and this for an interface multiplier.
+_TRACE_KIND = 6
+
+
+def _x_columns(x: np.ndarray, z: np.ndarray, kind: np.ndarray, lines: np.ndarray, n_global: int):
+    """The cell columns of solved rows 0..len(x)-1 at the sites (x, z,
+    kind), followed by n_global global rows (the gauges), whose column
+    boundaries are the vertex `lines` x = lines[j].
+
+    A row sits in the column of the last line at or left of it.  Within
+    a column the rows are ordered by z, then kind, then x: in-column
+    position q of every column holds a row of the same z and kind, so each
+    Fourier mode of a shift-invariant matrix is banded.  Returns the
+    `XColumns` and the (z, kind, x offset) site of each position, or (None,
+    None) when the columns do not hold the same sites.
+    """
+    col = np.searchsorted(lines, x, side="right") - 1
+    counts = np.bincount(col, minlength=len(lines))
+    if len(x) == 0 or (counts != counts[0]).any():
+        return None, None
+    order = np.lexsort((x, kind, z, col)).reshape(len(lines), -1)
+    sites = np.stack([z[order], kind[order], x[order] - lines[:, None]], axis=-1)
+    if not (sites[..., :2] == sites[:1, :, :2]).all():
+        return None, None
+    return XColumns.of(order, len(x) + np.arange(n_global)), sites[0]
+
+
+def _stacked_columns(parts: list):
+    """The cell columns of stacked blocks of solved rows, each part a
+    (columns, sites, n_rows) of one block: a column's rows are the blocks'
+    rows of that column, merged in order of their sites."""
+    if any(columns is None for columns, _, _ in parts):
+        return None
+    if len({columns.order.shape[0] for columns, _, _ in parts}) != 1:
+        return None
+    orders, globals_, start = [], [], 0
+    for columns, _, n_rows in parts:
+        orders.append(columns.order + start)
+        globals_.append(columns.globals + start)
+        start += n_rows
+    sites = np.concatenate([sites for _, sites, _ in parts])
+    by_site = np.lexsort(sites.T[::-1])  # z, then kind, then x offset
+    return XColumns.of(np.hstack(orders)[:, by_site], np.concatenate(globals_))
+
+
+def _trace_rows(k: int, layout: DofLayout) -> tuple:
+    """The part of k interface multiplier rows on the periodic trace dofs for
+    `_stacked_columns`: trace dof j sits in the cell column j // 2 of
+    `layout`'s columns (a vertex and a midpoint per column)."""
+    if layout.columns is None or k != 2 * layout.columns.order.shape[0]:
+        return None, None, k
+    sites = np.array([[0.0, _TRACE_KIND, 0.0], [0.0, _TRACE_KIND, 1.0]])
+    return XColumns.of(np.arange(k).reshape(-1, 2), np.arange(0)), sites, k
+
+
 def _build_layout(
     spaces: list[MixedSpace], offsets: dict, n_raw: int, pairs: list[np.ndarray] = ()
 ) -> DofLayout:
@@ -605,6 +675,7 @@ def _build_layout(
     the identified raw `pairs`."""
     pairs, fixed = list(pairs), []
     coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
+    kind = np.empty(n_raw, dtype=np.int64)
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
         op = offsets[(sp.subdomain, _FIELD_PRESSURE)]
@@ -613,7 +684,12 @@ def _build_layout(
         coords[ov : ov + sp.n_velocity_dofs] = np.repeat(sp.velocity_nodes, 2, axis=0)
         coords[op : op + sp.n_pressure_dofs] = sp.pressure_nodes
         pressure[op : op + sp.n_pressure_dofs] = True
-    c, col_of = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed), coords, pressure)
+        kind[ov : ov + sp.n_velocity_dofs] = 3 * sp.subdomain + np.arange(sp.n_velocity_dofs) % 2
+        kind[op : op + sp.n_pressure_dofs] = 3 * sp.subdomain + 2
+    c, col_of, kept = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed), coords, pressure)
+    x, z = coords[kept].T
+    lines = np.unique(x[pressure[kept]])  # the vertex columns, x = L folded onto x = 0
+    columns, sites = _x_columns(x, z, kind[kept], lines, len(spaces))
     return DofLayout(
         spaces={sp.subdomain: sp for sp in spaces},
         offsets=offsets,
@@ -621,6 +697,8 @@ def _build_layout(
         reduction=c,
         col_of=col_of,
         gauge_subdomains=tuple(sp.subdomain for sp in spaces),
+        columns=columns,
+        sites=sites,
     )
 
 
@@ -670,39 +748,8 @@ def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSys
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()  # canonical
     del rows, cols, vals, kept
     matrix.eliminate_zeros()  # entries that cancel exactly, as the product C^T A C drops them
-    return SparseSystem(
-        matrix=CscMatrix(n, n, matrix.indptr, matrix.indices, matrix.data), rhs=rhs, layout=layout
-    )
-
-
-def _border(a: CscMatrix, below, corner) -> CscMatrix:
-    """[[A, B^T], [B, C]] for the square A, with B = `below` (k x n) and C =
-    `corner` (k x k) any scipy sparse matrices.
-
-    Written straight into the result's compressed columns: column j < n is
-    A's column j over B's (rows n + i), column n + m is B's row m over C's
-    column m.  No COO copy of A is made.  Every input entry is kept, and
-    sorted columns stay sorted, so the result is canonical when A is.
-    """
-    n, k = a.n_rows, below.shape[0]
-    b, bt, c = (scipy.sparse.csc_matrix(m) for m in (below, below.T, corner))
-    for m in (b, bt, c):
-        m.sort_indices()
-    indptr = np.concatenate([a.indptr + b.indptr, a.nnz + b.nnz + bt.indptr[1:] + c.indptr[1:]])
-    indptr = indptr.astype(_index_type(n + k), copy=False)
-    indices, data = np.empty(indptr[-1], dtype=indptr.dtype), np.empty(indptr[-1])
-    start = 0
-    for top, bottom in ((a, b), (bt, c)):
-        end = start + top.indptr[-1] + bottom.indptr[-1]
-        # each bottom entry follows its column's top entries
-        at = np.arange(bottom.indptr[-1]) + np.repeat(top.indptr[1:], np.diff(bottom.indptr))
-        on_top = np.ones(end - start, dtype=bool)
-        on_top[at] = False
-        part_indices, part_data = indices[start:end], data[start:end]
-        part_indices[on_top], part_data[on_top] = top.indices, top.data
-        part_indices[at], part_data[at] = bottom.indices + n, bottom.data
-        start = end
-    return CscMatrix(n + k, n + k, indptr, indices, data)
+    matrix = CscMatrix(n, n, matrix.indptr, matrix.indices, matrix.data, layout.columns)
+    return SparseSystem(matrix=matrix, rhs=rhs, layout=layout)
 
 
 def assemble_coupled_system(
@@ -740,6 +787,7 @@ def assemble_coupled_system(
     (upper, e_upper), (lower, e_lower) = map(assemble_robin_subproblem, (op_upper, op_lower))
     layout = StackedLayout((upper.layout, lower.layout))
     rhs = [upper.rhs, lower.rhs]
+    parts = [(sub.columns, sub.sites, sub.n_rows) for sub in layout.layers]
     # The upper layer bordered by the lower one's system, itself bordered
     # by the multiplier: blockdiag(A_upper, A_lower) bordered by B.  Each
     # layer's matrix goes as soon as it is copied.
@@ -749,10 +797,13 @@ def assemble_coupled_system(
     if alpha > 0.0:
         fold = periodic_fold(trace_mass.shape[0])
         mass_p = (fold.T @ trace_mass) @ fold
-        corner = _border(corner, -(mass_p @ e_lower.T), -mass_p / alpha)
+        border = -(mass_p @ e_lower.T)
+        corner = bordered(corner, border.T, border, -mass_p / alpha)
         below = scipy.sparse.vstack([below, mass_p @ e_upper.T], format="csr")
         rhs.append(np.zeros(mass_p.shape[0]))
-    matrix = _border(upper.matrix, below, corner.to_scipy())
+        parts.append(_trace_rows(mass_p.shape[0], upper.layout))
+    columns = _stacked_columns(parts)
+    matrix = bordered(upper.matrix, below.T, below, corner.to_scipy(), columns)
     return SparseSystem(matrix=matrix, rhs=np.concatenate(rhs), layout=layout)
 
 
@@ -798,7 +849,10 @@ def assemble_dirichlet_subproblem(
     """
     system, traction = assemble_robin_subproblem(op)
     n, k = system.matrix.n_rows, traction.shape[1]
-    matrix = _border(system.matrix, traction.T, scipy.sparse.csr_matrix((k, k)))
+    layout = system.layout
+    parts = [(layout.columns, layout.sites, n), _trace_rows(k, layout)]
+    corner = scipy.sparse.csr_matrix((k, k))
+    matrix = bordered(system.matrix, traction, traction.T, corner, _stacked_columns(parts))
     rows = scipy.sparse.csr_matrix(
         (np.ones(k), (n + np.arange(k), np.arange(k))), shape=(n + k, k + 1)
     )

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -287,6 +288,19 @@ def test_cli_run_monolithic(tmp_path, capsys):
     assert cells[0] == "monolithic-friction" and cells[3] == "1"
     assert float(cells[4]) == pytest.approx(10.0 * 1237.5 / 551.0, rel=1e-9)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_cli_out_of_memory_exits_3_naming_the_phase(tmp_path, capsys, monkeypatch):
+    # SuperLU running out of memory, as on 256x128x32 under a 6 GB cap
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_memory)
+    config = write_config(tmp_path, small_config_body(tmp_path / "out"))
+    assert main(["run", "--config", config, "--mode", "monolithic-continuity"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory in the factorization")
+    assert "Fourier mode" in lines[0] and "nonzeros" in lines[0]
 
 
 def test_cli_run_schwarz_fast_large_alpha(tmp_path, capsys):

@@ -11,17 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokescouple import linalg
-from stokescouple.coupling import discretize, solve_monolithic_friction
-from stokescouple.fem import BodyForce, assemble_coupled_system
+from stokescouple.coupling import (
+    discretize,
+    solve_monolithic_continuity,
+    solve_monolithic_friction,
+)
+from stokescouple.fem import (
+    BodyForce,
+    assemble_coupled_system,
+    assemble_dirichlet_subproblem,
+    assemble_robin_subproblem,
+)
 from stokescouple.linalg import (
     CscMatrix,
     DimensionMismatchError,
+    OutOfMemoryError,
     ResidualCertificationError,
     SingularSystemError,
     factorize,
     solve,
 )
-from stokescouple.mesh import Geometry, build_layered_mesh
+from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
 
 
 def dense(a):
@@ -274,6 +284,123 @@ def test_friction_solve_holds_one_matrix_when_it_factors(disc_32, monkeypatch):
     finally:
         tracemalloc.stop()
     assert seen["held"] < 1.5 * seen["bytes"], seen
+
+
+# ---------------------------------------------------------------------------
+# factoring one Fourier mode at a time along x
+
+
+def x_dependent_force():
+    """A force that varies along x, so that every Fourier mode is excited:
+    an x-uniform problem excites only the mean mode."""
+
+    def evaluate(x, z):
+        phase = 2.0 * np.pi * x / 100.0
+        return 1.0 + 0.3 * np.sin(phase) + 0.1 * np.cos(3.0 * phase), -1.0 + 0.2 * np.cos(phase) * z / 50.0
+
+    return BodyForce(evaluator=evaluate)
+
+
+def every_system(disc):
+    """Each system the package factors, by name: friction at alpha = 0, 10
+    and 1e9, continuity, and per layer the interface core (the friction-free
+    system) and the Dirichlet half-step."""
+    ops = (disc.op_upper, disc.op_lower)
+    systems = {f"friction-{a:g}": assemble_coupled_system(*ops, a) for a in (0.0, 10.0, 1e9)}
+    systems["continuity"] = assemble_coupled_system(*ops, float("inf"))
+    for sub in (Subdomain.UPPER, Subdomain.LOWER):
+        systems[f"core-{sub.name}"] = assemble_robin_subproblem(disc.op(sub))[0]
+        systems[f"dirichlet-{sub.name}"] = assemble_dirichlet_subproblem(disc.op(sub))[0]
+    return systems
+
+
+def whole(matrix):
+    """The same matrix without its x-columns: SuperLU factors it whole."""
+    return dataclasses.replace(matrix, columns=None)
+
+
+@pytest.mark.parametrize("cells", [(1, 4, 2), (2, 4, 2), (3, 4, 2), (7, 4, 2), (8, 4, 2), (32, 16, 4)])
+def test_fourier_modes_match_the_whole_factorization(cells):
+    force = x_dependent_force()
+    disc = discretize(build_layered_mesh(Geometry(), *cells), 1.0, 2.5, force, force)
+    rng = np.random.default_rng(sum(cells))
+    for name, system in every_system(disc).items():
+        modes, reference = factorize(system.matrix), factorize(whole(system.matrix))
+        assert (modes.ordering, reference.ordering) == ("X-FOURIER", "NATURAL"), name
+        b = np.column_stack([system.rhs, rng.standard_normal((system.matrix.n_rows, 3))])
+        x, report = modes.solve(b)
+        want, _ = reference.solve(b)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(x - want), axis=0) <= 1e-12 * scale), name
+        assert report.ordering == "X-FOURIER" and report.relative_residual <= 1e-10
+        factors = modes._lu.factors
+        assert len(factors) == cells[0] // 2 + 1
+        assert report.lu_nnz == modes.lu_nnz == sum(lu.nnz for lu in factors) > 0
+        pivots = sum(int(np.count_nonzero(lu.perm_r != lu.perm_c)) for lu in factors)
+        assert report.off_diagonal_pivots == pivots
+        if cells[0] >= 32:
+            assert modes.lu_nnz < reference.lu_nnz / 5, name
+        x1, _ = modes.solve(b[:, 1])  # a vector rhs is one column of a block
+        assert np.max(np.abs(x1 - x[:, 1])) <= 1e-14 * scale[1]
+
+
+def test_continuity_traces_stay_identical_on_the_fourier_path():
+    force = x_dependent_force()
+    mesh = build_layered_mesh(Geometry(), 8, 4, 2)
+    field = solve_monolithic_continuity(mesh, 1.0, 2.5, force, force)
+    upper, lower = (field.interface_trace(sub) for sub in (Subdomain.UPPER, Subdomain.LOWER))
+    np.testing.assert_array_equal(upper, lower)
+    assert np.ptp(upper) > 1e-3  # the force varies along x, and so does the trace
+
+
+def test_a_mesh_with_a_moved_vertex_is_factored_whole():
+    mesh = build_layered_mesh(Geometry(), 8, 4, 2)
+    vertices = mesh.vertices.copy()
+    vertices[4 * 9 + 3] += (0.4, 0.3)  # column 3, row 4: inside the upper layer
+    moved = dataclasses.replace(mesh, vertices=vertices)
+    assert validate_mesh(moved) == []
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(moved, 1.0, 1.0, force, force)
+    for name, system in every_system(disc).items():
+        fact = factorize(system.matrix)
+        # the lower layer's own systems do not see the moved vertex
+        assert fact.ordering == ("X-FOURIER" if name.endswith("LOWER") else "NATURAL"), name
+        assert fact.solve(system.rhs)[1].relative_residual <= 1e-10
+
+
+def test_a_matrix_that_does_not_repeat_is_factored_whole():
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
+    matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, float("inf")).matrix
+    assert factorize(matrix).ordering == "X-FOURIER"
+    for k in (0, matrix.nnz // 2, matrix.nnz - 1):
+        data = matrix.data.copy()
+        data[k] += 1e-8
+        perturbed = dataclasses.replace(matrix, data=data)
+        fact = factorize(perturbed)
+        assert fact.ordering == "NATURAL", k
+        rhs = np.ones(matrix.n_rows)
+        np.testing.assert_allclose(perturbed.to_scipy() @ fact.solve(rhs)[0], rhs, atol=1e-9)
+
+
+@pytest.mark.parametrize("path", ["X-FOURIER", "NATURAL"])
+def test_running_out_of_memory_names_the_phase(monkeypatch, path):
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
+    matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, 10.0).matrix
+    if path == "NATURAL":
+        matrix = whole(matrix)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_memory)
+    with pytest.raises(OutOfMemoryError) as err:
+        factorize(matrix)
+    message = str(err.value)
+    assert isinstance(err.value, MemoryError)
+    assert f"{matrix.n_rows}x{matrix.n_rows} system with {matrix.nnz} nonzeros" in message
+    assert ("Fourier mode 0" if path == "X-FOURIER" else "factorization (NATURAL)") in message
 
 
 @settings(max_examples=25, deadline=None)

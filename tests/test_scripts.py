@@ -28,12 +28,14 @@ def test_assembly_ladder_times_every_phase(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # time_phases prepends the checkout's src
     phases = ladder.time_phases(ROOT)["8x4x2"]
     timed = ["mesh", "validate", "spaces", "assemble_stokes", "continuity", "friction"]
-    for system in ("friction", "continuity"):
+    systems = ("friction", "continuity", "upper_core", "lower_core")
+    for system in systems:
         timed += [f"{system}.{phase}" for phase in ("factorize", "solve", "certify")]
         assert phases[f"{system}.lu_nnz"] > 0
         assert 0.0 <= phases[f"{system}.residual"] <= 1e-10
+        assert phases[f"{system}.path"] == "X-FOURIER"
     assert all(phases[name] >= 0.0 for name in timed)
-    assert len(phases) == len(timed) + 4
+    assert len(phases) == len(timed) + 3 * len(systems)
 
 
 def test_schwarz_ladder_loop(monkeypatch):
