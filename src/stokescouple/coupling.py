@@ -14,10 +14,10 @@ half-step is the layer's friction-free problem driven by the traction lam =
 alpha * (neighbor trace - own trace), the monolithic multiplier on one
 layer.  Each layer's friction-free matrix, the one the friction system
 borders, is factored once per `Discretization`, and certified block solves
-span its traction-to-trace map (the factors are then dropped, and each run
-factors the matrix again for the solve that rebuilds its field); alpha
-enters only dense algebra on the
-n_trace - 1 periodic trace unknowns, and a half-step is an affine map of the
+span its traction-to-trace map (factors by Fourier mode are then dropped,
+and each run factors the matrix again for the solve that rebuilds its
+field); alpha enters only dense algebra on the n_trace - 1 periodic trace
+unknowns, and a half-step is an affine map of the
 neighbor trace.  The iteration runs on traces of length n_trace = 2 nx + 1
 alone, the increment norm exact through Gram matrices of each layer's
 velocity response, as the map s <- a + K s of the upper trace, advanced a
@@ -54,7 +54,7 @@ from .fem import (
     build_space,
     periodic_fold,
 )
-from .linalg import SolveReport, factorize, solve
+from .linalg import X_FOURIER, SolveReport, factorize, solve
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -321,14 +321,19 @@ class _InterfaceCore(_HalfStep):
     dofs to the rhs: the solved vector is x0 + X y, the raw velocity u0 + R y.
     Certified block solves against the columns of [rhs(0), E] span it; of
     U = [u0, R] only n_trace-sized products are kept: the periodic trace
-    tau0 + S y (tau0 = T_p x0, S = T_p X) and the Gram matrix U^T M_u U of
-    the velocity mass M_u.  The factorization is then dropped, and the
+    tau0 + S y (tau0 = T_p x0, S = T_p X), the traction pin = S^-1 tau0 that
+    holds it at zero, and the Gram matrix V^T M_u V of V = [u0 - R pin, R]
+    and the velocity mass M_u.
+
+    A factorization by Fourier modes (X-FOURIER) is then dropped, and the
     solve that rebuilds the field at the stop factors the matrix again:
-    held through the trace iteration, the many small factors of a
-    per-Fourier-mode factorization fragment the native heap.  A `cli` pass
-    on the default config then peaked at 96.7 MB of RSS instead of 85.2 MB
-    (medians of ten benchmark runs); dropped, a 12-pass loop peaked at
-    81.6 MB against 83.4 MB before the per-mode factorization.
+    held through the trace iteration, its many small factors fragment the
+    native heap.  A `cli` pass on the default config then peaked at 96.7 MB
+    of RSS instead of 85.2 MB (medians of ten benchmark runs); dropped, a
+    12-pass loop peaked at 81.6 MB against 83.4 MB before the per-mode
+    factorization.  A whole-matrix factorization is kept for every run on
+    the discretization: it is one allocation, and factoring it again would
+    cost each run about 1.2 s on 128x64x16.
     """
 
     def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix):
@@ -347,15 +352,18 @@ class _InterfaceCore(_HalfStep):
             self.setup_reports.append(report)
         periodic = u[2 * space.interface_nodes[:-1]]
         self.tau0, self.S = periodic[:, 0], periodic[:, 1:]
+        self.pin = np.linalg.solve(self.S, self.tau0)
+        u[:, 0] -= u[:, 1:] @ self.pin  # V = [u0 - R pin, R]
         self.gram = np.empty((k + 1, k + 1))
         for cols in blocks:
             self.gram[:, cols] = u.T @ (op.mass @ u[:, cols])
         fold = periodic_fold(k + 1)
         fold_mass = (fold.T @ trace_mass).toarray()  # P^T M
         mass_p = fold_mass @ fold  # M_p = P^T M P
-        self.mass_s, self.s_mass = mass_p @ self.S, self.S @ mass_p
+        self.mass_s = mass_p @ self.S
         self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
-        self.factorization = None
+        if self.factorization.ordering == X_FOURIER:
+            self.factorization = None
 
     def robin(self, alpha: float) -> _RobinMap:
         """The Robin half-step with friction coefficient alpha, an affine map
@@ -366,40 +374,40 @@ class _InterfaceCore(_HalfStep):
         M_p tau0.  That matrix stays bounded as alpha grows, and S has no null
         direction on the periodic trace.  At alpha = 0, y = 0.
 
-        The trace at g = 0, tau0 + S y0 with y0 = -(I/alpha + M_p S)^-1 M_p
-        tau0, is the small difference of two large terms (tau0 is 1250 on
-        the upper layer, against a trace near 40).  Pushed through the
-        inverse it is (I/alpha + S M_p)^-1 tau0 / alpha, which does not
-        cancel.
+        The velocity at g = 0, u0 + R y0, is the small difference of two
+        large terms (tau0 is 1250 on the upper layer, against a trace near
+        40).  On the pinned field it is (u0 - R pin) + R z with z = y0 + pin
+        = (I/alpha + M_p S)^-1 pin / alpha, which does not cancel; its trace
+        is S z.  At alpha = 0, z = pin.
         """
         if not (np.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
-        y, trace0 = np.zeros(self.traction_rhs.shape), self.tau0
-        if alpha > 0.0:
-            eye = np.eye(len(y)) / alpha
-            y = np.linalg.solve(eye + self.mass_s, self.traction_rhs)
-            trace0 = np.linalg.solve(eye + self.s_mass, self.tau0 / alpha)
-        return _RobinMap(self, y, trace0)
+        if alpha == 0.0:
+            return _RobinMap(self, np.zeros(self.traction_rhs.shape), self.pin)
+        eye = np.eye(len(self.pin)) / alpha
+        zy = np.linalg.solve(eye + self.mass_s, np.column_stack([self.pin / alpha, self.traction_rhs]))
+        return _RobinMap(self, zy[:, 1:], zy[:, 0])
 
 
 class _RobinMap:
     """One layer's Robin half-step at one alpha, whose traction is y [1; g]
     against the neighbor trace g (see `_InterfaceCore.robin`).
 
-    It keeps the trace map t(g) = t0 + T g, [t0, T] = P [trace0, S y_g] with
-    y = [y0, y_g] and trace0 = tau0 + S y0 on the periodic trace, and
-    [[c, h^T], [h, G]] = Y^T gram Y with Y = [[1, 0], y]: the squared L2
-    norm of the velocity u(g) is g^T G g + 2 h^T g + c (the lower layer's
-    first increment, from the zero field), and that of an increment u(g +
-    d) - u(g) is exactly d^T G d.
+    On the core's basis V = [u0 - R pin, R] the velocity is V Y [1; g] with
+    Y = [[1, 0], [z, y_g]], y = [y0, y_g].  Since u0 - R pin has no periodic
+    trace, the trace map is t(g) = t0 + T g with [t0, T] = P S [z, y_g], and
+    [[c, h^T], [h, G]] = Y^T gram Y: the squared L2 norm of the velocity
+    u(g) is g^T G g + 2 h^T g + c (the lower layer's first increment, from
+    the zero field), and that of an increment u(g + d) - u(g) is exactly
+    d^T G d.
     """
 
-    def __init__(self, core: _InterfaceCore, y: np.ndarray, trace0: np.ndarray):
+    def __init__(self, core: _InterfaceCore, y: np.ndarray, z: np.ndarray):
         self.core, self.y = core, y
-        trace = np.column_stack([trace0, core.S @ y[:, 1:]])
+        span = np.vstack([np.eye(1, y.shape[1]), np.column_stack([z, y[:, 1:]])])
+        trace = core.S @ span[1:]
         trace = trace[np.append(np.arange(len(y)), 0)]  # P: x = L repeats x = 0
         self.t0, self.T = trace[:, 0], trace[:, 1:]
-        span = np.vstack([np.eye(1, y.shape[1]), y])
         gram = span.T @ core.gram @ span
         self.c, self.h, self.G = float(gram[0, 0]), gram[1:, 0], gram[1:, 1:]
 

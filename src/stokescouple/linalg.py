@@ -97,16 +97,15 @@ X_FOURIER = "X-FOURIER"
 # fraction of the largest entry of x-column 0.  The layered mesh's systems
 # repeat to 2.8e-14 on the ladder up to 128x64x16.
 SHIFT_RTOL = 1e-12
-# Entries of an x-column gathered per step of the invariance check: a 1/128
-# of the matrix's nonzeros, so that each step's temporaries stay near 5% of
-# the matrix, but at least _CHECK_ENTRIES, where a step's fixed cost of
-# about 30 numpy calls outweighs its work.
-_CHECK_FRACTION = 128
-# Entries summed per step when a mode's matrix is formed: a 1/512 of the
-# matrix's nonzeros, at least _SYMBOL_ENTRIES.
-_SYMBOL_FRACTION = 512
-_SYMBOL_ENTRIES = 256
-_CHECK_ENTRIES = 1024
+# Entries gathered per step of the invariance check (`_CHECK_STEP`) and of
+# forming a mode's matrix (`_SYMBOL_STEP`): a fraction of the nonzeros,
+# but at least a floor, below which a step's fixed cost of about 30 numpy
+# calls outweighs its work.  The symbol's steps are smaller because they run
+# while the pattern and a mode's values are held: at the check's size the
+# traced peak of factoring the 32x16x4 continuity system reads 10.0% of the
+# matrix instead of 8.5%, against the 10% that the tests allow.
+_CHECK_STEP = (128, 1024)
+_SYMBOL_STEP = (512, 256)
 
 
 class DimensionMismatchError(ValueError):
@@ -319,8 +318,16 @@ def _pivots(lu) -> int:
 
 
 def _small(n: int) -> type:
-    """The smallest signed integer type holding 0..n - 1."""
+    """The smallest signed integer type holding 0..n - 1.  The per-entry
+    shift and run arrays of `_ShiftSymbol` use it: at int64 they raise the
+    traced peak of factoring the 32x16x4 continuity system from 8.5% to
+    10.0% of the matrix, against the 10% that the tests allow."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if n <= np.iinfo(t).max + 1)
+
+
+def _step(matrix: "CscMatrix", rule: tuple[int, int]) -> int:
+    fraction, floor = rule
+    return max(matrix.nnz // fraction, floor)
 
 
 def _ranges(start: np.ndarray, size: int) -> list:
@@ -402,7 +409,7 @@ class _ShiftSymbol:
         self.src = np.empty(start[-1], dtype=np.int32 if matrix.nnz < 2**31 else np.int64)
         self.tol = SHIFT_RTOL * max(data.max(initial=0.0), -data.min(initial=0.0))
         self.stored = []  # per range, its entries' slice of keys and src
-        ranges = _ranges(start, max(matrix.nnz // _CHECK_FRACTION, _CHECK_ENTRIES))
+        ranges = _ranges(start, _step(matrix, _CHECK_STEP))
         for j in range(self.nx):
             first = indptr[order[j]]
             counts = indptr[order[j] + 1] - first
@@ -481,10 +488,10 @@ class _ShiftSymbol:
     def _pattern(self) -> tuple:
         """From the sorted keys, which are then released: the m x m pattern
         (indptr, indices) shared by the modes, and what forms its values from
-        x-column 0's entries of column q: they start at first[q] in the
-        matrix's arrays, number count[q], lie off[e] past first[q], belong
-        to pattern entries of run[i] entries each, and have the shift
-        shifts[shift[e]]; and the lower border wt (g x m) of mode 0."""
+        x-column 0's entries, in pattern order: column q's entries start at
+        entry[q], entry e lies at src[e] in the matrix's arrays and has the
+        shift shifts[shift[e]], and pattern entry i sums run[i] of them; and
+        the lower border wt (g x m) of mode 0."""
         nx, m, g = self.nx, self.m, self.n_global
         pair = self.keys // nx  # q (m + g) + row
         row = pair % (m + g)
@@ -504,15 +511,11 @@ class _ShiftSymbol:
         present[shift] = True
         shifts = np.flatnonzero(present)
         shift = (np.cumsum(present) - 1).astype(_small(len(shifts))).take(shift)
-        off, pair = self.src[local], pair[local]
+        src, pair = self.src[local], pair[local]
         self.src = None
         del local
-        q = pair // (m + g)
-        count = np.bincount(q, minlength=m)
-        first = self.matrix.indptr[self.matrix.columns.order[0]]
-        off -= first.take(q)
-        del q
-        off = off.astype(_small(off.max(initial=0) + 1))
+        entry = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair // (m + g), minlength=m), out=entry[1:])
         new = np.empty(len(pair), dtype=bool)
         new[0] = True
         np.not_equal(pair[1:], pair[:-1], out=new[1:])
@@ -523,7 +526,7 @@ class _ShiftSymbol:
         del pair, starts
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(q, minlength=m), out=indptr[1:])
-        return (indptr, rows.astype(self.index)), (first, count, off, run), shifts, shift, below
+        return (indptr, rows.astype(self.index)), (entry, src, run), shifts, shift, below
 
     def modes(self):
         """Yield (k, matrix) for each mode k = 0..nx // 2, one at a time, the
@@ -534,11 +537,9 @@ class _ShiftSymbol:
         global unknowns themselves.  The complex modes share one data array,
         which SuperLU copies."""
         nx, m = self.nx, self.m
-        (indptr, indices), (first, count, off, run), shifts, shift, below = self._pattern()
+        (indptr, indices), (entry, src, run), shifts, shift, below = self._pattern()
         values = self.matrix.data
-        entry = np.zeros(m + 1, dtype=np.int64)  # column q's entries of x-column 0
-        np.cumsum(count, out=entry[1:])
-        ranges = _ranges(entry, max(self.matrix.nnz // _SYMBOL_FRACTION, _SYMBOL_ENTRIES))
+        ranges = _ranges(entry, _step(self.matrix, _SYMBOL_STEP))
         signed = np.where(shifts > nx // 2, shifts - nx, shifts)  # d = nx - 1 is the left neighbor
 
         def symbol(phase: np.ndarray | None, out: np.ndarray) -> np.ndarray:
@@ -546,7 +547,7 @@ class _ShiftSymbol:
             of pattern entry i."""
             for q0, q1 in ranges:
                 e0, e1, i0, i1 = entry[q0], entry[q1], indptr[q0], indptr[q1]
-                v = values.take(np.repeat(first[q0:q1], count[q0:q1]) + off[e0:e1])
+                v = values.take(src[e0:e1])
                 if phase is not None:
                     v *= phase.take(shift[e0:e1])
                 starts = np.zeros(i1 - i0, dtype=np.int64)
