@@ -16,9 +16,7 @@ force (1, -1)):
     assemble_stokes  assemble_stokes, both layers
     continuity       the continuity system, from the layer operators
     friction         the friction system at alpha = ALPHA, from the layer
-                     operators (`assemble_coupled_system`; a checkout from
-                     before it bordered the per-layer systems assembles the
-                     uncoupled two-layer system and borders it instead)
+                     operators (`assemble_coupled_system`)
 
 and, for each monolithic system (friction at alpha = ALPHA, continuity)
 and each layer's interface core (upper_core, lower_core: the layer's
@@ -29,8 +27,9 @@ friction-free system, `assemble_robin_subproblem`):
     <system>.certify    the rest of Factorization.solve: the residual check
     <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
                         relative residual (both from the last repeat)
-    <system>.path       how it was factored (SolveReport.ordering): NATURAL
-                        whole, X-FOURIER one Fourier mode along x at a time
+    <system>.path       how it was factored (SolveReport.ordering):
+                        MMD_AT_PLUS_A whole, under SuperLU's minimum-degree
+                        order, X-FOURIER one Fourier mode along x at a time
 
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
@@ -63,32 +62,17 @@ ALPHA = 10.0
 SIDES = ("parent", "change")
 
 
-def assemblers(ops: list, trace_mass) -> tuple:
+def assemblers(ops: list) -> tuple:
     """(continuity, friction): each assembles its monolithic system from the
     layer operators and returns (matrix, rhs), the matrix as `factorize`
     takes it."""
-    from stokescouple import fem, linalg
+    from stokescouple import fem
 
     def assemble(coupling):
         system = fem.assemble_coupled_system(*ops, coupling)
         return system.matrix, system.rhs
 
-    if not hasattr(fem, "CouplingMode"):
-        return (lambda: assemble(float("inf"))), (lambda: assemble(ALPHA))
-
-    # A checkout from before friction bordered the per-layer systems: it
-    # borders the uncoupled two-layer system.  Its matrix container was
-    # CsrMatrix before the systems were held in compressed columns.
-    from stokescouple.coupling import _friction_multiplier_system
-
-    def friction():
-        uncoupled = fem.assemble_coupled_system(*ops, fem.CouplingMode.UNCOUPLED)
-        matrix, rhs = _friction_multiplier_system(uncoupled, trace_mass, ALPHA)
-        if hasattr(linalg, "CscMatrix"):  # as its solve_monolithic_friction wraps it
-            return linalg.CscMatrix(*matrix.shape, matrix.indptr, matrix.indices, matrix.data), rhs
-        return linalg.CsrMatrix.from_scipy(matrix), rhs
-
-    return (lambda: assemble(fem.CouplingMode.CONTINUITY)), friction
+    return (lambda: assemble(float("inf"))), (lambda: assemble(ALPHA))
 
 
 def core(op):
@@ -104,8 +88,7 @@ def time_phases(src: Path) -> dict:
     under src/src."""
     sys.path.insert(0, str(src / "src"))
     from stokescouple import linalg
-    from stokescouple.fem import BodyForce, assemble_interface_friction, assemble_stokes
-    from stokescouple.fem import build_space
+    from stokescouple.fem import BodyForce, assemble_stokes, build_space
     from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
 
     force = BodyForce(1.0, -1.0)
@@ -115,7 +98,7 @@ def time_phases(src: Path) -> dict:
         mesh = build_layered_mesh(Geometry(), *cells)
         spaces = [build_space(mesh, sub) for sub in (Subdomain.UPPER, Subdomain.LOWER)]
         ops = [assemble_stokes(space, 1.0, force) for space in spaces]
-        continuity, friction = assemblers(ops, assemble_interface_friction(*spaces))
+        continuity, friction = assemblers(ops)
         phases = {
             "mesh": lambda: build_layered_mesh(Geometry(), *cells),
             "validate": lambda: validate_mesh(mesh),

@@ -19,17 +19,15 @@ symmetrically through a 0/1 reduction operator C, and every eliminated dof is
 zero.  The reduced system is C^T A C augmented with one integral-mean
 pressure-gauge row per layer, scattered in one pass through C's raw ->
 reduced index map, not multiplied.
-The reduced unknowns are numbered in nested-dissection order of their
-nodes, with the gauge rows last, because `linalg.factorize` eliminates a
-whole system in the order given: on 64x32x8 the continuity system fills
-4.35M L+U entries in that order, against 5.93M under SuperLU's minimum
-degree.  Each layout also records, from the node coordinates, the cell
-column in x and the in-column position (z first) of every solved row, and
-each assembled matrix carries them (`linalg.XColumns`); every border puts
-trace dof j in column j // 2, and the gauge rows belong to no column.  On
-the layered mesh every column is the same, so `linalg.factorize` factors
-the system one Fourier mode along x at a time; on any other mesh it
-factors it whole, in the dissection order.
+The reduced unknowns keep the raw order of their representatives, with the
+gauge rows last; no numbering here aims at low fill.  Each layout records,
+from the node coordinates, the cell column in x and the in-column position
+(z first) of every solved row, and each assembled matrix carries them
+(`linalg.XColumns`); every border puts trace dof j in column j // 2, and
+the gauge rows belong to no column.  On the layered mesh every column is
+the same, so `linalg.factorize` factors the system one Fourier mode along
+x at a time, in that in-column order; on any other mesh it factors it
+whole, under SuperLU's minimum-degree order.
 """
 
 from __future__ import annotations
@@ -416,86 +414,16 @@ def periodic_fold(n_trace: int) -> scipy.sparse.csr_matrix:
 # constraint reduction
 
 
-def _nearest_line(lines: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per box, the grid line of `lines` (sorted indices) strictly between lo
-    and hi that is nearest their middle, or -1 where there is none."""
-    mid = 0.5 * (lo + hi)
-    j = np.searchsorted(lines, mid)
-    # the last line below the middle and the first at or above it
-    cand = np.stack([lines[np.maximum(j - 1, 0)], lines[np.minimum(j, len(lines) - 1)]])
-    inside = (cand > lo) & (cand < hi)
-    pick = np.argmin(np.where(inside, np.abs(cand - mid), np.inf), axis=0)
-    return np.where(inside.any(axis=0), cand[pick, np.arange(len(lo))], -1)
-
-
-def _dissection_order(coords: np.ndarray, pressure: np.ndarray) -> np.ndarray:
-    """Nested-dissection permutation of unknowns at nodes `coords` (x, z);
-    `pressure` flags the pressure unknowns, whose nodes are the vertices.
-
-    On grid indices (the ranks of the distinct x and z values) the first
-    separator is the x = 0 column, the periodic seam, together with the
-    vertex column nearest the middle.  Each remaining box is bisected
-    recursively on the vertex line nearest the middle of its longer index
-    extent; no element straddles a vertex line of the structured mesh, so
-    every cut separates the unknowns on its two sides.  A box with no vertex
-    line inside is a leaf.  Each box is numbered before its separator, and
-    inside every leaf and separator velocity comes before pressure, then
-    (x, z) in lexicographic order, then the given order.  Any numbering is
-    correct; on another mesh this one only fills more.
-    """
-    ix = np.unique(coords[:, 0], return_inverse=True)[1]
-    iz = np.unique(coords[:, 1], return_inverse=True)[1]
-    lines = [np.unique(index[pressure]) for index in (ix, iz)]
-    n_x, n_z = ix.max() + 1, iz.max() + 1
-    middle = max(int(_nearest_line(lines[0], np.array([0]), np.array([n_x]))[0]), 0)
-    # The dissection runs on the grid points; the unknowns take their point's
-    # path from the root, in base 3: 0 below a cut, 1 above it, 2 on it.
-    # Sorting on it numbers both boxes before their separator.  Its digits
-    # are about log2 of the point count, far below the 39 that fit in int64.
-    gx, gz = np.divmod(np.arange(n_x * n_z), n_z)
-    seam = (gx == 0) | (gx == middle)
-    path = np.where(seam, 2, gx > middle)
-    box = path.copy()  # index into `bounds`, inclusive index ranges per box
-    bounds = np.array([[1, middle - 1, 0, n_z - 1], [middle + 1, n_x - 1, 0, n_z - 1]])
-    active = np.nonzero(~seam)[0]
-    while len(active):
-        x0, x1, z0, z1 = bounds.T
-        cut_x, cut_z = _nearest_line(lines[0], x0, x1), _nearest_line(lines[1], z0, z1)
-        along_x = (cut_x >= 0) & ((x1 - x0 >= z1 - z0) | (cut_z < 0))
-        cut = np.where(along_x, cut_x, cut_z)
-        along_z = ~along_x & (cut >= 0)
-        below, above = bounds.copy(), bounds.copy()  # the children 2 b and 2 b + 1
-        below[along_x, 1], above[along_x, 0] = cut[along_x] - 1, cut[along_x] + 1
-        below[along_z, 3], above[along_z, 2] = cut[along_z] - 1, cut[along_z] + 1
-        bounds = np.stack([below, above], axis=1).reshape(-1, 4)
-
-        b, c = box[active], cut[box[active]]
-        side = np.sign(np.where(along_x[b], gx[active], gz[active]) - c)
-        digit = np.where(side < 0, 0, np.where(side > 0, 1, 2))
-        digit[c < 0] = 0  # a leaf: its points are numbered
-        path *= 3
-        path[active] += digit
-        box[active] = 2 * b + (digit == 1)
-        active = active[(c >= 0) & (digit < 2)]
-    return np.lexsort((iz, ix, pressure, path[ix * n_z + iz]))
-
-
 def _reduction(
-    n_raw: int,
-    pairs: np.ndarray,
-    fixed: np.ndarray,
-    coords: np.ndarray,
-    pressure: np.ndarray,
+    n_raw: int, pairs: np.ndarray, fixed: np.ndarray
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Eliminate identified and zero-Dirichlet raw dofs.
 
     pairs (k, 2) identifies raw dofs; the classes are the connected
     components of that graph.  A class with a member in `fixed` is dropped:
     every member is zero.  Every other class becomes one reduced column,
-    represented by its smallest raw index; the columns are numbered in the
-    nested-dissection order of their representatives' node `coords`
-    (`pressure` flags the pressure dofs), so SuperLU can factor the system in
-    the order it arrives.  Returns the 0/1 reduction operator C (raw x
+    represented by its smallest raw index, and the columns are numbered by
+    ascending representative.  Returns the 0/1 reduction operator C (raw x
     reduced), the raw -> reduced column map (-1 where dropped) and each
     reduced column's representative raw dof.
     """
@@ -509,7 +437,6 @@ def _reduction(
 
     _, smallest = np.unique(label, return_index=True)
     kept = np.sort(smallest[~class_dropped])
-    kept = kept[_dissection_order(coords[kept], pressure[kept])]
     class_col = np.full(n_class, -1, dtype=np.int64)
     class_col[label[kept]] = np.arange(len(kept))
     col_of = class_col[label]
@@ -686,7 +613,7 @@ def _build_layout(
         pressure[op : op + sp.n_pressure_dofs] = True
         kind[ov : ov + sp.n_velocity_dofs] = 3 * sp.subdomain + np.arange(sp.n_velocity_dofs) % 2
         kind[op : op + sp.n_pressure_dofs] = 3 * sp.subdomain + 2
-    c, col_of, kept = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed), coords, pressure)
+    c, col_of, kept = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed))
     x, z = coords[kept].T
     lines = np.unique(x[pressure[kept]])  # the vertex columns, x = L folded onto x = 0
     columns, sites = _x_columns(x, z, kind[kept], lines, len(spaces))
@@ -771,9 +698,7 @@ def assemble_coupled_system(
     last row gives lam = alpha * jump, so eliminating lam recovers the
     penalty matrix blockdiag(A_upper, A_lower) + alpha J^T M_p J exactly,
     while every entry stays O(1) or O(1/alpha) instead of O(alpha).  alpha
-    = 0 leaves the layers unbordered.  The multiplier comes last because
-    `linalg.factorize` eliminates in the order given: first, it would couple
-    every trace dof of both layers before either layer's interior.
+    = 0 leaves the layers unbordered.
     """
     if not alpha >= 0.0:
         raise ValueError(f"friction coefficient must be >= 0 or inf, got {alpha}")

@@ -1,9 +1,8 @@
 """Sparse compressed-column (CSC) matrices and a certified direct solver.
 
-Every factorization is a sparse LU (SuperLU via scipy) with one recipe: the
-natural order, symmetric mode, and a diagonal pivot threshold of 0.01.  It
-is applied in one of two ways, read from the matrix, never chosen by an
-option.
+Every factorization is a sparse LU (SuperLU via scipy) in symmetric mode
+with a diagonal pivot threshold of 0.01.  It is applied in one of two ways,
+read from the matrix, never chosen by an option.
 
 A matrix of the layered mesh is invariant under a shift by one cell column
 in x, the periodic direction: `fem` attaches to it the x-column and the
@@ -12,27 +11,26 @@ column ordered by z first.  `factorize` reads the m x m coupling blocks
 C_d between a column and the column d to its right from the rows of
 x-column 0, one x-column at a time checks that every other column repeats
 them, and then factors the symbol sum_d C_d exp(-i theta_k d) of each
-Fourier mode k = 0..nx // 2 on its own ("X-FOURIER"): the discrete Fourier
-transform along x turns a block-circulant matrix block-diagonal (P. J.
-Davis, *Circulant Matrices*, 1979).  Modes 0 and nx / 2 are real, the
-others complex Hermitian; the global rows (the pressure gauges) couple
-only to mode 0 and border it.  A solve transforms the rhs with `rfft`
-along x, solves each mode and transforms back.  On 64x32x8 the friction
-system fills 0.19M L+U entries this way instead of 3.69M.
+Fourier mode k = 0..nx // 2 on its own ("X-FOURIER"), in its in-column
+order, which is banded: the discrete Fourier transform along x turns a
+block-circulant matrix block-diagonal (P. J. Davis, *Circulant Matrices*,
+1979).  Modes 0 and nx / 2 are real, the others complex Hermitian; the
+global rows (the pressure gauges) couple only to mode 0 and border it.  A
+solve transforms the rhs with `rfft` along x, solves each mode and
+transforms back.  On 64x32x8 the friction system fills 0.19M L+U entries
+this way instead of 5.66M.
 
 Any other matrix, including one from a mesh whose columns differ, is
-factored whole ("NATURAL"): SuperLU computes no fill-reducing order, so
-`fem` numbers each layer's unknowns in nested-dissection order of the mesh
-and every border (the friction multiplier, the Dirichlet trace
-constraint) comes after them.  Every matrix the package factors is
-structurally symmetric: Stokes blocks [[K, D], [D^T, 0]] reduced by a
-symmetric C^T A C, bordered by gauge rows and, for friction and the
-Dirichlet half-step, by an interface multiplier.  SymmetricMode pivots on
-the diagonal while it passes the threshold, so the factors keep the
-symmetric fill of the order.  The threshold stays nonzero because a zero
-threshold lost six digits on a harder saddle system; a diagonal entry below
-0.01 of its column's largest is still pivoted away, and the report counts
-those off-diagonal pivots, summed over the modes.
+factored whole under SuperLU's minimum-degree order on the pattern of
+A^T + A ("MMD_AT_PLUS_A"; X. S. Li, ACM TOMS 31, 2005).  Every matrix the
+package factors is structurally symmetric: Stokes blocks [[K, D], [D^T,
+0]] reduced by a symmetric C^T A C, bordered by gauge rows and, for
+friction and the Dirichlet half-step, by an interface multiplier.
+SymmetricMode pivots on the diagonal while it passes the threshold, so the
+factors keep the symmetric fill of the order.  The threshold stays nonzero
+because a zero threshold lost six digits on a harder saddle system; a
+diagonal entry below 0.01 of its column's largest is still pivoted away,
+and the report counts those off-diagonal pivots, summed over the modes.
 
 Every solve is certified by an independent matrix-vector product: the
 relative residual is computed with a scipy sparse product of the original
@@ -86,8 +84,10 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-10
 
-# The factorization recipe passed to SuperLU for every matrix, or every mode.
-ORDERING = "NATURAL"
+# The factorization recipe passed to SuperLU: the column order of a whole
+# matrix, and of each Fourier mode, which arrives banded.
+ORDERING = "MMD_AT_PLUS_A"
+MODE_ORDERING = "NATURAL"
 DIAG_PIVOT_THRESH = 0.01
 SYMMETRIC_MODE = True
 # SolveReport.ordering of a matrix factored one Fourier mode at a time.
@@ -196,9 +196,9 @@ class SolveReport:
     """What one certified solve did.
 
     ordering, diag_pivot_thresh and symmetric_mode are the options the
-    factorization was computed with: "NATURAL" means the whole matrix was
-    factored with its columns eliminated in the order they arrived,
-    "X-FOURIER" that each Fourier mode along x was, in its in-column order.
+    factorization was computed with: "MMD_AT_PLUS_A" means the whole matrix
+    was factored under SuperLU's minimum-degree column order, "X-FOURIER"
+    that each Fourier mode along x was, in its in-column order.
     off_diagonal_pivots counts the columns whose pivot row is not their own
     (perm_r differs from perm_c), where the diagonal failed the threshold.
     lu_nnz is SuperLU's count of the stored L + U nonzeros; both are summed
@@ -301,11 +301,11 @@ def _phase(what: str, matrix: CscMatrix):
         ) from exc
 
 
-def _splu(a: scipy.sparse.csc_matrix):
+def _splu(a: scipy.sparse.csc_matrix, ordering: str):
     try:
         return scipy.sparse.linalg.splu(
             a,
-            permc_spec=ORDERING,
+            permc_spec=ordering,
             diag_pivot_thresh=DIAG_PIVOT_THRESH,
             options={"SymmetricMode": SYMMETRIC_MODE},
         )
@@ -613,7 +613,7 @@ def _factor_modes(matrix: CscMatrix) -> _FourierModes | None:
         with _phase("forming a Fourier mode's matrix (X-FOURIER)", matrix):
             k, mode = next(modes)
         with _phase(f"the factorization of Fourier mode {k} (X-FOURIER)", matrix):
-            factors[k] = _splu(mode)
+            factors[k] = _splu(mode, MODE_ORDERING)
         del mode
     return _FourierModes(matrix.columns, factors)
 
@@ -629,8 +629,8 @@ def factorize(matrix: CscMatrix) -> Factorization:
     if lu is not None:
         pivots, ordering = sum(map(_pivots, lu.factors)), X_FOURIER
     else:
-        with _phase("the factorization (NATURAL)", matrix):
-            lu = _splu(product)
+        with _phase(f"the factorization ({ORDERING})", matrix):
+            lu = _splu(product, ORDERING)
         pivots, ordering = _pivots(lu), ORDERING
     return Factorization(
         matrix=matrix,

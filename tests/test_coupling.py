@@ -514,9 +514,10 @@ def test_whole_matrix_cores_keep_their_factors(monkeypatch):
         config = SchwarzConfig(alpha=alpha)
         report = schwarz_solve(moved, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
         assert report.n_iterations > 0
-        assert all(r.ordering == "NATURAL" for r in report.reconstruction_reports)
+        assert all(r.ordering == "MMD_AT_PLUS_A" for r in report.reconstruction_reports)
     assert len(factored) == 2
-    assert all(core.factorization.ordering == "NATURAL" for core in disc.interface_cores.values())
+    cores = disc.interface_cores.values()
+    assert all(core.factorization.ordering == "MMD_AT_PLUS_A" for core in cores)
 
 
 # ---------------------------------------------------------------------------

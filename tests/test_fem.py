@@ -24,7 +24,6 @@ from stokescouple.fem import (
     assemble_robin_subproblem,
     assemble_stokes,
     _cell_geometry,
-    _dissection_order,
     _p2_reference_grads,
     _p2_values,
     build_space,
@@ -390,17 +389,6 @@ def test_col_of_and_expand_consistency(ops):
     assert u[s] == u[m]
 
 
-def raw_nodes(layout):
-    """Each raw dof's node coordinates and whether it is a pressure dof."""
-    coords, pressure = np.empty((layout.n_raw, 2)), np.zeros(layout.n_raw, dtype=bool)
-    for sub, sp in layout.spaces.items():
-        ov, op = layout.offsets[(sub, "velocity")], layout.offsets[(sub, "pressure")]
-        coords[ov : ov + sp.n_velocity_dofs] = np.repeat(sp.velocity_nodes, 2, axis=0)
-        coords[op : op + sp.n_pressure_dofs] = sp.pressure_nodes
-        pressure[op : op + sp.n_pressure_dofs] = True
-    return coords, pressure
-
-
 def test_reduction_contract(ops):
     continuity = assemble_coupled_system(*ops, np.inf).layout
     prescribed = assemble_dirichlet_subproblem(ops[1])[0].layout
@@ -409,13 +397,9 @@ def test_reduction_contract(ops):
         assert np.all(c.data == 1.0)
         members = [np.sort(c.indices[c.indptr[j] : c.indptr[j + 1]]) for j in range(c.shape[1])]
         smallest = np.array([m[0] for m in members])
-        # each column is represented by its smallest raw index; ranked by it,
-        # the columns are the lexicographic numbering, and they are labelled
-        # in the nested-dissection order of their representatives' nodes
-        lexicographic = np.sort(smallest)
-        coords, pressure = raw_nodes(layout)
-        order = _dissection_order(coords[lexicographic], pressure[lexicographic])
-        np.testing.assert_array_equal(smallest, lexicographic[order])
+        # each column is represented by its smallest raw index, and the
+        # columns come in ascending order of it: the lexicographic numbering
+        np.testing.assert_array_equal(smallest, np.sort(smallest))
         for j, m in enumerate(members):
             assert np.all(layout.col_of[m] == j)
         kept = np.concatenate(members)
@@ -443,17 +427,14 @@ def test_reduction_contract(ops):
 
 
 @pytest.mark.parametrize("cells", [(1, 1, 1), (3, 2, 1), (5, 1, 3)])
-def test_dissection_numbering_on_degenerate_meshes(cells):
-    # one column of cells, where the middle vertex column is the seam, and
-    # odd nx, where no vertex column sits at the middle
+def test_reduced_numbering_on_degenerate_meshes(cells):
+    # one column of cells, whose two vertex columns are one periodic seam,
+    # and odd nx
     mesh = build_layered_mesh(Geometry(), *cells)
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, np.inf).layout
     layers = assemble_coupled_system(disc.op_upper, disc.op_lower, 0.0).layout.layers
     for layout in (continuity, *layers):
-        coords, pressure = raw_nodes(layout)
-        order = _dissection_order(coords, pressure)
-        np.testing.assert_array_equal(np.sort(order), np.arange(layout.n_raw))
         np.testing.assert_array_equal(
             np.unique(layout.col_of[layout.col_of >= 0]), np.arange(layout.n_reduced)
         )
