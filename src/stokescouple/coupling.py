@@ -25,11 +25,12 @@ block of iterations per numpy call through the powers of K.  When it stops,
 one certified solve per layer rebuilds the fields.  The monolithic solves
 share only the assembly with it: they factor their own bordered matrix.
 
-`dirichlet_exchange_demo` runs the same alternation with pure Dirichlet trace
-exchange instead: each solve imposes the neighbor trace as a constraint on
-the friction-free system, so the traces freeze after the first exchange and
-the iteration stagnates away from the coupled solution.  It exists to
-demonstrate why the Robin exchange is used.
+`dirichlet_exchange_demo` shows why the Robin exchange is used.  A pure
+Dirichlet half-step imposes the neighbor trace as a constraint on the
+friction-free system, so its own trace is the data it was given: its map on
+the trace is the identity, the traces freeze at the initial one, and the
+exchange stagnates away from the coupled solution.  The demo iterates that
+map on the trace and solves each layer it touches once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import scipy.sparse
 from .fem import (
     BodyForce,
     MixedSpace,
-    SparseSystem,
     StokesOperator,
     assemble_coupled_system,
     assemble_dirichlet_subproblem,
@@ -290,29 +290,7 @@ def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trac
 _BLOCK_COLUMNS = 8
 
 
-class _HalfStep:
-    """One layer against interface data d, factored once.  The matrix does
-    not depend on d, which enters the rhs as coupling @ d: `system` and
-    `coupling` are what `fem`'s single-layer assemblers return.  A solve
-    after the factorization was dropped (None) factors the matrix again."""
-
-    def __init__(self, sub: Subdomain, system: SparseSystem, coupling: scipy.sparse.csr_matrix):
-        self.sub = sub
-        self.layout = system.layout
-        self.rhs = system.rhs  # the rhs at d = 0
-        self.coupling = coupling
-        self.matrix = system.matrix
-        self.factorization = factorize(system.matrix)
-
-    def solve(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field solve: (raw velocity, raw pressure, report)."""
-        factorization = self.factorization or factorize(self.matrix)
-        x, report = factorization.solve(self.rhs + self.coupling @ d)
-        out = self.layout.expand(x)
-        return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
-
-
-class _InterfaceCore(_HalfStep):
+class _InterfaceCore:
     """One layer driven by an interface traction: the alpha-free core of
     its Robin half-steps.
 
@@ -323,7 +301,8 @@ class _InterfaceCore(_HalfStep):
     U = [u0, R] only n_trace-sized products are kept: the periodic trace
     tau0 + S y (tau0 = T_p x0, S = T_p X), the traction pin = S^-1 tau0 that
     holds it at zero, and the Gram matrix V^T M_u V of V = [u0 - R pin, R]
-    and the velocity mass M_u.
+    and the velocity mass M_u.  The layer system itself (`layout`, `rhs`,
+    `coupling` = E, `matrix`) is kept for `solve`.
 
     A factorization by Fourier modes (X-FOURIER) is then dropped, and the
     solve that rebuilds the field at the stop factors the matrix again:
@@ -338,7 +317,10 @@ class _InterfaceCore(_HalfStep):
 
     def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix):
         space = op.space
-        super().__init__(space.subdomain, *assemble_robin_subproblem(op))
+        self.sub = space.subdomain
+        system, self.coupling = assemble_robin_subproblem(op)
+        self.layout, self.rhs, self.matrix = system.layout, system.rhs, system.matrix
+        factorization = factorize(self.matrix)
         layout, k = self.layout, self.coupling.shape[1]
         rhs = scipy.sparse.hstack([self.rhs[:, None], self.coupling], format="csc")
         offset = layout.offsets[(space.subdomain, "velocity")]
@@ -347,7 +329,7 @@ class _InterfaceCore(_HalfStep):
         u = np.empty((space.n_velocity_dofs, k + 1))
         self.setup_reports = []
         for cols in blocks:
-            x, report = self.factorization.solve(rhs[:, cols].toarray())
+            x, report = factorization.solve(rhs[:, cols].toarray())
             u[:, cols] = to_velocity @ x[: layout.n_reduced]
             self.setup_reports.append(report)
         periodic = u[2 * space.interface_nodes[:-1]]
@@ -362,8 +344,15 @@ class _InterfaceCore(_HalfStep):
         mass_p = fold_mass @ fold  # M_p = P^T M P
         self.mass_s = mass_p @ self.S
         self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
-        if self.factorization.ordering == X_FOURIER:
-            self.factorization = None
+        self.factorization = None if factorization.ordering == X_FOURIER else factorization
+
+    def solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+        """Certified full-field solve against the traction y: (raw velocity,
+        raw pressure, report).  A dropped factorization is factored again."""
+        factorization = self.factorization or factorize(self.matrix)
+        x, report = factorization.solve(self.rhs + self.coupling @ y)
+        out = self.layout.expand(x)
+        return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
 
     def robin(self, alpha: float) -> _RobinMap:
         """The Robin half-step with friction coefficient alpha, an affine map
@@ -559,11 +548,12 @@ def schwarz_solve(
 class StagnationReport:
     """Trace history of the pure Dirichlet exchange.
 
-    sides[k] labels the layer solved at half-step k; traces[k] is the
-    interface trace of that solve.  deltas[k] = max |traces[k] -
-    traces[k-1]|: identically the exchange copies the imposed data, so
-    deltas vanish after the first exchange while the iterate stays frozen at
-    the initial trace."""
+    sides[k] labels the layer solved at half-step k; traces[k] is half-step
+    k's imposed data, which its solve reproduces as its own trace.  deltas[k]
+    = max |traces[k+1] - traces[k]|: the exchange copies the imposed data, so
+    every trace is the initial one and every delta is zero.  final holds the
+    field of each layer that a half-step solved, and a zero field for a layer
+    that none did."""
 
     steps: int
     sides: list[str]
@@ -582,15 +572,17 @@ def dirichlet_exchange_demo(
     initial_trace: np.ndarray | None = None,
     disc: Discretization | None = None,
 ) -> StagnationReport:
-    """Alternate single-layer solves exchanging pure Dirichlet traces.
+    """Alternate single-layer solves exchanging pure Dirichlet traces,
+    upper layer first.
 
     Each half-step imposes the neighbor's interface velocity pointwise, so
-    its own trace equals the imposed data and nothing new is ever produced:
-    the iteration stagnates at the initial trace instead of approaching the
-    coupled solution.  Each layer's friction-free system bordered by its
-    trace constraint is factorized once; only the rhs follows the imposed
-    trace.  The initial trace must be periodic: its first and last entries
-    sit on the identified nodes x = 0 and x = L."""
+    its own trace is the imposed data: its map on the trace is the identity,
+    and the iteration stagnates at the initial trace instead of approaching
+    the coupled solution.  Each layer a half-step touches (the lower one from
+    steps = 2 on) is solved once, against the initial trace, by one certified
+    solve of its friction-free system bordered by its trace constraint.  The
+    initial trace must be periodic: its first and last entries sit on the
+    identified nodes x = 0 and x = L."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if disc is None:
@@ -598,30 +590,23 @@ def dirichlet_exchange_demo(
     if initial_trace is None:
         g = np.zeros(len(disc.space_upper.interface_nodes))
     else:
-        g = check_periodic_trace(disc.space_upper, initial_trace, "initial trace")
+        g = check_periodic_trace(disc.space_upper, initial_trace, "initial trace").copy()
 
-    sides: list[str] = []
-    traces: list[np.ndarray] = []
-    deltas: list[float] = []
-    solvers = {}
     fields = {
         sub: (np.zeros(disc.space(sub).n_velocity_dofs), np.zeros(disc.space(sub).n_pressure_dofs))
         for sub in (Subdomain.UPPER, Subdomain.LOWER)
     }
-    for k in range(steps):
-        sub = Subdomain.UPPER if k % 2 == 0 else Subdomain.LOWER
-        if sub not in solvers:
-            solvers[sub] = _HalfStep(sub, *assemble_dirichlet_subproblem(disc.op(sub)))
-        u, p, _ = solvers[sub].solve(g)
+    for sub in (Subdomain.UPPER, Subdomain.LOWER)[:steps]:
+        system, coupling = assemble_dirichlet_subproblem(disc.op(sub))
+        x, _ = solve(system.matrix, system.rhs + coupling @ g)
+        out = system.layout.expand(x)
+        u, p = out[(sub, "velocity")], out[(sub, "pressure")]
         # the constraint reproduces g to roundoff; the field takes g itself
         u[2 * disc.space(sub).interface_nodes] = g
         fields[sub] = (u, p)
-        trace = disc.trace_of(sub, u)
-        sides.append(sub.name.lower())
-        if traces:
-            deltas.append(float(np.max(np.abs(trace - traces[-1]))))
-        traces.append(trace)
-        g = trace
+    sides = ["upper" if k % 2 == 0 else "lower" for k in range(steps)]
     (u1, p1), (u2, p2) = fields[Subdomain.UPPER], fields[Subdomain.LOWER]
     final = CoupledField(disc=disc, alpha_used=float("nan"), u1=u1, p1=p1, u2=u2, p2=p2)
-    return StagnationReport(steps=steps, sides=sides, traces=traces, deltas=deltas, final=final)
+    return StagnationReport(
+        steps=steps, sides=sides, traces=[g] * steps, deltas=[0.0] * (steps - 1), final=final
+    )

@@ -140,16 +140,13 @@ def jump_norm(field: CoupledField) -> float:
     return field.disc.jump_l2(field.u1, field.u2)
 
 
-def energy_residual(field: CoupledField, alpha: float | None = None) -> float:
-    """Relative defect of the energy balance for a friction solution.
-
-    alpha defaults to the coefficient the field was solved with.  For the
+def energy_residual(field: CoupledField) -> float:
+    """Relative defect of the energy balance for a friction solution, at the
+    coefficient the field was solved with (`alpha_used`).  For the
     continuity limit (alpha = inf) the jump term is omitted: the jump is
     identically zero there by dof identification.
     """
-    if alpha is None:
-        alpha = field.alpha_used
-    d = field.disc
+    d, alpha = field.disc, field.alpha_used
     lhs = w_norm(field) ** 2
     if not np.isinf(alpha):
         lhs += alpha * jump_norm(field) ** 2

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from stokescouple import coupling
+from stokescouple import coupling, linalg
 from stokescouple.coupling import (
     SchwarzConfig,
     _block_iterations,
@@ -30,7 +30,12 @@ from stokescouple.coupling import (
     solve_monolithic_continuity,
     solve_monolithic_friction,
 )
-from stokescouple.fem import BodyForce, assemble_coupled_system, assemble_robin_subproblem
+from stokescouple.fem import (
+    BodyForce,
+    assemble_coupled_system,
+    assemble_dirichlet_subproblem,
+    assemble_robin_subproblem,
+)
 from stokescouple.linalg import factorize, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
 from test_fem import reference_trace, robin_solve, robin_system
@@ -546,6 +551,46 @@ def test_dirichlet_demo_freezes_any_starting_trace():
     for t in demo.traces:
         assert np.array_equal(t, g0)
     assert all(d == 0.0 for d in demo.deltas)
+
+
+@pytest.mark.parametrize("steps, n_solves", [(1, 1), (2, 2), (7, 2)])
+def test_dirichlet_demo_solves_each_layer_once(monkeypatch, steps, n_solves):
+    """Every half-step reproduces the trace it was given, so each layer is
+    solved once against the initial trace, and a layer no half-step reached
+    keeps its zero field.  No factorization outlives the call."""
+    mesh = small_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    g0 = 3.0 + np.sin(2.0 * np.pi * disc.space_upper.interface_x / GEOM.length)
+    g0[-1] = g0[0]
+    expected = {}
+    for sub in (Subdomain.UPPER, Subdomain.LOWER)[:n_solves]:
+        system, rows = assemble_dirichlet_subproblem(disc.op(sub))
+        out = system.layout.expand(solve(system.matrix, system.rhs + rows @ g0)[0])
+        u, p = out[(sub, "velocity")], out[(sub, "pressure")]
+        u[2 * disc.space(sub).interface_nodes] = g0
+        expected[sub] = (u, p)
+    certified = linalg.Factorization.solve
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(weakref.ref(self))
+        return certified(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Factorization, "solve", counting)
+    demo = dirichlet_exchange_demo(
+        mesh, 1.0, 1.0, FORCE, FORCE, steps=steps, initial_trace=g0, disc=disc
+    )
+    assert len(calls) == n_solves
+    assert all(factorization() is None for factorization in calls)
+    final = demo.final
+    fields = {Subdomain.UPPER: (final.u1, final.p1), Subdomain.LOWER: (final.u2, final.p2)}
+    for sub, (u, p) in fields.items():
+        if sub in expected:
+            assert np.array_equal(u, expected[sub][0]) and np.array_equal(p, expected[sub][1])
+        else:
+            assert not u.any() and not p.any()
+    assert len(demo.traces) == steps and all(np.array_equal(t, g0) for t in demo.traces)
+    assert demo.deltas == [0.0] * (steps - 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
