@@ -17,7 +17,9 @@ sweep; CSV), validate (config + mesh checks only), demo-stagnation (pure
 Dirichlet trace exchange; trace-history CSV).  The COUPLE_OUT_DIR
 environment variable overrides the configured output directory.  Exit codes:
 0 success, 1 I/O or mesh-validation failure, 2 config or argument error, 3
-out of memory (the message names the phase and the system's size).
+out of memory (a factorization's message names the phase and the system's
+size), 4 a linear solve failed (singular system, or a residual above its
+certification tolerance).  Each failure prints one `error:` line.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .coupling import (
     solve_monolithic_friction,
 )
 from .fem import BodyForce
-from .linalg import OutOfMemoryError
+from .linalg import OutOfMemoryError, ResidualCertificationError, SingularSystemError
 from .mesh import Mesh, Geometry, Subdomain, build_layered_mesh, validate_mesh
 from .verification import check_alphas, energy_residual, jump_norm, run_alpha_sweep
 
@@ -580,6 +582,12 @@ def main(argv=None) -> int:
     except OutOfMemoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
+    except (SingularSystemError, ResidualCertificationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -135,6 +135,24 @@ def discretize(
     )
 
 
+def _discretization(
+    mesh: Mesh, nu1: float, nu2: float, force1: BodyForce, force2: BodyForce,
+    disc: Discretization | None,
+) -> Discretization:
+    """`disc` when it was built from these inputs, a new discretization when
+    it is None; a `disc` of other inputs is a ValueError naming the first
+    argument that differs."""
+    if disc is None:
+        return discretize(mesh, nu1, nu2, force1, force2)
+    if disc.mesh is not mesh:
+        raise ValueError("disc was built on another mesh")
+    given = {"nu1": nu1, "nu2": nu2, "force1": force1, "force2": force2}
+    for name, value in given.items():
+        if getattr(disc, name) != value:
+            raise ValueError(f"disc was built with {name}={getattr(disc, name)!r}, not {value!r}")
+    return disc
+
+
 @dataclass(frozen=True)
 class CoupledField:
     """Raw per-layer coefficient vectors of one coupled solution.
@@ -188,8 +206,7 @@ def solve_monolithic_friction(
     """
     if not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"friction mode needs a finite friction coefficient >= 0, got {alpha}")
-    if disc is None:
-        disc = discretize(mesh, nu1, nu2, force1, force2)
+    disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
     return _solve_coupled(disc, alpha)
 
 
@@ -203,8 +220,7 @@ def solve_monolithic_continuity(
 ) -> CoupledField:
     """Both layers with the horizontal interface traces identified (the
     infinite-friction limit)."""
-    if disc is None:
-        disc = discretize(mesh, nu1, nu2, force1, force2)
+    disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
     return _solve_coupled(disc, float("inf"))
 
 
@@ -473,8 +489,7 @@ def schwarz_solve(
     At the stop each layer's field is reconstructed by one certified solve
     against the neighbor trace its last half-step saw.
     """
-    if disc is None:
-        disc = discretize(mesh, nu1, nu2, force1, force2)
+    disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
     n_trace = len(disc.space_upper.interface_nodes)
     g0 = config.initial_neighbor_trace
     if g0 is None:
@@ -585,8 +600,7 @@ def dirichlet_exchange_demo(
     identified nodes x = 0 and x = L."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if disc is None:
-        disc = discretize(mesh, nu1, nu2, force1, force2)
+    disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
     if initial_trace is None:
         g = np.zeros(len(disc.space_upper.interface_nodes))
     else:

@@ -4,7 +4,9 @@ The domain is a rectangle [0, L] x [z_minus, z_plus] split by the horizontal
 line z = 0 into an upper and a lower layer.  Meshes are built so that z = 0 is
 a mesh line: no triangle straddles the interface, and every interface edge is
 shared by exactly one triangle of each layer.  The left and right sides are
-periodic; matching vertex pairs are recorded explicitly.
+periodic: every x = 0 vertex has an x = L partner at the same z.  The mesh
+holds coordinates and triangles only; `fem.build_space` finds the walls, the
+interface and the periodic partners from the coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 __all__ = [
     "Geometry",
     "Subdomain",
-    "EdgeTag",
     "Mesh",
     "build_layered_mesh",
     "validate_mesh",
@@ -30,15 +31,6 @@ class Subdomain(IntEnum):
 
     LOWER = 0
     UPPER = 1
-
-
-class EdgeTag(IntEnum):
-    WALL_UPPER = 1      # z = z_plus
-    WALL_LOWER = 2      # z = z_minus
-    INTERFACE_UPPER = 3  # z = 0, seen from the upper layer
-    INTERFACE_LOWER = 4  # z = 0, seen from the lower layer
-    PERIODIC_LEFT = 5    # x = 0
-    PERIODIC_RIGHT = 6   # x = L
 
 
 @dataclass(frozen=True)
@@ -65,19 +57,12 @@ class Mesh:
     vertices            (n_vertices, 2) float64 coordinates (x, z)
     triangles           (n_triangles, 3) vertex indices, counter-clockwise
     triangle_subdomain  (n_triangles,) Subdomain value per triangle
-    boundary_edges      (n_edges, 3) ints: vertex a, vertex b, EdgeTag value;
-                        interface edges appear twice, once per side
-    periodic_pairs      (n_pairs, 2) ints: (left vertex at x=0, right at x=L)
-    interface_vertices  vertex indices on z = 0, ascending in x
     """
 
     geometry: Geometry
     vertices: np.ndarray
     triangles: np.ndarray
     triangle_subdomain: np.ndarray
-    boundary_edges: np.ndarray
-    periodic_pairs: np.ndarray
-    interface_vertices: np.ndarray
 
 
 def build_layered_mesh(geometry: Geometry, nx: int, nz_upper: int, nz_lower: int) -> Mesh:
@@ -116,41 +101,11 @@ def build_layered_mesh(geometry: Geometry, nx: int, nz_upper: int, nz_lower: int
     subdomain = np.where(np.repeat(jj, 2) < nz_lower, Subdomain.LOWER, Subdomain.UPPER)
     subdomain = subdomain.astype(np.int64)
 
-    cols = np.arange(nx)
-    rows = np.arange(nz)
-    edges = []
-    # bottom wall z = z_minus and top wall z = z_plus
-    edges.append(np.column_stack([vid(cols, 0), vid(cols + 1, 0),
-                                  np.full(nx, EdgeTag.WALL_LOWER)]))
-    edges.append(np.column_stack([vid(cols, nz), vid(cols + 1, nz),
-                                  np.full(nx, EdgeTag.WALL_UPPER)]))
-    # the interface row, tagged once per adjacent layer
-    j0 = nz_lower
-    edges.append(np.column_stack([vid(cols, j0), vid(cols + 1, j0),
-                                  np.full(nx, EdgeTag.INTERFACE_LOWER)]))
-    edges.append(np.column_stack([vid(cols, j0), vid(cols + 1, j0),
-                                  np.full(nx, EdgeTag.INTERFACE_UPPER)]))
-    # periodic sides
-    edges.append(np.column_stack([vid(0, rows), vid(0, rows + 1),
-                                  np.full(nz, EdgeTag.PERIODIC_LEFT)]))
-    edges.append(np.column_stack([vid(nx, rows), vid(nx, rows + 1),
-                                  np.full(nz, EdgeTag.PERIODIC_RIGHT)]))
-    boundary_edges = np.concatenate(edges).astype(np.int64)
-
-    periodic_pairs = np.column_stack(
-        [vid(0, np.arange(nz + 1)), vid(nx, np.arange(nz + 1))]
-    ).astype(np.int64)
-
-    interface_vertices = vid(np.arange(nx + 1), j0).astype(np.int64)
-
     return Mesh(
         geometry=geometry,
         vertices=vertices,
         triangles=triangles,
         triangle_subdomain=subdomain,
-        boundary_edges=boundary_edges,
-        periodic_pairs=periodic_pairs,
-        interface_vertices=interface_vertices,
     )
 
 
@@ -166,10 +121,9 @@ def validate_mesh(mesh: Mesh) -> list[str]:
 
     An empty list means the mesh is valid.  Checks: positive (counter-
     clockwise) triangles, no triangle straddling z = 0, a consistent
-    subdomain label per triangle, interface edges shared by exactly one
-    triangle per layer, boundary-edge tags covering the rectangle boundary,
-    periodic pairs matching in z with x = 0 / x = L, and the interface vertex
-    list sorted by x on z = 0.
+    subdomain label per triangle, and interface edges shared by exactly one
+    triangle per layer.  Unmatched periodic sides are rejected by
+    `fem.build_space`, which pairs the x = 0 and x = L nodes.
     """
     bad: list[str] = []
     areas = _triangle_areas(mesh)
@@ -201,33 +155,6 @@ def validate_mesh(mesh: Mesh) -> list[str]:
         bad.append(
             f"interface edge ({a},{b}): {n_lo[k]} lower / {n_up[k]} upper adjacent triangles"
         )
-
-    g = mesh.geometry
-    tag_line = {
-        EdgeTag.WALL_UPPER: (1, g.z_plus),
-        EdgeTag.WALL_LOWER: (1, g.z_minus),
-        EdgeTag.INTERFACE_UPPER: (1, 0.0),
-        EdgeTag.INTERFACE_LOWER: (1, 0.0),
-        EdgeTag.PERIODIC_LEFT: (0, 0.0),
-        EdgeTag.PERIODIC_RIGHT: (0, g.length),
-    }
-    kinds, which = np.unique(mesh.boundary_edges[:, 2], return_inverse=True)
-    lines = np.array([tag_line[EdgeTag(t)] for t in kinds.tolist()]).reshape(-1, 2)[which]
-    ends = mesh.vertices[mesh.boundary_edges[:, :2], lines[:, :1].astype(np.int64)]
-    for k in np.nonzero(~np.isclose(ends, lines[:, 1:]).all(axis=1))[0].tolist():
-        bad.append(f"boundary edge {k}: tag {EdgeTag(kinds[which[k]]).name} off its line")
-
-    pi, pj = mesh.vertices[mesh.periodic_pairs[:, 0]], mesh.vertices[mesh.periodic_pairs[:, 1]]
-    matched = np.isclose(pi[:, 0], 0.0) & np.isclose(pj[:, 0], g.length) & np.isclose(pi[:, 1], pj[:, 1])
-    for k in np.nonzero(~matched)[0].tolist():
-        i, j = mesh.periodic_pairs[k].tolist()
-        bad.append(f"periodic pair {k}: ({i},{j}) does not match x=0 <-> x=L at equal z")
-
-    iv = mesh.interface_vertices
-    if not np.all(np.isclose(mesh.vertices[iv, 1], 0.0)):
-        bad.append("interface vertex list contains vertices off z=0")
-    if not np.all(np.diff(mesh.vertices[iv, 0]) > 0.0):
-        bad.append("interface vertex list is not strictly ascending in x")
 
     return bad
 

@@ -303,6 +303,40 @@ def test_cli_out_of_memory_exits_3_naming_the_phase(tmp_path, capsys, monkeypatc
     assert "Fourier mode" in lines[0] and "nonzeros" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_any_memory_error_exits_3(tmp_path, capsys, monkeypatch, command):
+    # numpy's allocation failure for a mesh far too large, without allocating
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("stokescouple.cli_io.build_layered_mesh", no_memory)
+    config = write_config(tmp_path, small_config_body(tmp_path / "out"))
+    assert main([command, "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--mode", "schwarz"],
+        ["run", "--mode", "monolithic-friction"],
+        ["run", "--mode", "monolithic-continuity"],
+        ["sweep", "--alphas", "1,10"],
+        ["demo-stagnation"],
+    ],
+    ids=["schwarz", "friction", "continuity", "sweep", "demo"],
+)
+def test_cli_failed_solve_exits_4(tmp_path, capsys, argv):
+    # an overflowing viscosity makes every layer system exactly singular
+    body = "[mesh]\nnx = 8\nnz_upper = 4\nnz_lower = 2\n[physics]\nnu1 = 1e300\n"
+    config = write_config(tmp_path, body + f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(argv[:1] + ["--config", config] + argv[1:]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_run_schwarz_fast_large_alpha(tmp_path, capsys):
     out = tmp_path / "out"
     config = write_config(tmp_path, small_config_body(out, "[coupling]\nalpha = 1e9\n"))

@@ -623,3 +623,23 @@ def test_dirichlet_demo_validation():
         dirichlet_exchange_demo(
             small_mesh(), 1.0, 1.0, FORCE, FORCE, steps=2, initial_trace=np.linspace(0.0, 1.0, 9)
         )
+
+
+DRIVERS = {
+    "friction": lambda *inputs, disc: solve_monolithic_friction(*inputs, alpha=10.0, disc=disc),
+    "continuity": lambda *inputs, disc: solve_monolithic_continuity(*inputs, disc=disc),
+    "schwarz": lambda *inputs, disc: schwarz_solve(*inputs, SchwarzConfig(alpha=10.0), disc=disc),
+    "demo": lambda *inputs, disc: dirichlet_exchange_demo(*inputs, steps=2, disc=disc),
+}
+
+
+@pytest.mark.parametrize("driver", DRIVERS.values(), ids=DRIVERS.keys())
+def test_drivers_reject_a_discretization_of_other_inputs(driver):
+    mesh = small_mesh()
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    with pytest.raises(ValueError, match="another mesh"):
+        driver(small_mesh(), 1.0, 1.0, FORCE, FORCE, disc=disc)
+    with pytest.raises(ValueError, match="nu2=1.0, not 2.0"):
+        driver(mesh, 1.0, 2.0, FORCE, FORCE, disc=disc)
+    with pytest.raises(ValueError, match="force1="):
+        driver(mesh, 1.0, 1.0, BodyForce(2.0, -1.0), FORCE, disc=disc)

@@ -170,7 +170,8 @@ def test_space_numbering_matches_the_reference(geometry):
 def test_space_rejects_unmatched_periodic_nodes():
     mesh = build_layered_mesh(Geometry(), 4, 2, 1)
     vertices = mesh.vertices.copy()
-    vertices[mesh.periodic_pairs[1, 1], 1] += 0.25  # an x = L vertex off its row
+    right = np.flatnonzero(vertices[:, 0] == mesh.geometry.length)
+    vertices[right[1], 1] += 0.25  # an x = L vertex off its row
     with pytest.raises(ValueError, match="periodic boundary nodes do not match"):
         build_space(dataclasses.replace(mesh, vertices=vertices), Subdomain.LOWER)
 
