@@ -2,15 +2,18 @@
 
     python3 scripts/compare_outputs.py A_DIR B_DIR
 
-For every file name present in either directory it prints one line per CSV
-column and per VTK array: the largest absolute difference, the largest
-relative difference and the verdict.  The relative difference of a field is
-its largest absolute difference over the largest magnitude the field takes in
-either run, so that entries which are roundoff around zero are judged
-against the field's own scale.  `energy_residual` is itself a roundoff-level
-ratio of two energies, so it is judged on an absolute bound instead.  Text
-fields (mode names) must match exactly, and a file present on one side only
-fails.  Exit status 0 when every field is within its bound, 1 otherwise.
+It descends into every subdirectory present on both sides, such as the
+per-command directories of an output root, and names each file by its path
+below the two roots.  For every file present in either directory it prints
+one line per CSV column and per VTK array: the largest absolute difference,
+the largest relative difference and the verdict.  The relative difference of
+a field is its largest absolute difference over the largest magnitude the
+field takes in either run, so that entries which are roundoff around zero
+are judged against the field's own scale.  `energy_residual` is itself a
+roundoff-level ratio of two energies, so it is judged on an absolute bound
+instead.  Text fields (mode names) must match exactly, and a file or
+directory present on one side only fails.  Exit status 0 when every field
+is within its bound, 1 otherwise.
 """
 
 import argparse
@@ -86,11 +89,15 @@ def compare_field(name: str, a: list, b: list) -> tuple:
     return abs_diff, rel_diff, same_rest and bound_ok
 
 
-def compare_dirs(dir_a: Path, dir_b: Path) -> bool:
+def compare_dirs(dir_a: Path, dir_b: Path, prefix: str = "") -> bool:
     names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
     all_ok = True
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
+        name = prefix + name
+        if path_a.is_dir() and path_b.is_dir():
+            all_ok &= compare_dirs(path_a, path_b, f"{name}/")
+            continue
         if not (path_a.is_file() and path_b.is_file()):
             print(f"{name}: present in one directory only  FAIL")
             all_ok = False

@@ -1,10 +1,10 @@
 """Solution drivers for the two-layer problem.
 
-Monolithic solves factor one two-layer system (`fem.assemble_coupled_system`):
-friction borders the layers' friction-free systems with an interface-traction
+Monolithic solves factor one two-layer system (`fem.assemble_coupled_system`),
+one reduction of both layers: friction borders it with an interface-traction
 multiplier lam = alpha * jump, so no matrix entry grows with alpha and every
 friction solve is certified at one tolerance; continuity identifies the two
-horizontal traces (the alpha = inf limit).  The alternating solver
+horizontal traces in it (the alpha = inf limit).  The alternating solver
 decomposes by layer: starting from an upper-layer solve against a zero
 neighbor trace, it repeatedly solves the lower layer against the newest
 upper trace and then the upper layer against the newest lower trace (Robin
@@ -12,8 +12,8 @@ half-steps with the friction coefficient), and stops when the L2 norm of
 the velocity increment over both layers drops below a tolerance.  A Robin
 half-step is the layer's friction-free problem driven by the traction lam =
 alpha * (neighbor trace - own trace), the monolithic multiplier on one
-layer.  Each layer's friction-free matrix, the one the friction system
-borders, is factored once per `Discretization`, and certified block solves
+layer.  Each layer's friction-free matrix (`fem.assemble_robin_subproblem`)
+is factored once per `Discretization`, and certified block solves
 span its traction-to-trace map (factors by Fourier mode are then dropped,
 and each run factors the matrix again for the solve that rebuilds its
 field); alpha enters only dense algebra on the n_trace - 1 periodic trace
@@ -23,7 +23,8 @@ alone, the increment norm exact through Gram matrices of each layer's
 velocity response, as the map s <- a + K s of the upper trace, advanced a
 block of iterations per numpy call through the powers of K.  When it stops,
 one certified solve per layer rebuilds the fields.  The monolithic solves
-share only the assembly with it: they factor their own bordered matrix.
+share only the layers' Stokes operators with it: they assemble and factor
+their own two-layer matrix.
 
 `dirichlet_exchange_demo` shows why the Robin exchange is used.  A pure
 Dirichlet half-step imposes the neighbor trace as a constraint on the

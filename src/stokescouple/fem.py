@@ -1,14 +1,15 @@
 """Taylor-Hood (P2/P1) assembly for the two-layer Stokes problem.
 
 Each layer gets its own mixed space on its half of the mesh, with the
-interface trace nodes duplicated between the layers.  One system per layer,
-the layer with free tangential traction at the interface
-(`assemble_robin_subproblem`), serves every interface coupling through a
-border [[A, B^T], [B, C]] written in place in compressed columns: friction
-borders the two layers' systems with an interface-traction multiplier,
-and the Dirichlet half-step borders one layer's system with its trace
-constraint.  Only the continuity limit is assembled jointly, with the two
-horizontal traces identified.  The viscous form is the grad-grad form
+interface trace nodes duplicated between the layers.  The two-layer system
+is one reduction over both layers at every friction coefficient
+(`assemble_coupled_system`): the continuity limit identifies the two
+horizontal traces in it, and friction borders it once with an
+interface-traction multiplier.  The single-layer half-steps start from one
+layer with free tangential traction at the interface
+(`assemble_robin_subproblem`), which the Dirichlet half-step borders with
+its trace constraint.  Every border [[A, B^T], [B, C]] is written in place
+in compressed columns.  The viscous form is the grad-grad form
 nu * integral(grad u : grad v), not the symmetric-gradient form.
 
 Velocity dofs are numbered 2*node + component with P2 nodes sorted
@@ -47,7 +48,6 @@ __all__ = [
     "MixedSpace",
     "StokesOperator",
     "DofLayout",
-    "StackedLayout",
     "SparseSystem",
     "build_space",
     "periodic_fold",
@@ -459,8 +459,8 @@ class DofLayout:
     Solved vector = [reduced dofs, one gauge multiplier per layer].
     `columns` places the solved rows on the mesh's cell columns in x (see
     `_x_columns`; None on a mesh whose columns differ), and `sites` holds the
-    (z, kind, x offset) of each in-column position, by which the rows of
-    stacked layouts are merged.
+    (z, kind, x offset) of each in-column position, by which the rows of a
+    border are merged in (`_with_multipliers`).
     """
 
     spaces: dict
@@ -511,27 +511,14 @@ class DofLayout:
 
 
 @dataclass(frozen=True)
-class StackedLayout:
-    """Solved vector = each layer's solved rows in turn, then the border's."""
-
-    layers: tuple  # one DofLayout per layer, upper first
-
-    def expand(self, x: np.ndarray) -> dict:
-        """`DofLayout.expand` of every layer's rows; the border's are dropped."""
-        out, start = {}, 0
-        for layout in self.layers:
-            out.update(layout.expand(x[start : start + layout.n_rows]))
-            start += layout.n_rows
-        return out
-
-
-@dataclass(frozen=True)
 class SparseSystem:
-    """Assembled, constraint-reduced linear system with its dof layout."""
+    """Assembled, constraint-reduced linear system with its dof layout.  The
+    layout describes the leading rows; the rows of a border (interface
+    multipliers) follow them, and `layout.expand` ignores them."""
 
     matrix: CscMatrix
     rhs: np.ndarray
-    layout: DofLayout | StackedLayout
+    layout: DofLayout
 
 
 def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
@@ -567,40 +554,18 @@ def _x_columns(x: np.ndarray, z: np.ndarray, kind: np.ndarray, lines: np.ndarray
     return XColumns.of(order, len(x) + np.arange(n_global)), sites[0]
 
 
-def _stacked_columns(parts: list):
-    """The cell columns of stacked blocks of solved rows, each part a
-    (columns, sites, n_rows) of one block: a column's rows are the blocks'
-    rows of that column, merged in order of their sites."""
-    if any(columns is None for columns, _, _ in parts):
-        return None
-    if len({columns.order.shape[0] for columns, _, _ in parts}) != 1:
-        return None
-    orders, globals_, start = [], [], 0
-    for columns, _, n_rows in parts:
-        orders.append(columns.order + start)
-        globals_.append(columns.globals + start)
-        start += n_rows
-    sites = np.concatenate([sites for _, sites, _ in parts])
-    by_site = np.lexsort(sites.T[::-1])  # z, then kind, then x offset
-    return XColumns.of(np.hstack(orders)[:, by_site], np.concatenate(globals_))
-
-
-def _trace_rows(k: int, layout: DofLayout) -> tuple:
-    """The part of k interface multiplier rows on the periodic trace dofs for
-    `_stacked_columns`: trace dof j sits in the cell column j // 2 of
-    `layout`'s columns (a vertex and a midpoint per column)."""
-    if layout.columns is None or k != 2 * layout.columns.order.shape[0]:
-        return None, None, k
-    sites = np.array([[0.0, _TRACE_KIND, 0.0], [0.0, _TRACE_KIND, 1.0]])
-    return XColumns.of(np.arange(k).reshape(-1, 2), np.arange(0)), sites, k
-
-
-def _build_layout(
-    spaces: list[MixedSpace], offsets: dict, n_raw: int, pairs: list[np.ndarray] = ()
-) -> DofLayout:
-    """Every layer's periodic identification and zero velocity dofs, plus
-    the identified raw `pairs`."""
-    pairs, fixed = list(pairs), []
+def _build_layout(spaces: list[MixedSpace], identify_traces: bool = False) -> DofLayout:
+    """The layers' raw blocks one after the other, velocity then pressure,
+    with every layer's periodic identification and zero velocity dofs;
+    `identify_traces` also identifies the layers' horizontal interface
+    traces (the continuity limit)."""
+    offsets, n_raw = {}, 0
+    for sp in spaces:
+        offsets[(sp.subdomain, _FIELD_VELOCITY)] = n_raw
+        offsets[(sp.subdomain, _FIELD_PRESSURE)] = n_raw + sp.n_velocity_dofs
+        n_raw += sp.n_velocity_dofs + sp.n_pressure_dofs
+    pairs = [np.column_stack([_interface_dofs(offsets, sp) for sp in spaces])] if identify_traces else []
+    fixed = []
     coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
     kind = np.empty(n_raw, dtype=np.int64)
     for sp in spaces:
@@ -627,17 +592,6 @@ def _build_layout(
         columns=columns,
         sites=sites,
     )
-
-
-def _offsets_for(spaces: list[MixedSpace]) -> tuple[dict, int]:
-    offsets = {}
-    pos = 0
-    for sp in spaces:
-        offsets[(sp.subdomain, _FIELD_VELOCITY)] = pos
-        pos += sp.n_velocity_dofs
-        offsets[(sp.subdomain, _FIELD_PRESSURE)] = pos
-        pos += sp.n_pressure_dofs
-    return offsets, pos
 
 
 def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSystem:
@@ -679,57 +633,56 @@ def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSys
     return SparseSystem(matrix=matrix, rhs=rhs, layout=layout)
 
 
+def _with_multipliers(system: SparseSystem, below, corner) -> SparseSystem:
+    """`system` bordered by k interface multiplier rows on the periodic trace
+    dofs, [[A, below^T], [below, corner]], their rhs zero.  The layout still
+    describes the leading rows.  Trace dof j sits in cell column j // 2 (a
+    vertex and a midpoint per column), and a column's rows are merged in
+    order of their sites."""
+    layout, k = system.layout, below.shape[0]
+    columns = layout.columns
+    if columns is not None and k == 2 * columns.order.shape[0]:
+        trace = np.array([[0.0, _TRACE_KIND, 0.0], [0.0, _TRACE_KIND, 1.0]])
+        by_site = np.lexsort(np.concatenate([layout.sites, trace]).T[::-1])  # z, kind, x offset
+        order = np.hstack([columns.order, layout.n_rows + np.arange(k).reshape(-1, 2)])
+        columns = XColumns.of(order[:, by_site], columns.globals)
+    else:
+        columns = None
+    matrix = bordered(system.matrix, below.T, below, corner, columns)
+    return SparseSystem(matrix, np.concatenate([system.rhs, np.zeros(k)]), layout)
+
+
 def assemble_coupled_system(
     op_upper: StokesOperator, op_lower: StokesOperator, alpha: float
 ) -> SparseSystem:
     """Assemble the two-layer system coupled by the friction law with
     coefficient 0 <= alpha <= inf.
 
-    alpha = inf is the continuity limit: one reduction over both layers
-    identifies their horizontal interface traces.  A finite alpha borders
-    the layers' own friction-free systems (`assemble_robin_subproblem`) with
-    the interface traction lam = alpha * jump on the n_trace - 1 periodic
-    trace dofs, J = [T_upper, -T_lower] the jump of the layers' periodic
-    trace maps (each the transpose of the layer's traction operator E):
+    Every alpha starts from one reduction over both layers.  alpha = inf is
+    the continuity limit: that reduction identifies the two horizontal
+    interface traces.  alpha = 0 leaves the layers side by side, uncoupled.
+    A finite alpha > 0 borders the uncoupled system A once with the
+    interface traction lam = alpha * jump on the n_trace - 1 periodic trace
+    dofs, J = T_upper - T_lower the jump of the layers' periodic trace maps:
 
-        [[blockdiag(A_upper, A_lower), J^T M_p], [M_p J, -M_p / alpha]],
+        [[A, J^T M_p], [M_p J, -M_p / alpha]],
 
     with M_p = P^T M P the trace mass folded by the periodic fold P.  The
     last row gives lam = alpha * jump, so eliminating lam recovers the
-    penalty matrix blockdiag(A_upper, A_lower) + alpha J^T M_p J exactly,
-    while every entry stays O(1) or O(1/alpha) instead of O(alpha).  alpha
-    = 0 leaves the layers unbordered.
+    penalty matrix A + alpha J^T M_p J exactly, while every entry stays O(1)
+    or O(1/alpha) instead of O(alpha).  The multiplier rows follow A's.
     """
     if not alpha >= 0.0:
         raise ValueError(f"friction coefficient must be >= 0 or inf, got {alpha}")
     spaces = [op_upper.space, op_lower.space]
     trace_mass = assemble_interface_friction(*spaces)  # checks that the interfaces match
-    if np.isinf(alpha):
-        offsets, n_raw = _offsets_for(spaces)
-        pairs = [np.column_stack([_interface_dofs(offsets, sp) for sp in spaces])]
-        return _assemble_reduced([op_upper, op_lower], _build_layout(spaces, offsets, n_raw, pairs))
-
-    (upper, e_upper), (lower, e_lower) = map(assemble_robin_subproblem, (op_upper, op_lower))
-    layout = StackedLayout((upper.layout, lower.layout))
-    rhs = [upper.rhs, lower.rhs]
-    parts = [(sub.columns, sub.sites, sub.n_rows) for sub in layout.layers]
-    # The upper layer bordered by the lower one's system, itself bordered
-    # by the multiplier: blockdiag(A_upper, A_lower) bordered by B.  Each
-    # layer's matrix goes as soon as it is copied.
-    below = scipy.sparse.csr_matrix((lower.layout.n_rows, upper.layout.n_rows))
-    corner = lower.matrix
-    del lower
-    if alpha > 0.0:
-        fold = periodic_fold(trace_mass.shape[0])
-        mass_p = (fold.T @ trace_mass) @ fold
-        border = -(mass_p @ e_lower.T)
-        corner = bordered(corner, border.T, border, -mass_p / alpha)
-        below = scipy.sparse.vstack([below, mass_p @ e_upper.T], format="csr")
-        rhs.append(np.zeros(mass_p.shape[0]))
-        parts.append(_trace_rows(mass_p.shape[0], upper.layout))
-    columns = _stacked_columns(parts)
-    matrix = bordered(upper.matrix, below.T, below, corner.to_scipy(), columns)
-    return SparseSystem(matrix=matrix, rhs=np.concatenate(rhs), layout=layout)
+    system = _assemble_reduced([op_upper, op_lower], _build_layout(spaces, np.isinf(alpha)))
+    if alpha == 0.0 or np.isinf(alpha):
+        return system
+    fold = periodic_fold(trace_mass.shape[0])
+    mass_p = (fold.T @ trace_mass) @ fold
+    jump = system.layout.trace_map(Subdomain.UPPER)[:-1] - system.layout.trace_map(Subdomain.LOWER)[:-1]
+    return _with_multipliers(system, mass_p @ jump, -mass_p / alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +695,8 @@ def assemble_robin_subproblem(
     op: StokesOperator,
 ) -> tuple[SparseSystem, scipy.sparse.csr_matrix]:
     """One layer with free tangential traction at the interface (alpha = 0),
-    the system that every interface coupling is built on: the friction
-    system borders two of them (`assemble_coupled_system`), the Dirichlet
-    half-step borders one with its trace constraint
+    the system the single-layer half-steps are built on: the Dirichlet
+    half-step borders it with its trace constraint
     (`assemble_dirichlet_subproblem`), and the alternating solver factors
     one per layer as the alpha-free core of its Robin half-steps.
 
@@ -755,7 +707,7 @@ def assemble_robin_subproblem(
     P the periodic fold.
     """
     space = op.space
-    layout = _build_layout([space], *_offsets_for([space]))
+    layout = _build_layout([space])
     traction = layout.trace_map(space.subdomain)[:-1].T.tocsr()
     return _assemble_reduced([op], layout), traction
 
@@ -774,11 +726,7 @@ def assemble_dirichlet_subproblem(
     """
     system, traction = assemble_robin_subproblem(op)
     n, k = system.matrix.n_rows, traction.shape[1]
-    layout = system.layout
-    parts = [(layout.columns, layout.sites, n), _trace_rows(k, layout)]
-    corner = scipy.sparse.csr_matrix((k, k))
-    matrix = bordered(system.matrix, traction, traction.T, corner, _stacked_columns(parts))
     rows = scipy.sparse.csr_matrix(
         (np.ones(k), (n + np.arange(k), np.arange(k))), shape=(n + k, k + 1)
     )
-    return SparseSystem(matrix, np.concatenate([system.rhs, np.zeros(k)]), system.layout), rows
+    return _with_multipliers(system, traction.T, scipy.sparse.csr_matrix((k, k))), rows

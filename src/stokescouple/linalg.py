@@ -36,6 +36,8 @@ Every solve is certified by an independent matrix-vector product: the
 relative residual is computed with a scipy sparse product of the original
 matrix, never taken from solver internals or from the modes, and a solve
 that misses the requested tolerance raises instead of returning silently.
+A matrix with an inf or NaN entry (an assembly that overflowed) is refused
+before it is factored, by a `SingularSystemError` that counts those entries.
 Running out of memory raises `OutOfMemoryError`, which names the phase and
 the size of the system.
 
@@ -113,7 +115,8 @@ class DimensionMismatchError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The factorization hit a zero pivot or structural singularity."""
+    """The system cannot be factored: a zero pivot, a structural
+    singularity, or a non-finite entry."""
 
 
 class ResidualCertificationError(RuntimeError):
@@ -622,6 +625,13 @@ def factorize(matrix: CscMatrix) -> Factorization:
     if matrix.n_rows != matrix.n_cols:
         raise DimensionMismatchError(
             f"LU factorization needs a square matrix, got {matrix.n_rows}x{matrix.n_cols}"
+        )
+    # min and max allocate nothing, and one of them is NaN or inf when any entry is
+    if not (np.isfinite(matrix.data.min(initial=0.0)) and np.isfinite(matrix.data.max(initial=0.0))):
+        bad = np.count_nonzero(~np.isfinite(matrix.data))
+        raise SingularSystemError(
+            f"the {matrix.n_rows}x{matrix.n_cols} system cannot be factored: {bad} of its"
+            f" {matrix.nnz} stored entries are non-finite (inf or NaN)"
         )
     product = matrix.to_scipy()
     start = time.perf_counter()

@@ -337,6 +337,19 @@ def test_cli_failed_solve_exits_4(tmp_path, capsys, argv):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("mode", ["schwarz", "monolithic-friction", "monolithic-continuity"])
+def test_cli_overflowing_assembly_exits_4_naming_it(tmp_path, capsys, mode):
+    # L = 1e-300 overflows the element kernels: the matrices hold inf and NaN
+    body = "[mesh]\nnx = 2\nnz_upper = 1\nnz_lower = 1\n[geometry]\nL = 1e-300\n"
+    config = write_config(tmp_path, body + f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", config, "--mode", mode]) == 4
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: ") and "non-finite" in last
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_run_schwarz_fast_large_alpha(tmp_path, capsys):
     out = tmp_path / "out"
     config = write_config(tmp_path, small_config_body(out, "[coupling]\nalpha = 1e9\n"))

@@ -133,15 +133,20 @@ def test_monolithic_friction_matches_channel():
     assert b1 - b2 == pytest.approx(1237.5 / 551.0, rel=1e-14)
 
 
-def penalty_matrix(disc, layouts, alpha):
-    """Reference: the layers' own systems side by side plus the
-    alpha-weighted trace-jump penalty alpha J^T M J, the jump J = [T_upper,
-    -T_lower] read from the interface rows of each layer's reduction."""
-    jump = scipy.sparse.hstack(
-        [reference_trace(layouts[0], Subdomain.UPPER), -reference_trace(layouts[1], Subdomain.LOWER)]
-    )
+def penalty_matrix(disc, layout, alpha):
+    """Reference: the layers' own systems side by side, in the joint
+    `layout`'s rows, plus the alpha-weighted trace-jump penalty alpha J^T M
+    J, the jump J = T_upper - T_lower read from the interface rows of the
+    joint reduction."""
+    jump = reference_trace(layout, Subdomain.UPPER) - reference_trace(layout, Subdomain.LOWER)
     layers = [assemble_robin_subproblem(op)[0].matrix.to_scipy() for op in (disc.op_upper, disc.op_lower)]
-    return scipy.sparse.block_diag(layers) + alpha * (jump.T @ disc.trace_mass @ jump)
+    # each layer's reduced rows keep their order, one after the other; the
+    # layers' gauge rows come last
+    n_upper, n_lower = (layer.shape[0] - 1 for layer in layers)
+    rows = np.r_[np.arange(n_upper), layout.n_reduced, n_upper + np.arange(n_lower), layout.n_reduced + 1]
+    place = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))))
+    side_by_side = place @ scipy.sparse.block_diag(layers) @ place.T
+    return side_by_side + alpha * (jump.T @ disc.trace_mass @ jump)
 
 
 @pytest.mark.parametrize("alpha", [10.0, 1e12])
@@ -152,11 +157,16 @@ def test_friction_multiplier_eliminates_to_penalty_matrix(alpha):
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, alpha)
     matrix, rhs = system.matrix.to_scipy(), system.rhs
     n = base.matrix.n_rows  # multiplier unknowns come last
+    # the border leaves the alpha = 0 system and its layout as they are
+    lead = matrix[:n, :n].tocsc()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(lead, name), getattr(base.matrix, name))
+    np.testing.assert_array_equal(system.layout.col_of, base.layout.col_of)
     a, bt = matrix[:n, :n].toarray(), matrix[:n, n:].toarray()
     b, c = matrix[n:, :n].toarray(), matrix[n:, n:].toarray()
     assert np.array_equal(bt, b.T)
     schur = a - bt @ np.linalg.solve(c, b)
-    expected = penalty_matrix(disc, system.layout.layers, alpha).toarray()
+    expected = penalty_matrix(disc, system.layout, alpha).toarray()
     assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
     np.testing.assert_array_equal(rhs, np.concatenate([base.rhs, np.zeros(len(rhs) - n)]))
 

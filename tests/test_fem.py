@@ -266,16 +266,16 @@ def test_interface_trace_mass_matches_analytic(spaces):
 
 def multiplier_border(mesh):
     """The friction system's B block on `mesh` (rows: periodic trace dofs,
-    columns: both layers' solved unknowns, upper first) and the solved rows
-    of each layer's horizontal interface velocity, read from the layer's
-    `col_of` at their raw indices."""
+    columns: both layers' solved unknowns) and the solved rows of each
+    layer's horizontal interface velocity, read from the layout's `col_of`
+    at their raw indices."""
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     system = assemble_coupled_system(disc.op_upper, disc.op_lower, 7.0)
-    upper, lower = system.layout.layers
-    n_rows = upper.n_rows + lower.n_rows  # the multiplier unknowns come last
+    layout = system.layout
+    n_rows = layout.n_rows  # the multiplier unknowns come last
     rows = [
-        start + layout.col_of[layout.offsets[(sub, "velocity")] + 2 * disc.space(sub).interface_nodes]
-        for start, layout, sub in zip((0, upper.n_rows), (upper, lower), (Subdomain.UPPER, Subdomain.LOWER))
+        layout.col_of[layout.offsets[(sub, "velocity")] + 2 * disc.space(sub).interface_nodes]
+        for sub in (Subdomain.UPPER, Subdomain.LOWER)
     ]
     return system.matrix.to_scipy()[n_rows:, :n_rows], rows[0], rows[1]
 
@@ -365,7 +365,7 @@ def test_uncoupled_equals_friction_alpha_zero(small_mesh, ops):
 
 def test_col_of_and_expand_consistency(ops):
     sys = assemble_coupled_system(*ops, 0.0)
-    layout, lower_layout = sys.layout.layers
+    layout = sys.layout
     upper = layout.spaces[Subdomain.UPPER]
     offset = layout.offsets[(Subdomain.UPPER, "velocity")]
     # a wall dof is constrained away; a mid-layer dof is live
@@ -378,16 +378,28 @@ def test_col_of_and_expand_consistency(ops):
     out = sys.layout.expand(x)
     assert out[(Subdomain.UPPER, "velocity")][2 * interior] == x[row]
     # the lower layer's rows follow the upper layer's
-    lower = lower_layout.spaces[Subdomain.LOWER]
+    lower = layout.spaces[Subdomain.LOWER]
     z, x_ = lower.velocity_nodes[:, 1], lower.velocity_nodes[:, 0]
     interior = int(np.nonzero((z == -2.5) & (x_ == 0.0))[0][0])
-    offset = lower_layout.offsets[(Subdomain.LOWER, "velocity")]
-    row = int(lower_layout.col_of[offset + 2 * interior])
-    assert out[(Subdomain.LOWER, "velocity")][2 * interior] == x[layout.n_rows + row]
+    upper_rows = layout.col_of[offset : offset + upper.n_velocity_dofs]
+    offset = layout.offsets[(Subdomain.LOWER, "velocity")]
+    row = int(layout.col_of[offset + 2 * interior])
+    assert row > upper_rows.max()
+    assert out[(Subdomain.LOWER, "velocity")][2 * interior] == x[row]
     # periodic partners expand to identical values
     s, m = upper.periodic_vdofs[0]
     u = out[(Subdomain.UPPER, "velocity")]
     assert u[s] == u[m]
+    # a friction solution expands from its leading rows: the multiplier rows
+    # that follow them are ignored
+    friction = assemble_coupled_system(*ops, 10.0)
+    x, _ = solve(friction.matrix, friction.rhs)
+    n = friction.layout.n_rows
+    assert len(x) > n
+    out = friction.layout.expand(x)
+    x[n:] = np.nan
+    for key, value in friction.layout.expand(x).items():
+        np.testing.assert_array_equal(value, out[key])
 
 
 def test_reduction_contract(ops):
@@ -434,8 +446,9 @@ def test_reduced_numbering_on_degenerate_meshes(cells):
     mesh = build_layered_mesh(Geometry(), *cells)
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
     continuity = assemble_coupled_system(disc.op_upper, disc.op_lower, np.inf).layout
-    layers = assemble_coupled_system(disc.op_upper, disc.op_lower, 0.0).layout.layers
-    for layout in (continuity, *layers):
+    uncoupled = assemble_coupled_system(disc.op_upper, disc.op_lower, 0.0).layout
+    layers = [assemble_robin_subproblem(op)[0].layout for op in (disc.op_upper, disc.op_lower)]
+    for layout in (continuity, uncoupled, *layers):
         np.testing.assert_array_equal(
             np.unique(layout.col_of[layout.col_of >= 0]), np.arange(layout.n_reduced)
         )
@@ -696,27 +709,17 @@ def test_assembly_matches_the_reference(cells):
     assert_same_sparse(system.matrix.to_scipy(), matrix)
     assert_close_vector(system.rhs, rhs)
 
-    # friction: each layer's reduction bordered by B = P^T M [T_upper,
-    # -T_lower] and C = -P^T M P / alpha, blocks put together by scipy
+    # friction: the joint reduction of both layers bordered by B = P^T M
+    # (T_upper - T_lower) and C = -P^T M P / alpha, blocks put together by scipy
     alpha = 10.0
     system = assemble_coupled_system(*ops, alpha)
-    layers = [reference_reduced([ref], layout) for ref, layout in zip(refs, system.layout.layers)]
+    layout = system.layout
+    matrix, rhs = reference_reduced(refs, layout)
     fold_mass, fold = folded_mass(ops[0].space, ops[1].space)
-    subs = (Subdomain.UPPER, Subdomain.LOWER)
-    b = [
-        sign * fold_mass @ reference_trace(layout, sub)
-        for sign, layout, sub in zip((1.0, -1.0), system.layout.layers, subs)
-    ]
-    matrix = scipy.sparse.bmat(
-        [
-            [layers[0][0], None, b[0].T],
-            [None, layers[1][0], b[1].T],
-            [b[0], b[1], -(fold_mass @ fold) / alpha],
-        ]
-    )
+    b = fold_mass @ (reference_trace(layout, Subdomain.UPPER) - reference_trace(layout, Subdomain.LOWER))
+    matrix = scipy.sparse.bmat([[matrix, b.T], [b, -(fold_mass @ fold) / alpha]])
     assert_same_sparse(system.matrix.to_scipy(), matrix)
-    rhs = np.concatenate([layers[0][1], layers[1][1], np.zeros(fold.shape[1])])
-    assert_close_vector(system.rhs, rhs)
+    assert_close_vector(system.rhs, np.concatenate([rhs, np.zeros(fold.shape[1])]))
 
     op, ref = ops[0], refs[0]
     x = op.space.interface_x

@@ -63,6 +63,22 @@ def test_singular_system_raises():
         solve(dense([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+@pytest.mark.parametrize("path", ["X-FOURIER", "MMD_AT_PLUS_A"])
+def test_non_finite_entries_are_named(path):
+    # an overflowed assembly leaves inf or NaN in the matrix: the error names
+    # them and the system's size, not a singular factor
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
+    matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, 10.0).matrix
+    if path == "MMD_AT_PLUS_A":
+        matrix = whole(matrix)
+    assert factorize(matrix).ordering == path
+    data = matrix.data.copy()
+    data[len(data) // 2] = np.nan
+    with pytest.raises(SingularSystemError, match=r"434x434 system .*: 1 of its 6280 .* non-finite"):
+        factorize(dataclasses.replace(matrix, data=data))
+
+
 def test_residual_certification_is_independent():
     # a well-conditioned system passes certification at the default tolerance
     rng = np.random.default_rng(3)

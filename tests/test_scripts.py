@@ -1,12 +1,14 @@
 """Smoke tests of the timing scripts on the smallest mesh of the ladder, one
 repeat each, so that a change of the package's API cannot break them
-unnoticed."""
+unnoticed, and the verdicts of the output comparison on small trees."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +46,43 @@ def test_schwarz_ladder_loop(monkeypatch):
     assert [(row["mesh"], row["alpha"]) for row in rows] == [("8x4x2", a) for a in ladder.ALPHAS]
     assert [row["n_iterations"] for row in rows] == [536, 4265, 32145]
     assert all(row["converged"] and row["us_per_iter"] > 0.0 for row in rows)
+
+
+def output_root(root, value="1.0", residual="1e-15", nested="2.5"):
+    """Two per-command directories as the CLI writes them, one nested."""
+    (root / "run").mkdir(parents=True)
+    (root / "run" / "report.csv").write_text(
+        f"mode,jump_l2,energy_residual\nschwarz,{value},{residual}\n", encoding="utf-8"
+    )
+    (root / "sweep" / "fine").mkdir(parents=True)
+    (root / "sweep" / "fine" / "sweep.csv").write_text(f"alpha,jump_l2\n10,{nested}\n", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize(
+    "change, code, line",
+    [
+        ({}, 0, "run/report.csv: byte-identical"),
+        ({"value": repr(1.0 + 1e-10)}, 1, "  jump_l2 "),  # 1e-10 relative
+        ({"residual": "1.5e-15"}, 0, "run/report.csv: differs in bytes"),  # 5e-16 absolute
+        ({"nested": "2.5000001"}, 1, "sweep/fine/sweep.csv: differs in bytes"),
+    ],
+    ids=["identical", "relative", "energy-residual", "nested"],
+)
+def test_compare_outputs_descends_into_shared_directories(tmp_path, monkeypatch, capsys, change, code, line):
+    compare = load_script("compare_outputs", monkeypatch)
+    a, b = output_root(tmp_path / "a"), output_root(tmp_path / "b", **change)
+    monkeypatch.setattr(sys, "argv", ["compare_outputs.py", str(a), str(b)])
+    assert compare.main() == code
+    out = capsys.readouterr().out
+    assert line in out and "present in one directory only" not in out
+    assert ("FAIL" in out) == (code == 1)
+
+
+def test_compare_outputs_fails_a_file_on_one_side(tmp_path, monkeypatch, capsys):
+    compare = load_script("compare_outputs", monkeypatch)
+    a, b = output_root(tmp_path / "a"), output_root(tmp_path / "b")
+    (b / "sweep" / "fine" / "extra.csv").write_text("alpha\n1\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["compare_outputs.py", str(a), str(b)])
+    assert compare.main() == 1
+    assert "sweep/fine/extra.csv: present in one directory only  FAIL" in capsys.readouterr().out
