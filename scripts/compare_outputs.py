@@ -13,12 +13,14 @@ are judged against the field's own scale.  `energy_residual` is itself a
 roundoff-level ratio of two energies, so it is judged on an absolute bound
 instead.  Text fields (mode names) must match exactly, and a file or
 directory present on one side only fails.  Exit status 0 when every field
-is within its bound, 1 otherwise.
+is within its bound, 1 otherwise, also when the output is piped into a
+command that stops reading early.
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -136,7 +138,15 @@ def main() -> int:
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
     args = parser.parse_args()
-    return 0 if compare_dirs(args.dir_a, args.dir_b) else 1
+    try:
+        same = compare_dirs(args.dir_a, args.dir_b)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): compare again without output,
+        # so that the exit status still gives the verdict.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        same = compare_dirs(args.dir_a, args.dir_b)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

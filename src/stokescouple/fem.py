@@ -20,14 +20,14 @@ symmetrically through a 0/1 reduction operator C, and every eliminated dof is
 zero.  The reduced system is C^T A C augmented with one integral-mean
 pressure-gauge row per layer, scattered in one pass through C's raw ->
 reduced index map, not multiplied.
-The reduced unknowns keep the raw order of their representatives, with the
-gauge rows last; no numbering here aims at low fill.  Each layout records,
-from the node coordinates, the cell column in x and the in-column position
-(z first) of every solved row, and each assembled matrix carries them
-(`linalg.XColumns`); every border puts trace dof j in column j // 2, and
-the gauge rows belong to no column.  On the layered mesh every column is
-the same, so `linalg.factorize` factors the system one Fourier mode along
-x at a time, in that in-column order; on any other mesh it factors it
+The reduced unknowns are numbered velocity first, then pressure, and each
+field x-column-major: by the cell column in x of the node, then z, kind
+and x.  The gauge rows follow, and a border's rows come last, trace dof j
+in cell column j // 2.  So a shift by one cell column adds a fixed stride
+to each row of a field or a border, and each assembled matrix records the
+strides (`linalg.XColumns`).  On the layered mesh every column is the same,
+so `linalg.factorize` factors the system one Fourier mode along x at a
+time, in the in-column order (z, kind, x); on any other mesh it factors it
 whole, under SuperLU's minimum-degree order.
 """
 
@@ -415,17 +415,18 @@ def periodic_fold(n_trace: int) -> scipy.sparse.csr_matrix:
 
 
 def _reduction(
-    n_raw: int, pairs: np.ndarray, fixed: np.ndarray
+    n_raw: int, pairs: np.ndarray, fixed: np.ndarray, key: tuple
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Eliminate identified and zero-Dirichlet raw dofs.
 
     pairs (k, 2) identifies raw dofs; the classes are the connected
     components of that graph.  A class with a member in `fixed` is dropped:
     every member is zero.  Every other class becomes one reduced column,
-    represented by its smallest raw index, and the columns are numbered by
-    ascending representative.  Returns the 0/1 reduction operator C (raw x
-    reduced), the raw -> reduced column map (-1 where dropped) and each
-    reduced column's representative raw dof.
+    represented by its smallest raw index, and the columns are numbered in
+    ascending order of the representatives' `key` (arrays over the raw
+    dofs, the last one first, as np.lexsort).  Returns the 0/1 reduction
+    operator C (raw x reduced), the raw -> reduced column map (-1 where
+    dropped) and each reduced column's representative raw dof.
     """
     graph = scipy.sparse.coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_raw, n_raw)
@@ -436,7 +437,8 @@ def _reduction(
     dropped = class_dropped[label]
 
     _, smallest = np.unique(label, return_index=True)
-    kept = np.sort(smallest[~class_dropped])
+    kept = smallest[~class_dropped]
+    kept = kept[np.lexsort([k[kept] for k in key])]
     class_col = np.full(n_class, -1, dtype=np.int64)
     class_col[label[kept]] = np.arange(len(kept))
     col_of = class_col[label]
@@ -459,8 +461,8 @@ class DofLayout:
     Solved vector = [reduced dofs, one gauge multiplier per layer].
     `columns` places the solved rows on the mesh's cell columns in x (see
     `_x_columns`; None on a mesh whose columns differ), and `sites` holds the
-    (z, kind, x offset) of each in-column position, by which the rows of a
-    border are merged in (`_with_multipliers`).
+    (z, kind, x offset) of each block position, by which the rows of a
+    border are merged into the in-column order (`_with_multipliers`).
     """
 
     spaces: dict
@@ -531,34 +533,43 @@ def _interface_dofs(offsets: dict, space: MixedSpace) -> np.ndarray:
 _TRACE_KIND = 6
 
 
-def _x_columns(x: np.ndarray, z: np.ndarray, kind: np.ndarray, lines: np.ndarray, n_global: int):
-    """The cell columns of solved rows 0..len(x)-1 at the sites (x, z,
-    kind), followed by n_global global rows (the gauges), whose column
-    boundaries are the vertex `lines` x = lines[j].
+def _x_columns(col: np.ndarray, sites: np.ndarray, field: np.ndarray, nx: int, n_global: int):
+    """The cell columns of the solved rows 0..len(col)-1, numbered field by
+    field (velocity, then pressure: field[i] is whether row i is a pressure
+    row) and x-column-major within a field: col[i] is the cell column of row
+    i and sites[i] its (z, kind, x offset), ascending within a column of a
+    field.  n_global global rows (the gauges) follow.
 
-    A row sits in the column of the last line at or left of it.  Within
-    a column the rows are ordered by z, then kind, then x: in-column
-    position q of every column holds a row of the same z and kind, so each
-    Fourier mode of a shift-invariant matrix is banded.  Returns the
-    `XColumns` and the (z, kind, x offset) site of each position, or (None,
-    None) when the columns do not hold the same sites.
+    Each field is a block of the `XColumns` when every column holds the
+    same sites of it.  The in-column order sorts the sites of both blocks,
+    so that each Fourier mode of a shift-invariant matrix is banded in it.
+    Returns the `XColumns` and the sites of the block positions, or (None,
+    None) when the columns differ.
     """
-    col = np.searchsorted(lines, x, side="right") - 1
-    counts = np.bincount(col, minlength=len(lines))
-    if len(x) == 0 or (counts != counts[0]).any():
-        return None, None
-    order = np.lexsort((x, kind, z, col)).reshape(len(lines), -1)
-    sites = np.stack([z[order], kind[order], x[order] - lines[:, None]], axis=-1)
-    if not (sites[..., :2] == sites[:1, :, :2]).all():
-        return None, None
-    return XColumns.of(order, len(x) + np.arange(n_global)), sites[0]
+    blocks, n_velocity = [], len(field) - np.count_nonzero(field)
+    for rows in (slice(0, n_velocity), slice(n_velocity, len(field))):
+        if (rows.stop - rows.start) % nx or not (col[rows].reshape(nx, -1) == np.arange(nx)[:, None]).all():
+            return None, None
+        at = sites[rows].reshape(nx, -1, 3)
+        if not (at[..., :2] == at[:1, :, :2]).all():
+            return None, None
+        blocks.append((rows.start, at[0]))
+    sites = np.concatenate([at for _, at in blocks])
+    blocks = tuple((start, len(at)) for start, at in blocks)
+    order = np.lexsort(sites.T[::-1])  # z, kind, x offset
+    return XColumns(nx, blocks, order, len(col) + np.arange(n_global)), sites
 
 
 def _build_layout(spaces: list[MixedSpace], identify_traces: bool = False) -> DofLayout:
     """The layers' raw blocks one after the other, velocity then pressure,
     with every layer's periodic identification and zero velocity dofs;
     `identify_traces` also identifies the layers' horizontal interface
-    traces (the continuity limit)."""
+    traces (the continuity limit).
+
+    The solved rows are numbered velocity first, then pressure, and within
+    a field x-column-major: by the cell column in x of their node (the
+    column of the last vertex line at or left of it, x = L folded onto
+    x = 0), then z, then kind, then x."""
     offsets, n_raw = {}, 0
     for sp in spaces:
         offsets[(sp.subdomain, _FIELD_VELOCITY)] = n_raw
@@ -567,7 +578,7 @@ def _build_layout(spaces: list[MixedSpace], identify_traces: bool = False) -> Do
     pairs = [np.column_stack([_interface_dofs(offsets, sp) for sp in spaces])] if identify_traces else []
     fixed = []
     coords, pressure = np.empty((n_raw, 2)), np.zeros(n_raw, dtype=bool)  # each raw dof's node
-    kind = np.empty(n_raw, dtype=np.int64)
+    kind = np.empty(n_raw, dtype=np.int8)
     for sp in spaces:
         ov = offsets[(sp.subdomain, _FIELD_VELOCITY)]
         op = offsets[(sp.subdomain, _FIELD_PRESSURE)]
@@ -578,10 +589,13 @@ def _build_layout(spaces: list[MixedSpace], identify_traces: bool = False) -> Do
         pressure[op : op + sp.n_pressure_dofs] = True
         kind[ov : ov + sp.n_velocity_dofs] = 3 * sp.subdomain + np.arange(sp.n_velocity_dofs) % 2
         kind[op : op + sp.n_pressure_dofs] = 3 * sp.subdomain + 2
-    c, col_of, kept = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed))
+    lines = np.unique(coords[pressure, 0])  # the vertex lines, x = L last
+    col = (np.searchsorted(lines, coords[:, 0], side="right") - 1).astype(np.int32)
+    key = (coords[:, 0], kind, coords[:, 1], col, pressure)  # small types sort fast
+    c, col_of, kept = _reduction(n_raw, np.vstack(pairs), np.concatenate(fixed), key)
     x, z = coords[kept].T
-    lines = np.unique(x[pressure[kept]])  # the vertex columns, x = L folded onto x = 0
-    columns, sites = _x_columns(x, z, kind[kept], lines, len(spaces))
+    sites = np.column_stack([z, kind[kept], x - lines[col[kept]]])
+    columns, sites = _x_columns(col[kept], sites, pressure[kept], len(lines) - 1, len(spaces))
     return DofLayout(
         spaces={sp.subdomain: sp for sp in spaces},
         offsets=offsets,
@@ -637,15 +651,16 @@ def _with_multipliers(system: SparseSystem, below, corner) -> SparseSystem:
     """`system` bordered by k interface multiplier rows on the periodic trace
     dofs, [[A, below^T], [below, corner]], their rhs zero.  The layout still
     describes the leading rows.  Trace dof j sits in cell column j // 2 (a
-    vertex and a midpoint per column), and a column's rows are merged in
-    order of their sites."""
+    vertex and a midpoint per column), so the multiplier rows are one more
+    x-column-major block, two rows per column, merged into the in-column
+    order by their sites."""
     layout, k = system.layout, below.shape[0]
     columns = layout.columns
-    if columns is not None and k == 2 * columns.order.shape[0]:
+    if columns is not None and k == 2 * columns.nx:
         trace = np.array([[0.0, _TRACE_KIND, 0.0], [0.0, _TRACE_KIND, 1.0]])
         by_site = np.lexsort(np.concatenate([layout.sites, trace]).T[::-1])  # z, kind, x offset
-        order = np.hstack([columns.order, layout.n_rows + np.arange(k).reshape(-1, 2)])
-        columns = XColumns.of(order[:, by_site], columns.globals)
+        blocks = columns.blocks + ((layout.n_rows, 2),)
+        columns = XColumns(columns.nx, blocks, by_site, columns.globals)
     else:
         columns = None
     matrix = bordered(system.matrix, below.T, below, corner, columns)

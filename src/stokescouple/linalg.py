@@ -5,12 +5,13 @@ with a diagonal pivot threshold of 0.01.  It is applied in one of two ways,
 read from the matrix, never chosen by an option.
 
 A matrix of the layered mesh is invariant under a shift by one cell column
-in x, the periodic direction: `fem` attaches to it the x-column and the
-in-column position of each solved row (`XColumns`), with the rows of a
-column ordered by z first.  `factorize` reads the m x m coupling blocks
-C_d between a column and the column d to its right from the rows of
-x-column 0, one x-column at a time checks that every other column repeats
-them, and then factors the symbol sum_d C_d exp(-i theta_k d) of each
+in x, the periodic direction.  `fem` numbers its solved rows x-column-major
+in blocks and attaches that description to it (`XColumns`), so that a
+shift by one x-column adds a fixed stride to every row and column index.
+`factorize` checks entry by entry that every x-column repeats x-column 1
+(in strided views of the matrix's arrays, by keys where the period wraps),
+reads from it the m x m blocks C_d coupling a column to the column d to
+its right, and factors the symbol sum_d C_d exp(-i theta_k d) of each
 Fourier mode k = 0..nx // 2 on its own ("X-FOURIER"), in its in-column
 order, which is banded: the discrete Fourier transform along x turns a
 block-circulant matrix block-diagonal (P. J. Davis, *Circulant Matrices*,
@@ -44,12 +45,12 @@ the size of the system.
 Every matrix is held once.  `fem` scatters each system straight into the
 compressed-column arrays SuperLU reads and writes every border into them in
 place.  The whole-matrix path hands SuperLU a scipy view of those arrays;
-the per-mode path reads them one x-column at a time and keeps one mode
-matrix alive while it is factored.  No copy of the matrix is made or kept
-next to the LU factors; the certification product is the same view.
-(Factoring the transpose of a row-compressed matrix would also avoid the
-copy, but SuperLU solves transposed systems one column at a time: an
-8-column block solve of the alternating solver's set-up on 64x32x8 took
+the per-mode path compares views of them and keeps a table of the blocks
+C_d and one mode matrix alive while it is factored.  No copy of the matrix
+is made or kept next to the LU factors; the certification product is the
+same view.  (Factoring the transpose of a row-compressed matrix would also
+avoid the copy, but SuperLU solves transposed systems one column at a time:
+an 8-column block solve of the alternating solver's set-up on 64x32x8 took
 44 ms that way instead of 20 ms.)
 
 A right-hand side may be a vector or an (n, k) block of columns; each column
@@ -95,19 +96,16 @@ SYMMETRIC_MODE = True
 # SolveReport.ordering of a matrix factored one Fourier mode at a time.
 X_FOURIER = "X-FOURIER"
 
-# An entry repeats its x-column-0 counterpart when they differ by at most this
-# fraction of the largest entry of x-column 0.  The layered mesh's systems
-# repeat to 2.8e-14 on the ladder up to 128x64x16.
+# An entry repeats its counterpart in another x-column when they differ by at
+# most this fraction of the matrix's largest entry.  The layered mesh's
+# systems repeat to 2.8e-14 on the ladder up to 128x64x16.
 SHIFT_RTOL = 1e-12
-# Entries gathered per step of the invariance check (`_CHECK_STEP`) and of
-# forming a mode's matrix (`_SYMBOL_STEP`): a fraction of the nonzeros,
-# but at least a floor, below which a step's fixed cost of about 30 numpy
-# calls outweighs its work.  The symbol's steps are smaller because they run
-# while the pattern and a mode's values are held: at the check's size the
-# traced peak of factoring the 32x16x4 continuity system reads 10.0% of the
-# matrix instead of 8.5%, against the 10% that the tests allow.
-_CHECK_STEP = (128, 1024)
-_SYMBOL_STEP = (512, 256)
+# The check compares this fraction of the matrix's entries at a time, at
+# least the floor, below which a step's few numpy calls outweigh its work.
+# A strided step holds a quarter of the bytes per entry of a keyed one and
+# is 4 times longer: the numpy memory of factoring the 32x16x4 continuity
+# system then peaks below 10% of the matrix's own.
+_STEP = (64, 1024)
 
 
 class DimensionMismatchError(ValueError):
@@ -129,23 +127,25 @@ class OutOfMemoryError(MemoryError):
 
 @dataclass(frozen=True)
 class XColumns:
-    """The cell columns of an x-periodic system: the solved row at in-column
-    position q of x-column j is order[j, q]; slot[row] is q nx + j, or nx m + i
-    for the i-th global row (globals[i]), a row coupled to every column alike.
+    """The nx cell columns of an x-periodic system, whose solved rows are
+    numbered x-column-major in blocks.  Block (start, size) holds the rows
+    start + j size + p, p < size, of x-column j = 0..nx - 1, so a shift by
+    one x-column adds size to each of its rows.  `order` lists the
+    positions of the blocks, those of the first block and then those of the
+    next, in in-column order, the order of each Fourier mode's rows.  The
+    rows `globals` (the pressure gauges) couple to every x-column alike.
     """
 
-    order: np.ndarray  # (nx, m)
-    slot: np.ndarray  # (n,)
+    nx: int
+    blocks: tuple  # ((start, size), ...), ascending in start
+    order: np.ndarray  # (m,), m the sum of the sizes
     globals: np.ndarray  # (g,)
 
-    @classmethod
-    def of(cls, order: np.ndarray, globals_: np.ndarray) -> "XColumns":
-        (nx, m), n = order.shape, order.size + len(globals_)
-        index = np.int32 if n < 2**31 else np.int64
-        slot = np.empty(n, dtype=index)
-        slot[order] = np.arange(m) * nx + np.arange(nx)[:, None]
-        slot[globals_] = order.size + np.arange(len(globals_))
-        return cls(order=order.astype(index), slot=slot, globals=np.asarray(globals_, dtype=index))
+    def rows(self) -> np.ndarray:
+        """(nx, m): the row at in-column position q of x-column j."""
+        index = np.int32 if self.blocks[-1][0] + self.nx * self.blocks[-1][1] < 2**31 else np.int64
+        rows = [np.arange(start, start + self.nx * size, dtype=index) for start, size in self.blocks]
+        return np.hstack([r.reshape(self.nx, -1) for r in rows]).take(self.order, axis=1)
 
 
 @dataclass(frozen=True)
@@ -320,30 +320,6 @@ def _pivots(lu) -> int:
     return int(np.count_nonzero(lu.perm_r != lu.perm_c))
 
 
-def _small(n: int) -> type:
-    """The smallest signed integer type holding 0..n - 1.  The per-entry
-    shift and run arrays of `_ShiftSymbol` use it: at int64 they raise the
-    traced peak of factoring the 32x16x4 continuity system from 8.5% to
-    10.0% of the matrix, against the 10% that the tests allow."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if n <= np.iinfo(t).max + 1)
-
-
-def _step(matrix: "CscMatrix", rule: tuple[int, int]) -> int:
-    fraction, floor = rule
-    return max(matrix.nnz // fraction, floor)
-
-
-def _ranges(start: np.ndarray, size: int) -> list:
-    """Contiguous ranges [q0, q1) of the segments start[q]..start[q + 1] of
-    about `size` entries each, at least one segment per range."""
-    ranges, q, m = [], 0, len(start) - 1
-    while q < m:
-        end = max(int(np.searchsorted(start, start[q] + size, side="right")) - 1, q + 1)
-        ranges.append((q, end))
-        q = end
-    return ranges
-
-
 def bordered(a: CscMatrix, right, below, corner, columns: XColumns | None = None) -> CscMatrix:
     """[[A, R], [B, C]] for the square A, with R = `right` (n x k), B =
     `below` (k x n) and C = `corner` (k x k) any scipy sparse matrices.
@@ -375,203 +351,212 @@ def bordered(a: CscMatrix, right, below, corner, columns: XColumns | None = None
 
 
 class _ShiftSymbol:
-    """The blocks of an x-shift-invariant matrix, read from the CSC columns
-    of its x-column 0, and the matrices of its Fourier modes.
+    """The blocks C_d of an x-shift-invariant matrix and the matrices of its
+    Fourier modes, read from x-column ref = 1 (0 when nx = 1), which reaches
+    its neighbours without wrapping around the period: C_d[p, q] couples
+    in-column position p of x-column ref + d to position q of x-column ref.
 
-    C_d[p, q] couples in-column position p of x-column d (to the right,
-    modulo nx) to position q of x-column 0.  An entry of the column at
-    position q of x-column j, at a row at position p of x-column i, has the
-    key q width + p nx + d, d = (i - j) mod nx; at the i-th global row, the
-    key q width + nx (m + i).  The keys of one column are distinct and sorted
-    by (p, d), so equal sorted keys mean equal patterns, and the entries of
-    one position pair (q, p) are adjacent.  Only the keys and the places of
-    the entries in the matrix's arrays are kept: every value is read from the
-    matrix itself.
+    x-column j repeats the reference when each entry of either, shifted by
+    ref - j x-columns onto the other, is within the tolerance of its
+    counterpart, an absent entry counting as zero.  A shift adds a block's
+    size to each of its rows and keeps the global rows.  The interior
+    x-columns 2..nx - 2 are compared in strided views of the matrix's arrays
+    where their stored pattern is the reference's shifted (everywhere on the
+    layered mesh); the wrap x-columns 0 and nx - 1, and an x-column whose
+    stored pattern differs (a rounding residue of an integral that cancels),
+    by the keys column n + row of their entries shifted onto the reference.
     """
 
     def __init__(self, matrix: CscMatrix):
-        self.matrix = matrix
-        self.nx, self.m = matrix.columns.order.shape
-        self.n_global = len(matrix.columns.globals)
-        self.width = self.nx * (self.m + self.n_global)
-        self.index = np.int32 if self.m * self.width < 2**31 else np.int64
-        self.invariant = self._read() and self._read_globals()
+        self.matrix, self.cols = matrix, matrix.columns
+        self.nx, self.m, self.g = self.cols.nx, len(self.cols.order), len(self.cols.globals)
+        self.ref = min(1, self.nx - 1)
+        self.rank = np.empty(self.m, dtype=matrix.indices.dtype)
+        self.rank[self.cols.order] = np.arange(self.m)
+        self.tol = SHIFT_RTOL * max(matrix.data.max(initial=0.0), -matrix.data.min(initial=0.0))
+        self.key_type = np.int32 if matrix.n_rows * matrix.n_cols < 2**31 else np.int64
+        self.step = max(matrix.nnz // _STEP[0], _STEP[1])
+        keyed = {0, self.nx - 1} - {self.ref}
+        for start, size in self.cols.blocks:
+            keyed |= self._strided(start, size)
+        self.invariant = all(self._repeats(j) for j in sorted(keyed)) and self._read_globals()
 
-    def _read(self) -> bool:
-        """Read the keys of x-column 0 and the places of its entries, sorted by
-        key, then check every other x-column against them, a range of
-        positions at a time.  An entry within the tolerance of zero counts
-        as zero: an integral that cancels in one column may leave a rounding
-        residue in another."""
-        matrix = self.matrix
-        order, indptr, data = matrix.columns.order, matrix.indptr, matrix.data
-        counts = indptr[order[0] + 1] - indptr[order[0]]
-        start = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
-        self.keys = np.empty(start[-1], dtype=self.index)
-        self.src = np.empty(start[-1], dtype=np.int32 if matrix.nnz < 2**31 else np.int64)
-        self.tol = SHIFT_RTOL * max(data.max(initial=0.0), -data.min(initial=0.0))
-        self.stored = []  # per range, its entries' slice of keys and src
-        ranges = _ranges(start, _step(matrix, _CHECK_STEP))
-        for j in range(self.nx):
-            first = indptr[order[j]]
-            counts = indptr[order[j] + 1] - first
-            read = (self._read_range(j, first, counts, r, *qs) for r, qs in enumerate(ranges))
-            if not all(read):
-                return False
-            if j == 0:
-                filled = self.stored[-1].stop
-                self.keys, self.src = self.keys[:filled], self.src[:filled]
+    def _strided(self, start: int, size: int) -> set:
+        """The interior x-columns whose block (start, size) is not the
+        reference's shifted: another stored pattern, or a value off by more
+        than the tolerance."""
+        indptr, indices, data, nx = self.matrix.indptr, self.matrix.indices, self.matrix.data, self.nx
+        if nx < 4:
+            return set()
+        ref = indptr[start + size : start + 2 * size + 1]
+        counts, rows, values = np.diff(ref), indices[ref[0] : ref[-1]], data[ref[0] : ref[-1]]
+        stride = np.zeros(len(rows), dtype=rows.dtype)  # each row's shift by one x-column
+        for s, z in self.cols.blocks:
+            stride[(rows >= s) & (rows < s + nx * z)] = z
+        per, differ = max(2 * self.step // max(len(rows), 1), 1), set()  # x-columns per view
+        interior = np.diff(indptr[start + 2 * size : start + (nx - 1) * size + 1]).reshape(-1, size)
+        stored = (interior == counts).all(axis=1)  # the interior x-columns' counts per column
+        for a in range(2, nx - 1, per):
+            b = min(a + per, nx - 1)
+            lo, hi = indptr[start + a * size], indptr[start + b * size]
+            same = bool(stored[a - 2 : b - 2].all())
+            if same:
+                shifted = np.arange(a - 1, b - 1, dtype=rows.dtype)[:, None] * stride
+                shifted += rows
+                same = np.array_equal(indices[lo:hi].reshape(b - a, -1), shifted)
+                del shifted
+            if same:
+                deviation = data[lo:hi].reshape(b - a, -1) - values
+                same = np.max(np.abs(deviation, out=deviation), initial=0.0) <= self.tol
+            if not same:
+                differ.update(range(a, b))
+        return differ
+
+    def _shift(self, rows: np.ndarray, s: int) -> np.ndarray:
+        """The rows s x-columns to the right of `rows`; global rows stay."""
+        out = rows.copy()
+        for start, size in self.cols.blocks:
+            span = self.nx * size
+            inside = (rows >= start) & (rows < start + span)
+            out[inside] = start + (rows[inside] - start + s * size) % span
+        return out
+
+    def _repeats(self, j: int) -> bool:
+        """Whether x-column j repeats the reference, compared a step of
+        positions of each block at a time."""
+        matrix, ref = self.matrix, self.ref
+
+        def keyed(i: int, start: int, p0: int, p1: int, size: int) -> tuple:
+            """Keys and values of x-column i's entries at block positions p0..p1 - 1."""
+            ptr = matrix.indptr[start + i * size + p0 : start + i * size + p1 + 1]
+            key = np.arange(start + ref * size + p0, start + ref * size + p1, dtype=self.key_type)
+            key = np.repeat(key, np.diff(ptr))
+            key *= matrix.n_rows
+            rows = matrix.indices[ptr[0] : ptr[-1]]
+            key += rows if i == ref else self._shift(rows, ref - i)
+            return key, matrix.data[ptr[0] : ptr[-1]]
+
+        for start, size in self.cols.blocks:
+            entries = matrix.indptr[start + (ref + 1) * size] - matrix.indptr[start + ref * size]
+            bounds = np.linspace(0, size, min(-(-entries // self.step), size) + 1).astype(int)
+            for piece in zip(bounds[:-1], bounds[1:]):
+                key, values = keyed(j, start, *piece, size)
+                ref_key, ref_values = keyed(ref, start, *piece, size)  # ascending
+                at = np.searchsorted(ref_key, key)
+                found = ref_key.take(at, mode="clip") == key
+                del key, ref_key
+                matched = np.zeros(len(ref_values), dtype=bool)
+                matched[at[found]] = True
+                deviation = np.where(found, values - ref_values.take(at, mode="clip"), values)
+                del at, found
+                unmatched = np.abs(ref_values[~matched])
+                if max(np.max(np.abs(deviation), initial=0.0), np.max(unmatched, initial=0.0)) > self.tol:
+                    return False
         return True
 
-    def _read_range(self, j: int, first, counts, r: int, q0: int, q1: int) -> bool:
-        """Range r, the columns at positions q0..q1 - 1 of x-column j, whose
-        entries start at first[q] and number counts[q]: stored when j = 0,
-        else compared with the stored ones."""
-        matrix, nx, m = self.matrix, self.nx, self.m
-        # the entries' places in the CSC arrays
-        offsets = np.zeros(q1 - q0, dtype=np.int64)
-        np.cumsum(counts[q0 : q1 - 1], out=offsets[1:])
-        at = np.repeat((first[q0:q1] - offsets).astype(self.src.dtype), counts[q0:q1])
-        at += np.arange(len(at), dtype=at.dtype)
-        key = matrix.columns.slot.take(matrix.indices.take(at)).astype(self.index, copy=False)
-        on_global = key >= nx * m
-        global_rows = key[on_global] - nx * m
-        left = key % nx < j  # rows in an x-column i < j
-        key -= j
-        key[left] += nx
-        del left
-        key[on_global] = nx * (m + global_rows)
-        key += np.repeat(np.arange(q0, q1, dtype=self.index) * self.width, counts[q0:q1])
-        values = matrix.data.take(at)
-        kept = np.abs(values) > self.tol
-        key, values, at = key[kept], values[kept], at[kept]
-        by_key = np.argsort(key)
-        if j == 0:
-            lo = self.stored[-1].stop if self.stored else 0
-            self.stored.append(slice(lo, lo + len(key)))
-            np.take(key, by_key, out=self.keys[self.stored[-1]])
-            np.take(at, by_key, out=self.src[self.stored[-1]])
-            return True
-        del at
-        ref_keys, ref_src = self.keys[self.stored[r]], self.src[self.stored[r]]
-        if not np.array_equal(key.take(by_key), ref_keys):
-            return False
-        del key
-        deviation = values.take(by_key)
-        deviation -= matrix.data.take(ref_src)
-        return np.max(np.abs(deviation, out=deviation), initial=0.0) <= self.tol
+    def _locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The x-column and in-column position of each row: x-column 0 and
+        position m + i for the i-th global row."""
+        j, q = np.zeros_like(rows), np.empty_like(rows)
+        on_global = np.ones(len(rows), dtype=bool)
+        offset = 0
+        for start, size in self.cols.blocks:
+            inside = (rows >= start) & (rows < start + self.nx * size)
+            on_global &= ~inside
+            j[inside], p = np.divmod(rows[inside] - start, size)
+            q[inside] = self.rank.take(p + offset)
+            offset += size
+        q[on_global] = self.m + np.searchsorted(self.cols.globals, rows[on_global])
+        return j, q
 
     def _read_globals(self) -> bool:
         """The global columns: each must hold the same values at the same
-        in-column positions of every x-column.  Their entries become the
-        right border w (m x g) of mode 0 and its corner."""
-        matrix, cols = self.matrix, self.matrix.columns
-        nx, m, g = self.nx, self.m, self.n_global
+        in-column positions of every x-column, an entry within the tolerance
+        of zero counting as zero.  Their entries become the right border w
+        (m x g) of mode 0 and its corner."""
+        matrix, nx, m, g = self.matrix, self.nx, self.m, self.g
         self.w, self.corner = np.zeros((m, g)), np.zeros((g, g))
-        for k, col in enumerate(cols.globals.tolist()):
-            rows = slice(matrix.indptr[col], matrix.indptr[col + 1])
-            s, values = cols.slot[matrix.indices[rows]], matrix.data[rows]
+        for k, col in enumerate(self.cols.globals.tolist()):
+            entries = slice(matrix.indptr[col], matrix.indptr[col + 1])
+            values = matrix.data[entries]
             kept = np.abs(values) > self.tol
-            s, values = s[kept], values[kept]
-            on_global = s >= nx * m
-            self.corner[s[on_global] - nx * m, k] = values[on_global]
-            p, i = np.divmod(s[~on_global], nx)
-            values = values[~on_global]
-            first = i == 0
-            self.w[p[first], k] = values[first]
-            present = np.zeros(m, dtype=bool)
-            present[p[first]] = True
-            if len(p) != nx * np.count_nonzero(first) or not present[p].all():
+            j, q = self._locate(matrix.indices[entries][kept])
+            values = values[kept]
+            on_global = q >= m
+            self.corner[q[on_global] - m, k] = values[on_global]
+            j, q, values = j[~on_global], q[~on_global], values[~on_global]
+            self.w[q[j == 0], k] = values[j == 0]
+            counts = np.bincount(q, minlength=m)  # x-columns holding each position
+            if ((counts != 0) & (counts != nx)).any():
                 return False
-            if np.max(np.abs(self.w[p, k] - values), initial=0.0) > self.tol:
+            if np.max(np.abs(self.w[q, k] - values), initial=0.0) > self.tol:
                 return False
         return True
 
     def _pattern(self) -> tuple:
-        """From the sorted keys, which are then released: the m x m pattern
-        (indptr, indices) shared by the modes, and what forms its values from
-        x-column 0's entries, in pattern order: column q's entries start at
-        entry[q], entry e lies at src[e] in the matrix's arrays and has the
-        shift shifts[shift[e]], and pattern entry i sums run[i] of them; and
-        the lower border wt (g x m) of mode 0."""
-        nx, m, g = self.nx, self.m, self.n_global
-        pair = self.keys // nx  # q (m + g) + row
-        row = pair % (m + g)
-        local = row < m
-        on_global = ~local
-        below = scipy.sparse.csc_matrix(
-            (
-                self.matrix.data[self.src[on_global]],
-                (row[on_global] - m, pair[on_global] // (m + g)),
-            ),
-            shape=(g, m),
-        )
-        del row, on_global
-        shift = self.keys[local] % nx
-        self.keys = None
-        present = np.zeros(nx, dtype=bool)
+        """From the reference's entries above the tolerance: the m x m pattern
+        (indptr, indices) shared by the modes, in in-column order, the
+        shifts d present, the table (shift x pattern entry) of the values of
+        C_d, and the lower border (g x m) of mode 0."""
+        matrix, m, g, ref = self.matrix, self.m, self.g, self.ref
+        parts, offset = [], 0
+        for start, size in self.cols.blocks:
+            ptr = matrix.indptr[start + ref * size : start + (ref + 1) * size + 1]
+            kept = np.abs(matrix.data[ptr[0] : ptr[-1]]) > self.tol
+            q = np.repeat(self.rank[offset : offset + size], np.diff(ptr))[kept]
+            parts.append((q, matrix.indices[ptr[0] : ptr[-1]][kept], matrix.data[ptr[0] : ptr[-1]][kept]))
+            offset += size
+        q, rows, values = (np.concatenate(part) if len(parts) > 1 else part[0] for part in zip(*parts))
+        del parts
+        shift, p = self._locate(rows)
+        del rows
+        on_global = p >= m
+        below = scipy.sparse.csc_matrix((values[on_global], (p[on_global] - m, q[on_global])), shape=(g, m))
+        local = ~on_global
+        shift, values = shift[local], values[local]
+        pair = q[local].astype(self.key_type, copy=False)
+        del q
+        pair *= m
+        pair += p[local]
+        del p, local, on_global
+        pairs = np.unique(pair)
+        entry = np.searchsorted(pairs, pair)
+        del pair
+        present = np.zeros(self.nx, dtype=bool)
         present[shift] = True
+        np.take((np.cumsum(present) - 1).astype(shift.dtype), shift, out=shift)
+        shift *= len(pairs)
+        entry += shift  # the entry of the table
+        del shift
         shifts = np.flatnonzero(present)
-        shift = (np.cumsum(present) - 1).astype(_small(len(shifts))).take(shift)
-        src, pair = self.src[local], pair[local]
-        self.src = None
-        del local
-        entry = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pair // (m + g), minlength=m), out=entry[1:])
-        new = np.empty(len(pair), dtype=bool)
-        new[0] = True
-        np.not_equal(pair[1:], pair[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        del new
-        run = np.diff(np.append(starts, len(pair))).astype(_small(nx + 1))
-        q, rows = np.divmod(pair[starts], m + g)
-        del pair, starts
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(q, minlength=m), out=indptr[1:])
-        return (indptr, rows.astype(self.index)), (entry, src, run), shifts, shift, below
+        table = np.bincount(entry, values, len(shifts) * len(pairs)).reshape(len(shifts), -1)
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pairs // m, minlength=m), out=indptr[1:])
+        return (indptr, (pairs % m).astype(np.int32)), shifts - self.ref, table, below
 
     def modes(self):
         """Yield (k, matrix) for each mode k = 0..nx // 2, one at a time, the
         real ones first: the symbol sum_d C_d exp(-i theta_k d), theta_k =
-        2 pi k / nx, real at k = 0 and k = nx / 2.  Mode 0 is bordered by the
-        global rows as [[A_0, w], [wt, corner / nx]]: with the
-        forward-normalized transform its unknowns are the column mean and the
-        global unknowns themselves.  The complex modes share one data array,
-        which SuperLU copies."""
+        2 pi k / nx, one product of the phases with the table, real at k = 0
+        and k = nx / 2.  Mode 0 is bordered by the global rows as [[A_0, w],
+        [wt, corner / nx]]: with the forward-normalized transform its
+        unknowns are the column mean and the global unknowns themselves.  The
+        complex modes are written into one matrix, whose data SuperLU
+        copies."""
         nx, m = self.nx, self.m
-        (indptr, indices), (entry, src, run), shifts, shift, below = self._pattern()
-        values = self.matrix.data
-        ranges = _ranges(entry, _step(self.matrix, _SYMBOL_STEP))
-        signed = np.where(shifts > nx // 2, shifts - nx, shifts)  # d = nx - 1 is the left neighbor
-
-        def symbol(phase: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-            """out[i] = the sum of v phase[shift] over the x-column-0 entries v
-            of pattern entry i."""
-            for q0, q1 in ranges:
-                e0, e1, i0, i1 = entry[q0], entry[q1], indptr[q0], indptr[q1]
-                v = values.take(src[e0:e1])
-                if phase is not None:
-                    v *= phase.take(shift[e0:e1])
-                starts = np.zeros(i1 - i0, dtype=np.int64)
-                np.cumsum(run[i0 : i1 - 1], out=starts[1:])
-                out[i0:i1] = np.add.reduceat(v, starts)
-            return out
-
-        npat = len(indices)
-        mode = CscMatrix(m, m, indptr, indices, symbol(None, np.empty(npat)))
-        mode = bordered(mode, self.w, below, self.corner / nx).to_scipy()
-        yield 0, mode
+        (indptr, indices), shifts, table, below = self._pattern()
+        mode = CscMatrix(m, m, indptr, indices, table.sum(axis=0))
+        yield 0, bordered(mode, self.w, below, self.corner / nx).to_scipy()
         del mode
         if nx % 2 == 0 and nx > 1:
-            sign = np.where(signed % 2 == 0, 1.0, -1.0)
-            yield nx // 2, scipy.sparse.csc_matrix((symbol(sign, np.empty(npat)), indices, indptr))
-        data = np.empty(npat, dtype=complex)
+            sign = np.where(shifts % 2 == 0, 1.0, -1.0)
+            yield nx // 2, scipy.sparse.csc_matrix((sign @ table, indices, indptr), shape=(m, m))
+        mode = scipy.sparse.csc_matrix((np.empty(len(indices), dtype=complex), indices, indptr), shape=(m, m))
         for k in range(1, (nx + 1) // 2):
-            theta = 2.0 * np.pi * k * signed / nx
-            symbol(np.cos(theta), data.real)
-            symbol(-np.sin(theta), data.imag)
-            yield k, scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, m))
+            theta = 2.0 * np.pi * k * shifts / nx
+            np.matmul(np.cos(theta), table, out=mode.data.real)
+            np.matmul(-np.sin(theta), table, out=mode.data.imag)
+            yield k, mode
 
 
 class _FourierModes:
@@ -583,11 +568,11 @@ class _FourierModes:
         self.nnz = sum(lu.nnz for lu in factors)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        cols = self.columns
-        nx, m = cols.order.shape
+        cols, rows = self.columns, self.columns.rows()
+        nx, m = rows.shape
         block = b.reshape(len(b), -1)
         # forward-normalized: mode 0 is the column mean
-        modes = np.fft.rfft(block[cols.order], axis=0, norm="forward")  # (nx // 2 + 1, m, k)
+        modes = np.fft.rfft(block[rows], axis=0, norm="forward")  # (nx // 2 + 1, m, k)
         glob = block[cols.globals] / nx
         for k, lu in enumerate(self.factors):
             if k == 0:
@@ -598,7 +583,7 @@ class _FourierModes:
             else:
                 modes[k] = lu.solve(modes[k])
         x = np.empty(block.shape)
-        x[cols.order] = np.fft.irfft(modes, n=nx, axis=0, norm="forward")
+        x[rows] = np.fft.irfft(modes, n=nx, axis=0, norm="forward")
         x[cols.globals] = glob
         return x.reshape(b.shape)
 

@@ -139,13 +139,22 @@ def penalty_matrix(disc, layout, alpha):
     J, the jump J = T_upper - T_lower read from the interface rows of the
     joint reduction."""
     jump = reference_trace(layout, Subdomain.UPPER) - reference_trace(layout, Subdomain.LOWER)
-    layers = [assemble_robin_subproblem(op)[0].matrix.to_scipy() for op in (disc.op_upper, disc.op_lower)]
-    # each layer's reduced rows keep their order, one after the other; the
+    layers = [assemble_robin_subproblem(op)[0] for op in (disc.op_upper, disc.op_lower)]
+    # a layer's raw dofs sit at its offset in the joint raw numbering, so
+    # each of its reduced rows is the joint row of the same raw dof; the
     # layers' gauge rows come last
-    n_upper, n_lower = (layer.shape[0] - 1 for layer in layers)
-    rows = np.r_[np.arange(n_upper), layout.n_reduced, n_upper + np.arange(n_lower), layout.n_reduced + 1]
+    rows = []
+    for k, layer in enumerate(layers):
+        own = layer.layout
+        offset = layout.offsets[(own.gauge_subdomains[0], "velocity")]
+        place = np.empty(own.n_rows, dtype=np.int64)
+        live = own.col_of >= 0
+        place[own.col_of[live]] = layout.col_of[offset + np.flatnonzero(live)]
+        place[own.n_reduced] = layout.n_reduced + k
+        rows.append(place)
+    rows = np.concatenate(rows)
     place = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))))
-    side_by_side = place @ scipy.sparse.block_diag(layers) @ place.T
+    side_by_side = place @ scipy.sparse.block_diag([layer.matrix.to_scipy() for layer in layers]) @ place.T
     return side_by_side + alpha * (jump.T @ disc.trace_mass @ jump)
 
 

@@ -377,14 +377,16 @@ def test_col_of_and_expand_consistency(ops):
     x, _ = solve(sys.matrix, sys.rhs)
     out = sys.layout.expand(x)
     assert out[(Subdomain.UPPER, "velocity")][2 * interior] == x[row]
-    # the lower layer's rows follow the upper layer's
+    # the rows are x-column-major: the lower layer's velocity at x = 0 is in
+    # x-column 0 with the upper layer's, below it in z
     lower = layout.spaces[Subdomain.LOWER]
     z, x_ = lower.velocity_nodes[:, 1], lower.velocity_nodes[:, 0]
     interior = int(np.nonzero((z == -2.5) & (x_ == 0.0))[0][0])
-    upper_rows = layout.col_of[offset : offset + upper.n_velocity_dofs]
+    upper_row = row
     offset = layout.offsets[(Subdomain.LOWER, "velocity")]
     row = int(layout.col_of[offset + 2 * interior])
-    assert row > upper_rows.max()
+    (start, size), _ = layout.columns.blocks
+    assert start <= row < upper_row < start + size
     assert out[(Subdomain.LOWER, "velocity")][2 * interior] == x[row]
     # periodic partners expand to identical values
     s, m = upper.periodic_vdofs[0]
@@ -402,6 +404,26 @@ def test_col_of_and_expand_consistency(ops):
         np.testing.assert_array_equal(value, out[key])
 
 
+def column_major_keys(layout, smallest):
+    """(pressure, cell column, z, kind, x) of the raw dofs `smallest`: the
+    field, the cell column of the node (x = L folded onto x = 0), its z, the
+    kind 3 subdomain + component (+ 2 for pressure) and its x."""
+    keys = np.empty((len(smallest), 5))
+    for (sub, name), offset in layout.offsets.items():
+        space = layout.spaces[sub]
+        size = space.n_velocity_dofs if name == "velocity" else space.n_pressure_dofs
+        at = (smallest >= offset) & (smallest < offset + size)
+        local = smallest[at] - offset
+        node = local // 2 if name == "velocity" else local
+        nodes = space.velocity_nodes if name == "velocity" else space.pressure_nodes
+        kind = 3 * sub + (local % 2 if name == "velocity" else np.full(len(local), 2))
+        x, z = nodes[node].T
+        keys[at] = np.column_stack([np.full(len(local), name == "pressure"), x, z, kind, x])
+    lines = np.unique(np.concatenate([sp.pressure_nodes[:, 0] for sp in layout.spaces.values()]))[:-1]
+    keys[:, 1] = np.searchsorted(lines, keys[:, 1], side="right") - 1
+    return keys
+
+
 def test_reduction_contract(ops):
     continuity = assemble_coupled_system(*ops, np.inf).layout
     prescribed = assemble_dirichlet_subproblem(ops[1])[0].layout
@@ -411,8 +433,12 @@ def test_reduction_contract(ops):
         members = [np.sort(c.indices[c.indptr[j] : c.indptr[j + 1]]) for j in range(c.shape[1])]
         smallest = np.array([m[0] for m in members])
         # each column is represented by its smallest raw index, and the
-        # columns come in ascending order of it: the lexicographic numbering
-        np.testing.assert_array_equal(smallest, np.sort(smallest))
+        # columns come velocity first, then pressure, and x-column-major
+        # within a field: strictly ascending in (pressure, cell column, z,
+        # kind, x) of the representative
+        keys = column_major_keys(layout, smallest)
+        np.testing.assert_array_equal(np.lexsort(keys.T[::-1]), np.arange(len(keys)))
+        assert not (keys[1:] == keys[:-1]).all(axis=1).any()
         for j, m in enumerate(members):
             assert np.all(layout.col_of[m] == j)
         kept = np.concatenate(members)

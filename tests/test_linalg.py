@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -387,7 +388,7 @@ def test_a_mesh_with_a_moved_vertex_is_factored_whole():
 
 def test_a_whole_matrix_is_factored_in_a_fill_reducing_order():
     # One moved vertex in each layer of 32x16x4: the monolithic systems are
-    # factored whole and fill 1.16M (friction) and 1.22M (continuity) L + U
+    # factored whole and fill 1.16M (friction) and 1.21M (continuity) L + U
     # entries under minimum degree, against 5.26M and 5.98M in the order
     # they arrive.
     mesh = build_layered_mesh(Geometry(), 32, 16, 4)
@@ -403,19 +404,65 @@ def test_a_whole_matrix_is_factored_in_a_fill_reducing_order():
         assert fact.lu_nnz <= 2_000_000, (alpha, fact.lu_nnz)
 
 
+def with_entry(matrix, row, col, value):
+    """`matrix` with `value` added at (row, col), a new stored entry."""
+    extra = scipy.sparse.csc_matrix(([value], ([row], [col])), shape=matrix.shape)
+    total = matrix.to_scipy() + extra
+    return CscMatrix(*matrix.shape, total.indptr, total.indices, total.data, matrix.columns)
+
+
 def test_a_matrix_that_does_not_repeat_is_factored_whole():
     force = BodyForce(1.0, -1.0)
     disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
-    matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, float("inf")).matrix
-    assert factorize(matrix).ordering == "X-FOURIER"
-    for k in (0, matrix.nnz // 2, matrix.nnz - 1):
+    systems = every_system(disc)
+    for name in ("continuity", "friction-10", "dirichlet-UPPER"):
+        matrix = systems[name].matrix
+        assert factorize(matrix).ordering == "X-FOURIER", name
+        for where, changed in changed_copies(matrix).items():
+            fact = factorize(changed)
+            assert fact.ordering == "MMD_AT_PLUS_A", (name, where)
+            rhs = np.ones(matrix.n_rows)
+            np.testing.assert_allclose(changed.to_scipy() @ fact.solve(rhs)[0], rhs, atol=1e-9)
+        # an entry below the shift tolerance counts as zero: the modes are
+        # still factored
+        scale = np.max(np.abs(matrix.data))
+        residue = with_entry(matrix, *far_pair(matrix, 3), 0.1 * linalg.SHIFT_RTOL * scale)
+        assert residue.nnz == matrix.nnz + 1
+        fact = factorize(residue)
+        assert fact.ordering == "X-FOURIER", name
+        assert fact.solve(np.ones(matrix.n_rows))[1].relative_residual <= 1e-10
+
+
+def far_pair(matrix, j):
+    """(row, column) of the middle in-column position of the x-columns
+    j + nx / 2 and j: no stored entry couples them."""
+    rows, q, nx = matrix.columns.rows(), len(matrix.columns.order) // 2, matrix.columns.nx
+    return rows[(j + nx // 2) % nx, q], rows[j, q]
+
+
+def changed_copies(matrix):
+    """Copies of an x-shift-invariant matrix that do not repeat, by where
+    they differ: a 1e-8 change to one stored entry of x-column 0, of the
+    reference x-column 1, of an interior x-column, of x-column nx - 1, of a
+    gauge column and at a multiplier row, and an entry above the shift
+    tolerance stored in one x-column only: an interior one, or the
+    reference, so that every other x-column lacks it."""
+    columns = matrix.columns
+    rows, q, nx = columns.rows(), len(columns.order) // 2, columns.nx
+    places = {f"x-column {j}": matrix.indptr[rows[j, q]] for j in (0, 1, nx // 2, nx - 1)}
+    places["gauge column"] = matrix.indptr[columns.globals[0]]
+    if len(columns.blocks) == 3:  # velocity, pressure, the multiplier rows
+        at_multiplier = np.flatnonzero(matrix.indices >= columns.blocks[-1][0])
+        places["multiplier row"] = at_multiplier[len(at_multiplier) // 2]
+    changed = {}
+    for where, k in places.items():
         data = matrix.data.copy()
         data[k] += 1e-8
-        perturbed = dataclasses.replace(matrix, data=data)
-        fact = factorize(perturbed)
-        assert fact.ordering == "MMD_AT_PLUS_A", k
-        rhs = np.ones(matrix.n_rows)
-        np.testing.assert_allclose(perturbed.to_scipy() @ fact.solve(rhs)[0], rhs, atol=1e-9)
+        changed[where] = dataclasses.replace(matrix, data=data)
+    scale = np.max(np.abs(matrix.data))
+    for j in (1, nx // 2):
+        changed[f"stored entry in x-column {j}"] = with_entry(matrix, *far_pair(matrix, j), 10 * linalg.SHIFT_RTOL * scale)
+    return changed
 
 
 @pytest.mark.parametrize("path", ["X-FOURIER", "MMD_AT_PLUS_A"])

@@ -5,6 +5,7 @@ unnoticed, and the verdicts of the output comparison on small trees."""
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +87,27 @@ def test_compare_outputs_fails_a_file_on_one_side(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(sys, "argv", ["compare_outputs.py", str(a), str(b)])
     assert compare.main() == 1
     assert "sweep/fine/extra.csv: present in one directory only  FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("last", ["1.0", "2.0"], ids=["identical", "differs"])
+def test_compare_outputs_keeps_its_status_when_the_reader_stops(tmp_path, last):
+    # 3000 columns print about 300 kB, more than a pipe holds, so the script
+    # is still writing when the reader closes the pipe after one line; the
+    # last column decides the verdict
+    names = [f"c{k}" for k in range(3000)]
+    for side, value in (("a", "1.0"), ("b", last)):
+        (tmp_path / side).mkdir()
+        row = ["1.0"] * (len(names) - 1) + [value]
+        (tmp_path / side / "wide.csv").write_text(f"{','.join(names)}\n{','.join(row)}\n", encoding="utf-8")
+    script = ROOT / "scripts" / "compare_outputs.py"
+    with subprocess.Popen(
+        [sys.executable, str(script), str(tmp_path / "a"), str(tmp_path / "b")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline().startswith(b"wide.csv: ")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert stderr == b""
+    assert code == (0 if last == "1.0" else 1)
