@@ -3,6 +3,7 @@ back to back.
 
     python3 scripts/assembly_ladder.py --parent DIR --change DIR --label L [--seed-base S]
     python3 scripts/assembly_ladder.py --phases DIR   # one side, one JSON line
+    python3 scripts/assembly_ladder.py --schwarz DIR MESH   # one run, one JSON line
 
 Every thread pool is pinned to one thread.  Each of ROUNDS rounds times
 each checkout in a fresh process (`--phases`), alternating which side goes first.  On each
@@ -31,12 +32,25 @@ friction-free system, `assemble_robin_subproblem`):
                         MMD_AT_PLUS_A whole, under SuperLU's minimum-degree
                         order, X-FOURIER one Fourier mode along x at a time
 
+and, for the alternating solver (`schwarz_solve`, default stop: tol_increment
+1e-3, max_iter 100000):
+
+    <layer>_core.setup      building the layer's interface core
+                            (`coupling._InterfaceCore`) from its operator
+    schwarz.<a>.iterate     ConvergenceReport.iterate_s at alpha = a of
+                            SCHWARZ_ALPHAS, on a discretization whose cores
+                            are built: the trace iteration and the two
+                            certified fields rebuilt at the stop
+    schwarz.<a>.n_iterations, schwarz.<a>.us_per_iter (iterate / n_iterations)
+
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
 S+100, ... for monolithic-64x32x8), alternating which side runs first, and
-keeps the end-to-end metrics of each run.  Writes BENCH_<label>.json in
-the working directory with the machine, every round and pair, and per-side
-medians.
+keeps the end-to-end metrics of each run.  Last, it runs one schwarz solve
+at alpha = ALPHA on LARGEST in a fresh process of the change (`--schwarz`):
+its wall seconds, set-up and iterate seconds and peak RSS (ru_maxrss).
+Writes BENCH_<label>.json in the working directory with the machine, every
+round and pair, and per-side medians.
 """
 
 import os
@@ -59,6 +73,8 @@ ROUNDS = 6
 PAIRS = 10
 WORKLOADS = ("cli", "monolithic-64x32x8")
 ALPHA = 10.0
+SCHWARZ_ALPHAS = (10.0, 100.0, 1000.0)
+LARGEST = "256x128x32"
 SIDES = ("parent", "change")
 
 
@@ -81,6 +97,34 @@ def core(op):
 
     system, _ = fem.assemble_robin_subproblem(op)
     return system.matrix, system.rhs
+
+
+def time_schwarz(mesh, force, repeats: int) -> dict:
+    """phase -> median seconds (or count) of the alternating solver on mesh:
+    each layer's interface core built from scratch, and the runs at
+    SCHWARZ_ALPHAS on one discretization, whose cores the first run builds."""
+    from stokescouple import coupling
+    from stokescouple.mesh import Subdomain
+
+    disc = coupling.discretize(mesh, 1.0, 1.0, force, force)
+    out = {}
+    for sub, name in ((Subdomain.UPPER, "upper_core"), (Subdomain.LOWER, "lower_core")):
+        seconds = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            coupling._InterfaceCore(disc.op(sub), disc.trace_mass)
+            seconds.append(time.perf_counter() - start)
+        out[f"{name}.setup"] = round(statistics.median(seconds), 6)
+    for alpha in SCHWARZ_ALPHAS:
+        config = coupling.SchwarzConfig(alpha=alpha)
+        runs = [coupling.schwarz_solve(mesh, 1.0, 1.0, force, force, config, disc=disc) for _ in range(repeats)]
+        n = runs[0].n_iterations
+        assert all(r.n_iterations == n and r.converged for r in runs)
+        iterate_s = statistics.median(r.iterate_s for r in runs)
+        out[f"schwarz.{alpha:g}.iterate"] = round(iterate_s, 6)
+        out[f"schwarz.{alpha:g}.n_iterations"] = n
+        out[f"schwarz.{alpha:g}.us_per_iter"] = round(1e6 * iterate_s / n, 2)
+    return out
 
 
 def time_phases(src: Path) -> dict:
@@ -139,12 +183,40 @@ def time_phases(src: Path) -> dict:
             out[spec][f"{name}.lu_nnz"] = report.lu_nnz
             out[spec][f"{name}.residual"] = report.relative_residual
             out[spec][f"{name}.path"] = report.ordering
+        out[spec].update(time_schwarz(mesh, force, REPEATS[spec]))
     return out
 
 
-def run_phases(src: Path) -> dict:
+def schwarz_run(src: Path, spec: str) -> dict:
+    """One schwarz solve at alpha = ALPHA on the mesh spec, for the package
+    under src/src, in this process: its seconds and the peak RSS."""
+    import resource
+
+    sys.path.insert(0, str(src / "src"))
+    from stokescouple.coupling import SchwarzConfig, schwarz_solve
+    from stokescouple.fem import BodyForce
+    from stokescouple.mesh import Geometry, build_layered_mesh
+
+    force = BodyForce(1.0, -1.0)
+    start = time.perf_counter()
+    mesh = build_layered_mesh(Geometry(), *(int(v) for v in spec.split("x")))
+    report = schwarz_solve(mesh, 1.0, 1.0, force, force, SchwarzConfig(alpha=ALPHA))
+    return {
+        "mesh": spec,
+        "alpha": ALPHA,
+        "wall_s": round(time.perf_counter() - start, 3),
+        "setup_s": round(report.setup_s, 3),
+        "iterate_s": round(report.iterate_s, 3),
+        "n_iterations": report.n_iterations,
+        "residuals": [r.relative_residual for r in report.setup_reports + report.reconstruction_reports],
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_fresh(*args: str) -> dict:
+    """This script's last JSON line, run in a fresh process with args."""
     done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--phases", str(src)],
+        [sys.executable, str(Path(__file__).resolve()), *args],
         stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
@@ -205,7 +277,7 @@ def ladder(dirs: dict) -> dict:
     rounds = []
     for r in range(ROUNDS):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
-        rounds.append({"first": order[0], **{side: run_phases(dirs[side]) for side in order}})
+        rounds.append({"first": order[0], **{side: run_fresh("--phases", str(dirs[side])) for side in order}})
     return {"rounds": rounds, "median_over_rounds_s": summarize(rounds)}
 
 
@@ -237,6 +309,7 @@ def perfbench_pairs(dirs: dict, seed_base: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--phases", type=Path, metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--schwarz", nargs=2, metavar=("DIR", "MESH"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--label", help="the report is written to BENCH_<label>.json")
@@ -244,6 +317,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.phases is not None:
         print(json.dumps(time_phases(args.phases.resolve())))
+        return 0
+    if args.schwarz is not None:
+        print(json.dumps(schwarz_run(Path(args.schwarz[0]).resolve(), args.schwarz[1])))
         return 0
     if args.parent is None or args.change is None or args.label is None:
         parser.error("--parent, --change and --label are required")
@@ -257,6 +333,7 @@ def main() -> int:
         "repeats": REPEATS,
         "ladder": ladder(dirs),
         "perfbench_pairs": perfbench_pairs(dirs, args.seed_base),
+        "largest_schwarz": run_fresh("--schwarz", str(dirs["change"]), LARGEST),
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0

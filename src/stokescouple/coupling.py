@@ -13,18 +13,20 @@ the velocity increment over both layers drops below a tolerance.  A Robin
 half-step is the layer's friction-free problem driven by the traction lam =
 alpha * (neighbor trace - own trace), the monolithic multiplier on one
 layer.  Each layer's friction-free matrix (`fem.assemble_robin_subproblem`)
-is factored once per `Discretization`, and certified block solves
-span its traction-to-trace map (factors by Fourier mode are then dropped,
-and each run factors the matrix again for the solve that rebuilds its
-field); alpha enters only dense algebra on the n_trace - 1 periodic trace
-unknowns, and a half-step is an affine map of the
-neighbor trace.  The iteration runs on traces of length n_trace = 2 nx + 1
-alone, the increment norm exact through Gram matrices of each layer's
-velocity response, as the map s <- a + K s of the upper trace, advanced a
-block of iterations per numpy call through the powers of K.  When it stops,
-one certified solve per layer rebuilds the fields.  The monolithic solves
-share only the layers' Stokes operators with it: they assemble and factor
-their own two-layer matrix.
+is factored once per `Discretization`, for one certified block solve of
+three columns that spans its traction-to-trace map: the layer repeats
+along x, so every other column is a shift of one of them, and the map is
+block-circulant.  The factorization is then dropped; alpha enters only
+dense algebra on the n_trace - 1 periodic trace unknowns, and a half-step
+is an affine map of the neighbor trace.  The iteration runs on traces of
+length n_trace = 2 nx + 1 alone, the increment norm exact through Gram
+matrices of each layer's velocity response, as the map s <- a + K s of the
+upper trace, advanced a block of iterations per numpy call through the
+powers of K.  When it stops, each layer's field is rebuilt from its three
+solved columns by a convolution along x and certified by a product of the
+layer's matrix; a run factors nothing.  The monolithic solves share only
+the layers' Stokes operators with it: they assemble and factor their own
+two-layer matrix.
 
 `dirichlet_exchange_demo` shows why the Robin exchange is used.  A pure
 Dirichlet half-step imposes the neighbor trace as a constraint on the
@@ -37,7 +39,7 @@ map on the trace and solves each layer it touches once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +57,7 @@ from .fem import (
     build_space,
     periodic_fold,
 )
-from .linalg import X_FOURIER, SolveReport, factorize, solve
+from .linalg import X_FOURIER, SolveReport, certify, factorize, solve
 from .mesh import Mesh, Subdomain
 
 __all__ = [
@@ -252,14 +254,16 @@ class ConvergenceReport:
     """Outcome of the alternating solver.  converged=False (DidNotConverge)
     is data, not an error: final holds the last iterate either way.
 
-    setup_reports holds the certified block solves that spanned the two
-    layers' interface cores (upper first), built once per `Discretization`:
+    setup_reports holds the one certified block solve that spanned each
+    layer's interface core (upper first), built once per `Discretization`:
     every run on one discretization reports the same solves.
-    reconstruction_reports holds the solves that rebuild the upper and the
-    lower field from the last traces.  setup_s is this run's time for both
-    half-step maps: the cores, near zero once an earlier run built them, and
-    the per-alpha dense algebra.  iterate_s is the time of the trace
-    iteration and the reconstruction.
+    reconstruction_reports holds the certifications of the upper and the
+    lower field, each rebuilt from its core's solved columns against the
+    last traces: the set-up's report with the rebuilt field's residual (a
+    product of the layer's matrix) and solve_s the seconds of the rebuild.
+    setup_s is this run's time for both half-step maps: the cores, near
+    zero once an earlier run built them, and the per-alpha dense algebra.
+    iterate_s is the time of the trace iteration and the reconstruction.
     """
 
     converged: bool
@@ -299,12 +303,28 @@ def check_periodic_trace(space: MixedSpace, trace: np.ndarray, what: str = "trac
     return trace
 
 
-# Right-hand sides per block solve of an interface core.  One call for all
-# n_trace columns keeps the rhs, the solution, SuperLU's workspace and the
-# residual alive at once, four n_rows x n_trace arrays: on the default
-# 32x16x4 mesh that raises the peak RSS of a schwarz `run` from 80 to 87 MB
-# (fresh processes, 2-core x86-64 host, numpy 2.4 / scipy 1.17).
-_BLOCK_COLUMNS = 8
+def _shift_rows(columns, n_reduced: int, traces: np.ndarray) -> np.ndarray:
+    """The solved rows of each x-column a layer's span shifts along, (n, m):
+    row [c, p] holds in-column position p of x-column c.  They are the
+    x-columns of `columns` when trace dof j = q c + p sits in x-column c at
+    the in-column position of dof p (q trace dofs per x-column); any other
+    matrix, or None, is one x-column of every reduced row, which no shift
+    moves.  The rows past n_reduced (the gauges) are in none."""
+    if columns is not None and len(traces) % columns.nx == 0:
+        rows = columns.rows()
+        q = len(traces) // columns.nx
+        hit = rows[0][:, None] == traces[:q]
+        if hit.any(axis=0).all() and np.array_equal(rows[:, hit.argmax(axis=0)], traces.reshape(-1, q)):
+            return rows
+    return np.arange(n_reduced)[None, :]
+
+
+def _circulant(first: np.ndarray) -> np.ndarray:
+    """The block-circulant (n q, n q) matrix whose block (a, c) is
+    first[(a - c) % n], from its first block column `first` (n, q, q)."""
+    n, q = first.shape[:2]
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n
+    return first[shift].transpose(0, 2, 1, 3).reshape(n * q, n * q)
 
 
 class _InterfaceCore:
@@ -312,62 +332,101 @@ class _InterfaceCore:
     its Robin half-steps.
 
     `assemble_robin_subproblem` gives the layer with free tangential traction
-    and E = T_p^T, which takes a traction y on the n_trace - 1 periodic trace
-    dofs to the rhs: the solved vector is x0 + X y, the raw velocity u0 + R y.
-    Certified block solves against the columns of [rhs(0), E] span it; of
-    U = [u0, R] only n_trace-sized products are kept: the periodic trace
-    tau0 + S y (tau0 = T_p x0, S = T_p X), the traction pin = S^-1 tau0 that
-    holds it at zero, and the Gram matrix V^T M_u V of V = [u0 - R pin, R]
-    and the velocity mass M_u.  The layer system itself (`layout`, `rhs`,
-    `coupling` = E, `matrix`) is kept for `solve`.
+    and E = T_p^T, which takes a traction y on the k = n_trace - 1 periodic
+    trace dofs to the rhs: the solved vector is x0 + X y, the raw velocity
+    u0 + R y.  On the layered mesh the matrix repeats from x-column to
+    x-column (`factorize` checks it and reports X-FOURIER), and trace dof j =
+    2 c + p, the vertex (p = 0) or the midpoint (p = 1) of cell column c, is
+    dof p shifted by c x-columns.  So column j of X is column p shifted by c,
+    with the gauge rows held (`_shift_rows`), and one certified block solve
+    of [rhs(0), E[:, 0], E[:, 1]] spans the layer: X y is a convolution along
+    x of y with the two traction fields, formed by `rfft`.  A matrix that is
+    factored whole is one x-column of q = k trace dofs, and that block solve
+    is [rhs(0), E].  The factorization is dropped once the columns are solved.
 
-    A factorization by Fourier modes (X-FOURIER) is then dropped, and the
-    solve that rebuilds the field at the stop factors the matrix again:
-    held through the trace iteration, its many small factors fragment the
-    native heap.  A `cli` pass on the default config then peaked at 96.7 MB
-    of RSS instead of 85.2 MB (medians of ten benchmark runs); dropped, a
-    12-pass loop peaked at 81.6 MB against 83.4 MB before the per-mode
-    factorization.  A whole-matrix factorization is kept for every run on
-    the discretization: it is one allocation, and factoring it again would
-    cost each run about 1.2 s on 128x64x16.
+    Of the span only n_trace-sized products are kept beside the q + 1 solved
+    columns: the periodic trace tau0 + S y (tau0 = T_p x0, S = T_p X), the
+    traction pin = S^-1 tau0 that holds it at zero, and the Gram matrix V^T
+    M_u V of V = [u0 - R pin, R] and the velocity mass M_u.  S and the R^T
+    M_u R block of the Gram matrix are block-circulant with q x q blocks
+    (P. J. Davis, *Circulant Matrices*, 1979): their first block columns are
+    the traction fields' traces and the cross-correlations along x of the
+    fields with their mass products, which the mass reduced to the solved
+    rows keeps periodic (a raw x = L node repeats x = 0 and would not shift).
+
+    `setup_reports` holds the one certified block solve; every field the
+    core rebuilds (`solve`) is certified by a scipy product of the layer's
+    matrix at the default tolerance.
     """
 
     def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix):
         space = op.space
         self.sub = space.subdomain
         system, self.coupling = assemble_robin_subproblem(op)
-        self.layout, self.rhs, self.matrix = system.layout, system.rhs, system.matrix
-        factorization = factorize(self.matrix)
+        self.layout, self.rhs, matrix = system.layout, system.rhs, system.matrix
+        self.product = matrix.to_scipy()
+        factorization = factorize(matrix)
         layout, k = self.layout, self.coupling.shape[1]
-        rhs = scipy.sparse.hstack([self.rhs[:, None], self.coupling], format="csc")
+        traces = self.coupling.tocsc().indices  # the solved row of each trace dof
+        columns = matrix.columns if factorization.ordering == X_FOURIER else None
+        self.rows = _shift_rows(columns, layout.n_reduced, traces)
+        n, q = len(self.rows), k // len(self.rows)
+        rhs = np.column_stack([self.rhs, self.coupling[:, :q].toarray()])
+        self.x, report = factorization.solve(rhs)
+        del factorization
+        self.setup_reports = [report]
+        self.tau0 = self.x[traces, 0]
+        self.S = _circulant(self.x[traces, 1:].reshape(n, q, q))
+        self.pin = np.linalg.solve(self.S, self.tau0)
         offset = layout.offsets[(space.subdomain, "velocity")]
         to_velocity = layout.reduction[offset : offset + space.n_velocity_dofs]
-        blocks = [slice(j, j + _BLOCK_COLUMNS) for j in range(0, k + 1, _BLOCK_COLUMNS)]
-        u = np.empty((space.n_velocity_dofs, k + 1))
-        self.setup_reports = []
-        for cols in blocks:
-            x, report = factorization.solve(rhs[:, cols].toarray())
-            u[:, cols] = to_velocity @ x[: layout.n_reduced]
-            self.setup_reports.append(report)
-        periodic = u[2 * space.interface_nodes[:-1]]
-        self.tau0, self.S = periodic[:, 0], periodic[:, 1:]
-        self.pin = np.linalg.solve(self.S, self.tau0)
-        u[:, 0] -= u[:, 1:] @ self.pin  # V = [u0 - R pin, R]
+        reduced = slice(0, layout.n_reduced)
+        v0 = self.x[reduced, 0] - self._shifted(self.pin)[reduced]  # u0 - R pin
+        fields = np.column_stack([self.x[reduced, 1:], v0])
+        weighted = to_velocity.T @ (op.mass @ (to_velocity @ fields))  # M_u on the solved rows
+        # [a, r, s]: traction field r shifted by a x-columns against weighted s
+        spectrum = np.matmul(
+            np.fft.rfft(fields[self.rows, :q], axis=0).conj().transpose(0, 2, 1),
+            np.fft.rfft(weighted[self.rows], axis=0),
+        )
+        correlation = np.fft.irfft(spectrum, n=n, axis=0)
         self.gram = np.empty((k + 1, k + 1))
-        for cols in blocks:
-            self.gram[:, cols] = u.T @ (op.mass @ u[:, cols])
+        self.gram[1:, 1:] = _circulant(correlation[:, :, :q])
+        self.gram[1:, 0] = self.gram[0, 1:] = correlation[:, :, q].reshape(k)
+        self.gram[0, 0] = v0 @ weighted[:, q]
         fold = periodic_fold(k + 1)
         fold_mass = (fold.T @ trace_mass).toarray()  # P^T M
         mass_p = fold_mass @ fold  # M_p = P^T M P
         self.mass_s = mass_p @ self.S
         self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
-        self.factorization = None if factorization.ordering == X_FOURIER else factorization
+
+    def _shifted(self, y: np.ndarray) -> np.ndarray:
+        """X y = sum_j y_j shift_(j // q)(x_(1 + j % q)): the solved columns'
+        response to the traction y, one FFT convolution along x; the gauge
+        rows, which no shift moves, take sum_j y_j x_(1 + j % q)."""
+        n, q = len(self.rows), self.x.shape[1] - 1
+        y = y.reshape(n, q)
+        spectrum = np.einsum(
+            "kmp,kp->km", np.fft.rfft(self.x[self.rows, 1:], axis=0), np.fft.rfft(y, axis=0)
+        )
+        out = np.empty(len(self.x))
+        out[self.rows] = np.fft.irfft(spectrum, n=n, axis=0)
+        gauges = slice(self.layout.n_reduced, None)
+        out[gauges] = self.x[gauges, 1:] @ y.sum(axis=0)
+        return out
 
     def solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field solve against the traction y: (raw velocity,
-        raw pressure, report).  A dropped factorization is factored again."""
-        factorization = self.factorization or factorize(self.matrix)
-        x, report = factorization.solve(self.rhs + self.coupling @ y)
+        """The full field against the traction y, rebuilt from the solved
+        columns as x0 + X y and certified by a product of the layer's matrix
+        against rhs(0) + E y: (raw velocity, raw pressure, report).  The
+        report is the set-up's with this residual and solve_s the seconds of
+        the rebuild and its certification."""
+        start = time.perf_counter()
+        x = self.x[:, 0] + self._shifted(y)
+        residual = certify(self.product, x, self.rhs + self.coupling @ y)
+        report = replace(
+            self.setup_reports[0], relative_residual=residual, solve_s=time.perf_counter() - start
+        )
         out = self.layout.expand(x)
         return out[(self.sub, "velocity")], out[(self.sub, "pressure")], report
 
@@ -405,7 +464,8 @@ class _RobinMap:
     [[c, h^T], [h, G]] = Y^T gram Y: the squared L2 norm of the velocity
     u(g) is g^T G g + 2 h^T g + c (the lower layer's first increment, from
     the zero field), and that of an increment u(g + d) - u(g) is exactly
-    d^T G d.
+    d^T G d.  `solve` rebuilds the field at a neighbor trace from the core's
+    solved columns, with no factorization.
     """
 
     def __init__(self, core: _InterfaceCore, y: np.ndarray, z: np.ndarray):
@@ -430,7 +490,8 @@ class _RobinMap:
         return float(g @ (self.G @ g) + 2.0 * (self.h @ g) + self.c)
 
     def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field half-step: (raw velocity, raw pressure, report)."""
+        """Certified full-field half-step: (raw velocity, raw pressure, report),
+        rebuilt by the core (`_InterfaceCore.solve`)."""
         return self.core.solve(self.y[:, 0] + self.y[:, 1:] @ g)
 
 
@@ -487,8 +548,8 @@ def schwarz_solve(
     exact through the Gram matrices and jump_l2 comes from the two traces
     and the trace mass; a block stops at its first increment below
     tol_increment, so the counts are those of one-step-at-a-time iteration.
-    At the stop each layer's field is reconstructed by one certified solve
-    against the neighbor trace its last half-step saw.
+    At the stop each layer's field is rebuilt from its core's solved columns
+    against the neighbor trace its last half-step saw, and certified.
     """
     disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
     n_trace = len(disc.space_upper.interface_nodes)

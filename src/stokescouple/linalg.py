@@ -56,9 +56,10 @@ an 8-column block solve of the alternating solver's set-up on 64x32x8 took
 A right-hand side may be a vector or an (n, k) block of columns; each column
 is certified on its own.  A factorization handle is exposed separately
 because the alternating solver factors each layer's friction-free matrix
-once per discretization, solves it for blocks of right-hand sides that span
-its affine response to an interface traction, and once more per run to
-rebuild the field at the stop.
+once per discretization and solves it for one block of right-hand sides
+that spans its affine response to an interface traction; it then drops the
+factors and rebuilds each field from those columns, certified by the same
+residual check as a solve (`certify`).
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ __all__ = [
     "ResidualCertificationError",
     "OutOfMemoryError",
     "bordered",
+    "certify",
     "solve",
     "factorize",
 ]
@@ -261,22 +263,8 @@ class Factorization:
         solve_s = time.perf_counter() - start
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("solution contains non-finite entries")
-        # Column norms through einsum and the residual formed in place, so a
-        # block rhs costs one more n x k array, not three.  A block product
-        # sums each column in the order of its vector product.
-        columns = b.reshape(len(b), -1)
-        residual = (self._product @ x).reshape(columns.shape)
-        np.subtract(columns, residual, out=residual)
-        norm_r = np.sqrt(np.einsum("ij,ij->j", residual, residual))
-        norm_b = np.sqrt(np.einsum("ij,ij->j", columns, columns))
-        rel = np.divide(norm_r, norm_b, out=norm_r, where=norm_b > 0.0)
-        worst = float(np.max(rel, initial=0.0))
-        if not np.all(rel <= tol):
-            raise ResidualCertificationError(
-                f"certified relative residual {worst:.3e} exceeds tolerance {tol:.3e}"
-            )
         return x, SolveReport(
-            relative_residual=worst,
+            relative_residual=certify(self._product, x, b, tol),
             n=self.matrix.n_rows,
             nnz=self.matrix.nnz,
             ordering=self.ordering,
@@ -287,6 +275,28 @@ class Factorization:
             factor_s=self.factor_s,
             solve_s=solve_s,
         )
+
+
+def certify(product: scipy.sparse.csc_matrix, x: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
+    """The worst column's relative residual |b - A x| / |b| of a vector or an
+    (n, k) block x, formed with the scipy matrix A = `product`: relative to
+    each column's own rhs norm, or absolute for a zero column.  A column
+    above tol raises ResidualCertificationError."""
+    # Column norms through einsum and the residual formed in place, so a
+    # block rhs costs one more n x k array, not three.  A block product
+    # sums each column in the order of its vector product.
+    columns = b.reshape(len(b), -1)
+    residual = (product @ x).reshape(columns.shape)
+    np.subtract(columns, residual, out=residual)
+    norm_r = np.sqrt(np.einsum("ij,ij->j", residual, residual))
+    norm_b = np.sqrt(np.einsum("ij,ij->j", columns, columns))
+    rel = np.divide(norm_r, norm_b, out=norm_r, where=norm_b > 0.0)
+    worst = float(np.max(rel, initial=0.0))
+    if not np.all(rel <= tol):
+        raise ResidualCertificationError(
+            f"certified relative residual {worst:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return worst
 
 
 @contextlib.contextmanager

@@ -471,6 +471,62 @@ def test_robin_maps_match_the_test_built_robin_solve(alpha):
             assert np.max(np.abs(robin.solve(g)[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def x_dependent_force(x, z):
+    """A body force whose interface response has every Fourier mode along x,
+    not only the mean one that a uniform force excites."""
+    theta = 2.0 * np.pi * x / GEOM.length
+    return 1.0 + 0.5 * np.sin(theta) + 0.2 * np.cos(3.0 * theta + 0.3), -1.0 + 0.3 * np.cos(2.0 * theta)
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
+def test_cores_match_the_full_span_under_an_x_dependent_force(cells):
+    # The cores solve three columns per layer and read every other one off
+    # them by shifts along x; here the rhs column is not x-uniform, so the
+    # shifts of each fixed field are judged too, against the span built
+    # here: every column solved, with the matrix factored whole.
+    force = BodyForce(evaluator=x_dependent_force)
+    mesh = default_mesh(*cells)
+    disc = discretize(mesh, 1.0, 1.0, force, force)
+    alpha = 10.0
+    for sub, core in disc.interface_cores.items():
+        op = disc.op(sub)
+        ifx = 2 * op.space.interface_nodes
+        matrix, rhs, _, layout = robin_system(op, 0.0)
+        traction = assemble_robin_subproblem(op)[1]
+        x, _ = solve(matrix, np.column_stack([rhs, traction.toarray()]))
+        u = np.column_stack([layout.expand(col)[(sub, "velocity")] for col in x.T])
+        s_ref, tau0 = u[ifx[:-1], 1:], u[ifx[:-1], 0]
+        assert np.ptp(tau0) > 1e-3 * np.max(np.abs(tau0))  # not x-uniform
+        pin = np.linalg.solve(s_ref, tau0)
+        v = np.column_stack([u[:, 0] - u[:, 1:] @ pin, u[:, 1:]])
+        gram = v.T @ (op.mass @ v)
+        assert np.max(np.abs(core.S - s_ref)) <= 1e-13 * np.max(np.abs(s_ref))
+        assert np.max(np.abs(core.gram - gram)) <= 1e-10 * np.max(np.abs(gram))
+        assert np.max(np.abs(core.pin - pin)) <= 1e-10 * np.max(np.abs(pin))
+        # at alpha, against the span of the Robin matrix built here
+        robin = core.robin(alpha)
+        matrix, rhs, coupling_, layout = robin_system(op, alpha)
+        x, _ = solve(matrix, np.column_stack([rhs, coupling_.toarray()]))
+        u = np.column_stack([layout.expand(col)[(sub, "velocity")] for col in x.T])
+        r = u[:, 1:]
+        g_ref = r.T @ (op.mass @ r)
+        assert np.max(np.abs(robin.G - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(robin.h - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
+        assert robin.c == pytest.approx(u[:, 0] @ (op.mass @ u[:, 0]), rel=1e-10)
+        g = 3.0 + np.cos(2.0 * np.pi * op.space.interface_x / GEOM.length)
+        want = robin_solve(op, alpha, g)
+        got, _, report = robin.solve(g)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert report.relative_residual <= 1e-10
+    # the alternating solver converges to the monolithic friction field
+    config = SchwarzConfig(alpha=alpha, tol_increment=1e-6)
+    report = schwarz_solve(mesh, 1.0, 1.0, force, force, config, disc=disc)
+    mono = solve_monolithic_friction(mesh, 1.0, 1.0, force, force, alpha=alpha, disc=disc)
+    assert report.converged
+    gap = disc.velocity_l2(report.final.u1 - mono.u1, report.final.u2 - mono.u2)
+    assert gap <= 100.0 * config.tol_increment  # rho / (1 - rho) is 45 at alpha = 10
+
+
 @pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
 def test_robin_trace_map_matches_the_exact_half_step(cells):
     # Against a constant neighbor trace g the half-step is the channel
@@ -493,23 +549,33 @@ def test_robin_trace_map_matches_the_exact_half_step(cells):
 def test_schwarz_spans_each_layer_once_per_discretization(monkeypatch):
     mesh = default_mesh()
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    factored = []
+    factored, certified = [], []
 
     def counting(matrix):
-        factored.append(matrix.n_rows)
-        return factorize(matrix)
+        factorization = factorize(matrix)
+        factored.append((matrix.n_rows, weakref.ref(factorization)))
+        return factorization
+
+    def certifying(product, x, b, *args):
+        certified.append(product.shape[0])
+        return linalg.certify(product, x, b, *args)
 
     monkeypatch.setattr(coupling, "factorize", counting)
+    monkeypatch.setattr(coupling, "certify", certifying)
     reports = [
         schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, SchwarzConfig(alpha=alpha), disc=disc)
         for alpha in (10.0, 100.0, 1e9)
     ]
     assert [r.n_iterations for r in reports] == [536, 4265, 2]
-    # each layer is factored and spanned once; the factors are dropped after
-    # the span, and each run factors each layer again for its field
-    assert factored == factored[:2] * 4
-    assert all(core.factorization is None for core in disc.interface_cores.values())
-    assert reports[2].setup_reports == reports[0].setup_reports
+    # each layer is factored and spanned once, by one block solve; no
+    # factorization outlives the set-up, and no run factors again: each
+    # rebuilds its fields from the solved columns, certified by a product
+    # of the layer's matrix
+    rows = [n for n, _ in factored]
+    assert rows == rows[:2] and all(ref() is None for _, ref in factored)
+    assert certified == rows * 3
+    assert all(len(r.setup_reports) == 2 and r.setup_reports == reports[0].setup_reports for r in reports)
+    assert all(r.ordering == "X-FOURIER" for r in reports[0].setup_reports)
     # the cores hold no reference back to the discretization: it is freed
     # as soon as the last reference to it goes
     cores = disc.interface_cores
@@ -518,9 +584,10 @@ def test_schwarz_spans_each_layer_once_per_discretization(monkeypatch):
     assert ref() is None and len(cores) == 2
 
 
-def test_whole_matrix_cores_keep_their_factors(monkeypatch):
+def test_whole_matrix_cores_span_every_column(monkeypatch):
     # on a mesh whose columns differ each layer is factored whole, once per
-    # discretization, and every run rebuilds its field with those factors
+    # discretization, and spanned by one block solve of all its columns: the
+    # same core, one x-column of 2 nx trace dofs; its factors are dropped too
     mesh = default_mesh()
     vertices = mesh.vertices.copy()
     vertices[[1 * 9 + 3, 4 * 9 + 3]] += (0.4, 0.3)  # inside the lower and the upper layer
@@ -530,8 +597,9 @@ def test_whole_matrix_cores_keep_their_factors(monkeypatch):
     factored = []
 
     def counting(matrix):
-        factored.append(matrix.n_rows)
-        return factorize(matrix)
+        factorization = factorize(matrix)
+        factored.append(weakref.ref(factorization))
+        return factorization
 
     monkeypatch.setattr(coupling, "factorize", counting)
     for alpha in (10.0, 1e9):
@@ -539,9 +607,15 @@ def test_whole_matrix_cores_keep_their_factors(monkeypatch):
         report = schwarz_solve(moved, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
         assert report.n_iterations > 0
         assert all(r.ordering == "MMD_AT_PLUS_A" for r in report.reconstruction_reports)
-    assert len(factored) == 2
-    cores = disc.interface_cores.values()
-    assert all(core.factorization.ordering == "MMD_AT_PLUS_A" for core in cores)
+        assert all(r.relative_residual <= 1e-10 for r in report.reconstruction_reports)
+    assert len(factored) == 2 and all(ref() is None for ref in factored)
+    n_trace = len(disc.space_upper.interface_nodes)
+    for sub, core in disc.interface_cores.items():
+        assert core.rows.shape[0] == 1 and core.x.shape[1] == n_trace
+        g = 3.0 + np.cos(2.0 * np.pi * disc.space(sub).interface_x / GEOM.length)
+        want = robin_solve(disc.op(sub), 10.0, g)
+        got = core.robin(10.0).solve(g)[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

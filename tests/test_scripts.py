@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from stokescouple.fem import BodyForce
+from stokescouple.mesh import Geometry, build_layered_mesh
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,6 +31,7 @@ def test_assembly_ladder_times_every_phase(monkeypatch):
     ladder = load_script("assembly_ladder", monkeypatch)
     monkeypatch.setattr(ladder, "MESHES", ("8x4x2",))
     monkeypatch.setattr(ladder, "REPEATS", {"8x4x2": 1})
+    monkeypatch.setattr(ladder, "SCHWARZ_ALPHAS", (10.0,))
     monkeypatch.setattr(sys, "path", list(sys.path))  # time_phases prepends the checkout's src
     phases = ladder.time_phases(ROOT)["8x4x2"]
     timed = ["mesh", "validate", "spaces", "assemble_stokes", "continuity", "friction"]
@@ -37,16 +41,20 @@ def test_assembly_ladder_times_every_phase(monkeypatch):
         assert phases[f"{system}.lu_nnz"] > 0
         assert 0.0 <= phases[f"{system}.residual"] <= 1e-10
         assert phases[f"{system}.path"] == "X-FOURIER"
+    timed += ["upper_core.setup", "lower_core.setup", "schwarz.10.iterate", "schwarz.10.us_per_iter"]
     assert all(phases[name] >= 0.0 for name in timed)
-    assert len(phases) == len(timed) + 3 * len(systems)
+    assert phases["schwarz.10.n_iterations"] == 536
+    assert len(phases) == len(timed) + 3 * len(systems) + 1
 
 
 def test_schwarz_ladder_loop(monkeypatch):
-    ladder = load_script("schwarz_ladder", monkeypatch)
-    rows = ladder.ladder(("8x4x2",), ladder.ALPHAS, 1)
-    assert [(row["mesh"], row["alpha"]) for row in rows] == [("8x4x2", a) for a in ladder.ALPHAS]
-    assert [row["n_iterations"] for row in rows] == [536, 4265, 32145]
-    assert all(row["converged"] and row["us_per_iter"] > 0.0 for row in rows)
+    ladder = load_script("assembly_ladder", monkeypatch)
+    mesh = build_layered_mesh(Geometry(), 8, 4, 2)
+    phases = ladder.time_schwarz(mesh, BodyForce(1.0, -1.0), 1)
+    counts = [phases[f"schwarz.{alpha:g}.n_iterations"] for alpha in ladder.SCHWARZ_ALPHAS]
+    assert ladder.SCHWARZ_ALPHAS == (10.0, 100.0, 1000.0) and counts == [536, 4265, 32145]
+    assert all(phases[f"schwarz.{alpha:g}.us_per_iter"] > 0.0 for alpha in ladder.SCHWARZ_ALPHAS)
+    assert phases["upper_core.setup"] > 0.0 and phases["lower_core.setup"] > 0.0
 
 
 def output_root(root, value="1.0", residual="1e-15", nested="2.5"):
