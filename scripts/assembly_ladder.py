@@ -4,6 +4,7 @@ back to back.
     python3 scripts/assembly_ladder.py --parent DIR --change DIR --label L [--seed-base S]
     python3 scripts/assembly_ladder.py --phases DIR   # one side, one JSON line
     python3 scripts/assembly_ladder.py --schwarz DIR MESH   # one run, one JSON line
+    python3 scripts/assembly_ladder.py --friction DIR MESH  # one run, one JSON line
 
 Every thread pool is pinned to one thread.  Each of ROUNDS rounds times
 each checkout in a fresh process (`--phases`), alternating which side goes first.  On each
@@ -24,6 +25,10 @@ and each layer's interface core (upper_core, lower_core: the layer's
 friction-free system, `assemble_robin_subproblem`):
 
     <system>.factorize  factorize, wall seconds
+    <system>.vm_mb      the growth of the process's peak address space
+                        (VmPeak in /proc/self/status, MB) over a
+                        factorization, the largest over the repeats: 0 when
+                        it stays below a peak the process reached before
     <system>.solve      the triangular solves of one rhs (SolveReport.solve_s)
     <system>.certify    the rest of Factorization.solve: the residual check
     <system>.lu_nnz     L + U nonzeros, and <system>.residual, the certified
@@ -46,9 +51,11 @@ and, for the alternating solver (`schwarz_solve`, default stop: tol_increment
 It then runs `perfbench/run.py --workload W --seed S --trace 0` from each
 checkout for PAIRS seeds per workload (seeds S, S+1, ... for cli and
 S+100, ... for monolithic-64x32x8), alternating which side runs first, and
-keeps the end-to-end metrics of each run.  Last, it runs one schwarz solve
-at alpha = ALPHA on LARGEST in a fresh process of the change (`--schwarz`):
-its wall seconds, set-up and iterate seconds and peak RSS (ru_maxrss).
+keeps the end-to-end metrics of each run.  Last, on LARGEST, it runs for
+each checkout one schwarz solve at alpha = ALPHA (`--schwarz`: its wall,
+set-up and iterate seconds) and one monolithic friction solve at alpha =
+ALPHA (`--friction`: its wall seconds), each in a fresh process, with the
+process's peak RSS (ru_maxrss) and peak address space (VmPeak).
 Writes BENCH_<label>.json in the working directory with the machine, every
 round and pair, and per-side medians.
 """
@@ -127,6 +134,25 @@ def time_schwarz(mesh, force, repeats: int) -> dict:
     return out
 
 
+def vm_peak_mb() -> float:
+    """The peak address space of this process so far (VmPeak), in MB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmPeak:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("/proc/self/status has no VmPeak line")
+
+
+def peaks() -> dict:
+    """This process's peak RSS (ru_maxrss) and peak address space, in MB."""
+    import resource
+
+    return {
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "vm_peak_mb": round(vm_peak_mb(), 1),
+    }
+
+
 def time_phases(src: Path) -> dict:
     """mesh -> phase -> median seconds (or count, or path), for the package
     under src/src."""
@@ -169,10 +195,12 @@ def time_phases(src: Path) -> dict:
         for name, assemble in systems.items():
             matrix, rhs = assemble()
             seconds = {"factorize": [], "solve": [], "certify": []}
+            vm_mb = 0.0
             for _ in range(REPEATS[spec]):
-                start = time.perf_counter()
+                vm_before, start = vm_peak_mb(), time.perf_counter()
                 fact = linalg.factorize(matrix)
                 seconds["factorize"].append(time.perf_counter() - start)
+                vm_mb = max(vm_mb, vm_peak_mb() - vm_before)
                 start = time.perf_counter()
                 _, report = fact.solve(rhs)
                 seconds["certify"].append(time.perf_counter() - start - report.solve_s)
@@ -180,6 +208,7 @@ def time_phases(src: Path) -> dict:
                 del fact
             for phase, values in seconds.items():
                 out[spec][f"{name}.{phase}"] = round(statistics.median(values), 6)
+            out[spec][f"{name}.vm_mb"] = round(vm_mb, 1)
             out[spec][f"{name}.lu_nnz"] = report.lu_nnz
             out[spec][f"{name}.residual"] = report.relative_residual
             out[spec][f"{name}.path"] = report.ordering
@@ -189,9 +218,7 @@ def time_phases(src: Path) -> dict:
 
 def schwarz_run(src: Path, spec: str) -> dict:
     """One schwarz solve at alpha = ALPHA on the mesh spec, for the package
-    under src/src, in this process: its seconds and the peak RSS."""
-    import resource
-
+    under src/src, in this process: its seconds and the peak memory."""
     sys.path.insert(0, str(src / "src"))
     from stokescouple.coupling import SchwarzConfig, schwarz_solve
     from stokescouple.fem import BodyForce
@@ -209,8 +236,24 @@ def schwarz_run(src: Path, spec: str) -> dict:
         "iterate_s": round(report.iterate_s, 3),
         "n_iterations": report.n_iterations,
         "residuals": [r.relative_residual for r in report.setup_reports + report.reconstruction_reports],
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **peaks(),
     }
+
+
+def friction_run(src: Path, spec: str) -> dict:
+    """One monolithic friction solve at alpha = ALPHA on the mesh spec, for
+    the package under src/src, in this process: its seconds and the peak
+    memory."""
+    sys.path.insert(0, str(src / "src"))
+    from stokescouple.coupling import solve_monolithic_friction
+    from stokescouple.fem import BodyForce
+    from stokescouple.mesh import Geometry, build_layered_mesh
+
+    force = BodyForce(1.0, -1.0)
+    start = time.perf_counter()
+    mesh = build_layered_mesh(Geometry(), *(int(v) for v in spec.split("x")))
+    solve_monolithic_friction(mesh, 1.0, 1.0, force, force, ALPHA)
+    return {"mesh": spec, "alpha": ALPHA, "wall_s": round(time.perf_counter() - start, 3), **peaks()}
 
 
 def run_fresh(*args: str) -> dict:
@@ -310,6 +353,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--phases", type=Path, metavar="DIR", help=argparse.SUPPRESS)
     parser.add_argument("--schwarz", nargs=2, metavar=("DIR", "MESH"), help=argparse.SUPPRESS)
+    parser.add_argument("--friction", nargs=2, metavar=("DIR", "MESH"), help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--label", help="the report is written to BENCH_<label>.json")
@@ -318,9 +362,10 @@ def main() -> int:
     if args.phases is not None:
         print(json.dumps(time_phases(args.phases.resolve())))
         return 0
-    if args.schwarz is not None:
-        print(json.dumps(schwarz_run(Path(args.schwarz[0]).resolve(), args.schwarz[1])))
-        return 0
+    for run, spec in ((schwarz_run, args.schwarz), (friction_run, args.friction)):
+        if spec is not None:
+            print(json.dumps(run(Path(spec[0]).resolve(), spec[1])))
+            return 0
     if args.parent is None or args.change is None or args.label is None:
         parser.error("--parent, --change and --label are required")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -333,7 +378,10 @@ def main() -> int:
         "repeats": REPEATS,
         "ladder": ladder(dirs),
         "perfbench_pairs": perfbench_pairs(dirs, args.seed_base),
-        "largest_schwarz": run_fresh("--schwarz", str(dirs["change"]), LARGEST),
+        "largest": {
+            run: {side: run_fresh(f"--{run}", str(dirs[side]), LARGEST) for side in SIDES}
+            for run in ("schwarz", "friction")
+        },
     }
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -1,8 +1,7 @@
 """Sparse compressed-column (CSC) matrices and a certified direct solver.
 
-Every factorization is a sparse LU (SuperLU via scipy) in symmetric mode
-with a diagonal pivot threshold of 0.01.  It is applied in one of two ways,
-read from the matrix, never chosen by an option.
+A matrix is factored in one of two ways, read from the matrix, never
+chosen by an option.
 
 A matrix of the layered mesh is invariant under a shift by one cell column
 in x, the periodic direction.  `fem` numbers its solved rows x-column-major
@@ -13,25 +12,32 @@ shift by one x-column adds a fixed stride to every row and column index.
 reads from it the m x m blocks C_d coupling a column to the column d to
 its right, and factors the symbol sum_d C_d exp(-i theta_k d) of each
 Fourier mode k = 0..nx // 2 on its own ("X-FOURIER"), in its in-column
-order, which is banded: the discrete Fourier transform along x turns a
-block-circulant matrix block-diagonal (P. J. Davis, *Circulant Matrices*,
-1979).  Modes 0 and nx / 2 are real, the others complex Hermitian; the
-global rows (the pressure gauges) couple only to mode 0 and border it.  A
-solve transforms the rhs with `rfft` along x, solves each mode and
-transforms back.  On 64x32x8 the friction system fills 0.19M L+U entries
-this way instead of 5.66M.
+order: the discrete Fourier transform along x turns a block-circulant
+matrix block-diagonal (P. J. Davis, *Circulant Matrices*, 1979).  Modes 0
+and nx / 2 are real, the others complex Hermitian; the global rows (the
+pressure gauges) couple only to mode 0 and border it.  Mode 0, whose
+border rows are dense, is a sparse LU (SuperLU).  Every other mode is
+banded, 10 places either side of its diagonal on the layered mesh, and is
+written straight into LAPACK's band storage and factored there by a band
+LU with partial pivoting (?gbtrf; E. Anderson et al., *LAPACK Users'
+Guide*, 3rd ed., SIAM 1999), one mode at a time, the array becoming its
+factor.  A solve transforms the rhs with `rfft` along x, solves each mode
+and transforms back.  On 64x32x8 the friction system fills 0.17M L+U
+entries this way instead of 5.66M.
 
 Any other matrix, including one from a mesh whose columns differ, is
 factored whole under SuperLU's minimum-degree order on the pattern of
 A^T + A ("MMD_AT_PLUS_A"; X. S. Li, ACM TOMS 31, 2005).  Every matrix the
 package factors is structurally symmetric: Stokes blocks [[K, D], [D^T,
 0]] reduced by a symmetric C^T A C, bordered by gauge rows and, for
-friction and the Dirichlet half-step, by an interface multiplier.
+friction and the Dirichlet half-step, by an interface multiplier.  SuperLU
+runs in symmetric mode with a diagonal pivot threshold of 0.01:
 SymmetricMode pivots on the diagonal while it passes the threshold, so the
 factors keep the symmetric fill of the order.  The threshold stays nonzero
 because a zero threshold lost six digits on a harder saddle system; a
-diagonal entry below 0.01 of its column's largest is still pivoted away,
-and the report counts those off-diagonal pivots, summed over the modes.
+diagonal entry below 0.01 of its column's largest is still pivoted away.
+The band LU takes the largest entry of each column's band as its pivot,
+whatever the diagonal holds, and its fill stays inside the band.
 
 Every solve is certified by an independent matrix-vector product: the
 relative residual is computed with a scipy sparse product of the original
@@ -46,7 +52,7 @@ Every matrix is held once.  `fem` scatters each system straight into the
 compressed-column arrays SuperLU reads and writes every border into them in
 place.  The whole-matrix path hands SuperLU a scipy view of those arrays;
 the per-mode path compares views of them and keeps a table of the blocks
-C_d and one mode matrix alive while it is factored.  No copy of the matrix
+C_d and one mode's band alive while it is factored.  No copy of the matrix
 is made or kept next to the LU factors; the certification product is the
 same view.  (Factoring the transpose of a row-compressed matrix would also
 avoid the copy, but SuperLU solves transposed systems one column at a time:
@@ -71,6 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "CscMatrix",
@@ -90,7 +97,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-10
 
 # The factorization recipe passed to SuperLU: the column order of a whole
-# matrix, and of each Fourier mode, which arrives banded.
+# matrix, and of Fourier mode 0, which arrives nearly banded.
 ORDERING = "MMD_AT_PLUS_A"
 MODE_ORDERING = "NATURAL"
 DIAG_PIVOT_THRESH = 0.01
@@ -200,16 +207,20 @@ class CscMatrix:
 class SolveReport:
     """What one certified solve did.
 
-    ordering, diag_pivot_thresh and symmetric_mode are the options the
-    factorization was computed with: "MMD_AT_PLUS_A" means the whole matrix
-    was factored under SuperLU's minimum-degree column order, "X-FOURIER"
-    that each Fourier mode along x was, in its in-column order.
-    off_diagonal_pivots counts the columns whose pivot row is not their own
-    (perm_r differs from perm_c), where the diagonal failed the threshold.
-    lu_nnz is SuperLU's count of the stored L + U nonzeros; both are summed
-    over the modes.  factor_s and solve_s are the seconds spent in the
-    factorization (shared by every solve against it) and in this solve's
-    triangular solves.
+    ordering says how the matrix was factored: "MMD_AT_PLUS_A" whole,
+    under SuperLU's minimum-degree column order, "X-FOURIER" one Fourier
+    mode along x at a time, in its in-column order: mode 0 by SuperLU, the
+    others by LAPACK's band LU.  diag_pivot_thresh and symmetric_mode are
+    SuperLU's options, so under X-FOURIER they hold for mode 0 alone; the
+    band LU pivots partially, on each column's largest entry.
+    off_diagonal_pivots counts the rows that left their place: in a SuperLU
+    factor the columns whose pivot row is not their own (perm_r differs
+    from perm_c), where the diagonal failed the threshold; in a band factor
+    the row interchanges (ipiv[i] != i).  lu_nnz counts the stored L + U
+    nonzeros: SuperLU's count, and the nonzeros of each band factor's
+    array.  Under X-FOURIER both are summed over the modes.  factor_s and
+    solve_s are the seconds spent in the factorization (shared by every
+    solve against it) and in this solve's triangular solves.
     """
 
     relative_residual: float  # the worst column's, for a block rhs
@@ -544,38 +555,63 @@ class _ShiftSymbol:
         np.cumsum(np.bincount(pairs // m, minlength=m), out=indptr[1:])
         return (indptr, (pairs % m).astype(np.int32)), shifts - self.ref, table, below
 
-    def modes(self):
-        """Yield (k, matrix) for each mode k = 0..nx // 2, one at a time, the
-        real ones first: the symbol sum_d C_d exp(-i theta_k d), theta_k =
-        2 pi k / nx, one product of the phases with the table, real at k = 0
-        and k = nx / 2.  Mode 0 is bordered by the global rows as [[A_0, w],
-        [wt, corner / nx]]: with the forward-normalized transform its
-        unknowns are the column mean and the global unknowns themselves.  The
-        complex modes are written into one matrix, whose data SuperLU
-        copies."""
+    def modes(self) -> tuple:
+        """((kl, ku), modes): the band widths of the modes k >= 1 and a
+        generator of (k, matrix) for each mode k = 0..nx // 2, one at a
+        time, the real ones first.  Mode k is the symbol sum_d C_d exp(-i
+        theta_k d), theta_k = 2 pi k / nx, one product of the phases with
+        the table, real at k = 0 and k = nx / 2.  Mode 0 is a scipy CSC
+        matrix bordered by the global rows as [[A_0, w], [wt, corner /
+        nx]]: with the forward-normalized transform its unknowns are the
+        column mean and the global unknowns themselves.  Every other mode
+        is a fresh Fortran-ordered array in LAPACK's band storage, (2 kl +
+        ku + 1) x m with entry (p, q) at row kl + ku + p - q of column q,
+        the kl rows above its band left free for the factor's fill; kl and
+        ku are the widths of the shared pattern."""
         nx, m = self.nx, self.m
         (indptr, indices), shifts, table, below = self._pattern()
-        mode = CscMatrix(m, m, indptr, indices, table.sum(axis=0))
-        yield 0, bordered(mode, self.w, below, self.corner / nx).to_scipy()
-        del mode
-        if nx % 2 == 0 and nx > 1:
-            sign = np.where(shifts % 2 == 0, 1.0, -1.0)
-            yield nx // 2, scipy.sparse.csc_matrix((sign @ table, indices, indptr), shape=(m, m))
-        mode = scipy.sparse.csc_matrix((np.empty(len(indices), dtype=complex), indices, indptr), shape=(m, m))
-        for k in range(1, (nx + 1) // 2):
-            theta = 2.0 * np.pi * k * shifts / nx
-            np.matmul(np.cos(theta), table, out=mode.data.real)
-            np.matmul(-np.sin(theta), table, out=mode.data.imag)
-            yield k, mode
+        q = np.repeat(np.arange(m), np.diff(indptr))
+        offset = indices - q  # p - q of each pattern entry
+        kl, ku = int(offset.max(initial=0)), -int(offset.min(initial=0))
+        height = 2 * kl + ku + 1
+        at = q * height + offset + (kl + ku)  # each entry's place in the flat band storage
+        del q, offset
+
+        def band(values: np.ndarray) -> np.ndarray:
+            flat = np.zeros(height * m, dtype=values.dtype)
+            flat[at] = values
+            return flat.reshape(m, height).T
+
+        def modes():
+            mode = CscMatrix(m, m, indptr, indices, table.sum(axis=0))
+            yield 0, bordered(mode, self.w, below, self.corner / nx).to_scipy()
+            del mode
+            if nx % 2 == 0 and nx > 1:
+                yield nx // 2, band(np.where(shifts % 2 == 0, 1.0, -1.0) @ table)
+            values = np.empty(len(indices), dtype=complex)
+            for k in range(1, (nx + 1) // 2):
+                theta = 2.0 * np.pi * k * shifts / nx
+                np.matmul(np.cos(theta), table, out=values.real)
+                np.matmul(-np.sin(theta), table, out=values.imag)
+                yield k, band(values)
+
+        return (kl, ku), modes()
 
 
 class _FourierModes:
     """The LU factors of the Fourier modes k = 0..nx // 2 along x of an
-    x-shift-invariant matrix, behind SuperLU's solve(b) and nnz."""
+    x-shift-invariant matrix, behind SuperLU's solve(b) and nnz: mode 0's
+    SuperLU factorization (`mean`), and for k = 1..nx // 2 LAPACK's band LU
+    with partial pivoting (?gbtrf) of band widths `bands`, factors[k - 1] =
+    (band factor, row interchanges).  nnz counts the nonzeros of mode 0's L
+    + U and of the band factors, pivots the rows that left their place:
+    perm_r against perm_c in mode 0, the row interchanges in the others."""
 
-    def __init__(self, columns: XColumns, factors: list):
-        self.columns, self.factors = columns, factors
-        self.nnz = sum(lu.nnz for lu in factors)
+    def __init__(self, columns: XColumns, mean, bands: tuple, factors: list):
+        self.columns, self.mean, self.bands, self.factors = columns, mean, bands, factors
+        self.nnz = int(mean.nnz) + sum(int(np.count_nonzero(lu)) for lu, _ in factors)
+        place = np.arange(1, len(columns.order) + 1)
+        self.pivots = _pivots(mean) + sum(int(np.count_nonzero(ipiv != place)) for _, ipiv in factors)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         cols, rows = self.columns, self.columns.rows()
@@ -583,15 +619,13 @@ class _FourierModes:
         block = b.reshape(len(b), -1)
         # forward-normalized: mode 0 is the column mean
         modes = np.fft.rfft(block[rows], axis=0, norm="forward")  # (nx // 2 + 1, m, k)
-        glob = block[cols.globals] / nx
-        for k, lu in enumerate(self.factors):
-            if k == 0:
-                x0 = lu.solve(np.vstack([modes[0].real, glob]))
-                modes[0], glob = x0[:m], x0[m:]
-            elif 2 * k == nx:
-                modes[k] = lu.solve(np.ascontiguousarray(modes[k].real))
+        x0 = self.mean.solve(np.vstack([modes[0].real, block[cols.globals] / nx]))
+        modes[0], glob = x0[:m], x0[m:]
+        for k, (lu, ipiv) in enumerate(self.factors, start=1):
+            if 2 * k == nx:
+                modes[k], _ = lapack.dgbtrs(lu, *self.bands, modes[k].real, ipiv)
             else:
-                modes[k] = lu.solve(modes[k])
+                modes[k], _ = lapack.zgbtrs(lu, *self.bands, modes[k], ipiv)
         x = np.empty(block.shape)
         x[rows] = np.fft.irfft(modes, n=nx, axis=0, norm="forward")
         x[cols.globals] = glob
@@ -605,15 +639,27 @@ def _factor_modes(matrix: CscMatrix) -> _FourierModes | None:
         symbol = _ShiftSymbol(matrix)
     if not symbol.invariant:
         return None
-    factors = [None] * (symbol.nx // 2 + 1)
-    modes = symbol.modes()
+    with _phase("forming a Fourier mode's matrix (X-FOURIER)", matrix):
+        bands, modes = symbol.modes()
+        _, mode = next(modes)
+    with _phase("the factorization of Fourier mode 0 (X-FOURIER)", matrix):
+        mean = _splu(mode, MODE_ORDERING)
+    del mode
+    factors = [None] * (symbol.nx // 2)
     for _ in factors:
         with _phase("forming a Fourier mode's matrix (X-FOURIER)", matrix):
-            k, mode = next(modes)
+            k, band = next(modes)
         with _phase(f"the factorization of Fourier mode {k} (X-FOURIER)", matrix):
-            factors[k] = _splu(mode, MODE_ORDERING)
-        del mode
-    return _FourierModes(matrix.columns, factors)
+            getrf = lapack.dgbtrf if band.dtype == np.float64 else lapack.zgbtrf
+            lu, ipiv, info = getrf(band, *bands, overwrite_ab=1)
+        del band
+        if info != 0:  # info = i > 0: U(i, i) is exactly zero
+            raise SingularSystemError(
+                f"Fourier mode {k} of the {matrix.n_rows}x{matrix.n_cols} system cannot be"
+                f" factored: ?gbtrf returned info = {info}"
+            )
+        factors[k - 1] = (lu, ipiv)
+    return _FourierModes(matrix.columns, mean, bands, factors)
 
 
 def factorize(matrix: CscMatrix) -> Factorization:
@@ -632,7 +678,7 @@ def factorize(matrix: CscMatrix) -> Factorization:
     start = time.perf_counter()
     lu = None if matrix.columns is None else _factor_modes(matrix)
     if lu is not None:
-        pivots, ordering = sum(map(_pivots, lu.factors)), X_FOURIER
+        pivots, ordering = lu.pivots, X_FOURIER
     else:
         with _phase(f"the factorization ({ORDERING})", matrix):
             lu = _splu(product, ORDERING)

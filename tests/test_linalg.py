@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -219,9 +220,10 @@ def test_solve_report_states_what_the_factorization_did():
 
 def test_saddle_systems_fill_stays_symmetric():
     # Factored one Fourier mode at a time, each in its banded in-column
-    # order, the monolithic systems on 32x16x4 fill 48,555 (friction) and
-    # 47,509 (continuity) L + U entries, summed over the 17 modes; a mode
-    # that pivoted off its diagonal or lost its band would fill more.
+    # order, the monolithic systems on 32x16x4 fill 43,666 (friction) and
+    # 42,829 (continuity) L + U entries, summed over the 17 modes (48,555
+    # and 47,509 with SuperLU for every mode); a mode 0 that pivoted off
+    # its diagonal, or a band mode that lost its band, would fill more.
     mesh = build_layered_mesh(Geometry(), 32, 16, 4)
     force = BodyForce(1.0, -1.0)
     disc = discretize(mesh, 1.0, 1.0, force, force)
@@ -254,14 +256,21 @@ def disc_32():
 def test_factorize_copies_no_matrix_array(disc_32):
     # SuperLU's own allocations are invisible to tracemalloc, numpy's are
     # not: a copy of the 1.1 MB continuity system would show as a full copy.
+    # The band factors of the modes k >= 1 are numpy arrays that the
+    # factorization keeps; the rest of the peak is the transient.
     matrix = assemble_coupled_system(disc_32.op_upper, disc_32.op_lower, float("inf")).matrix
     tracemalloc.start()
     try:
-        factorize(matrix)
+        fact = factorize(matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.1 * _nbytes(matrix), (peak, _nbytes(matrix))
+    factors, (kl, ku) = fact._lu.factors, fact._lu.bands
+    kept = sum(lu.nbytes for lu, _ in factors)
+    m = len(matrix.columns.order)
+    assert kept == sum((2 * kl + ku + 1) * m * lu.itemsize for lu, _ in factors)
+    assert [lu.dtype for lu, _ in factors] == [np.complex128] * 15 + [np.float64]
+    assert peak - kept < 0.1 * _nbytes(matrix), (peak, kept, _nbytes(matrix))
 
 
 def test_superlu_receives_the_matrix_arrays(monkeypatch):
@@ -351,15 +360,51 @@ def test_fourier_modes_match_the_whole_factorization(cells):
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.max(np.abs(x - want), axis=0) <= 1e-12 * scale), name
         assert report.ordering == "X-FOURIER" and report.relative_residual <= 1e-10
-        factors = modes._lu.factors
-        assert len(factors) == cells[0] // 2 + 1
-        assert report.lu_nnz == modes.lu_nnz == sum(lu.nnz for lu in factors) > 0
-        pivots = sum(int(np.count_nonzero(lu.perm_r != lu.perm_c)) for lu in factors)
+        mean, factors = modes._lu.mean, modes._lu.factors
+        assert len(factors) == cells[0] // 2
+        fill = mean.nnz + sum(np.count_nonzero(lu) for lu, _ in factors)
+        assert report.lu_nnz == modes.lu_nnz == fill > 0
+        # mode 0's rows that SuperLU pivoted off the diagonal, and the rows
+        # that LAPACK's partial pivoting interchanged (ipiv is 1-based)
+        pivots = np.count_nonzero(mean.perm_r != mean.perm_c)
+        pivots += sum(np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1)) for _, ipiv in factors)
         assert report.off_diagonal_pivots == pivots
         if cells[0] >= 32:
             assert modes.lu_nnz < reference.lu_nnz / 5, name
         x1, _ = modes.solve(b[:, 1])  # a vector rhs is one column of a block
         assert np.max(np.abs(x1 - x[:, 1])) <= 1e-14 * scale[1]
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 2), (16, 8, 2), (32, 16, 4), (64, 32, 8)])
+def test_every_mode_keeps_a_band_of_width_ten(cells):
+    # The x-column numbering puts each mode's entries within 10 places of
+    # its diagonal on every mesh; a numbering that widened the band would
+    # multiply the band factors' storage and work.
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(build_layered_mesh(Geometry(), *cells), 1.0, 1.0, force, force)
+    for name, system in every_system(disc).items():
+        kl, ku = factorize(system.matrix)._lu.bands
+        assert 0 < kl <= 10 and 0 < ku <= 10, (name, kl, ku)
+
+
+def test_a_zero_pivot_names_its_band_mode(monkeypatch):
+    # the circulant 2 on the diagonal, 1 beside it: mode 0 is 4 and mode
+    # nx / 2 = 2 is exactly 2 - 1 - 1 = 0, a zero pivot of dgbtrf
+    nx = 4
+    rows = np.arange(nx)
+    triplets = ([2.0] * nx + [1.0] * 2 * nx, (np.tile(rows, 3), np.r_[rows, (rows + 1) % nx, (rows - 1) % nx]))
+    columns = linalg.XColumns(nx, ((0, 1),), np.array([0]), np.array([], dtype=int))
+    circulant = dataclasses.replace(CscMatrix.from_scipy(scipy.sparse.coo_matrix(triplets)), columns=columns)
+    with pytest.raises(SingularSystemError, match=r"Fourier mode 2 of the 4x4 system .* info = 1"):
+        factorize(circulant)
+    # a complex mode of the 8x4x2 friction system, zeroed before zgbtrf
+    force = BodyForce(1.0, -1.0)
+    disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
+    matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, 10.0).matrix
+    zgbtrf = scipy.linalg.lapack.zgbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", lambda ab, *args, **kwargs: zgbtrf(0.0 * ab, *args, **kwargs))
+    with pytest.raises(SingularSystemError, match=r"Fourier mode 1 of the 434x434 system .* info = 1"):
+        factorize(matrix)
 
 
 def test_continuity_traces_stay_identical_on_the_fourier_path():
@@ -465,8 +510,16 @@ def changed_copies(matrix):
     return changed
 
 
-@pytest.mark.parametrize("path", ["X-FOURIER", "MMD_AT_PLUS_A"])
-def test_running_out_of_memory_names_the_phase(monkeypatch, path):
+@pytest.mark.parametrize(
+    "path, module, call, phase",
+    [
+        ("X-FOURIER", scipy.sparse.linalg, "splu", "Fourier mode 0 (X-FOURIER)"),
+        ("X-FOURIER", scipy.linalg.lapack, "zgbtrf", "Fourier mode 1 (X-FOURIER)"),
+        ("MMD_AT_PLUS_A", scipy.sparse.linalg, "splu", "factorization (MMD_AT_PLUS_A)"),
+    ],
+    ids=["X-FOURIER", "X-FOURIER-band-mode", "MMD_AT_PLUS_A"],
+)
+def test_running_out_of_memory_names_the_phase(monkeypatch, path, module, call, phase):
     force = BodyForce(1.0, -1.0)
     disc = discretize(build_layered_mesh(Geometry(), 8, 4, 2), 1.0, 1.0, force, force)
     matrix = assemble_coupled_system(disc.op_upper, disc.op_lower, 10.0).matrix
@@ -476,13 +529,13 @@ def test_running_out_of_memory_names_the_phase(monkeypatch, path):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_memory)
+    monkeypatch.setattr(module, call, no_memory)
     with pytest.raises(OutOfMemoryError) as err:
         factorize(matrix)
     message = str(err.value)
     assert isinstance(err.value, MemoryError)
     assert f"{matrix.n_rows}x{matrix.n_rows} system with {matrix.nnz} nonzeros" in message
-    assert ("Fourier mode 0" if path == "X-FOURIER" else "factorization (MMD_AT_PLUS_A)") in message
+    assert phase in message
 
 
 @settings(max_examples=25, deadline=None)

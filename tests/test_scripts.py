@@ -39,12 +39,23 @@ def test_assembly_ladder_times_every_phase(monkeypatch):
     for system in systems:
         timed += [f"{system}.{phase}" for phase in ("factorize", "solve", "certify")]
         assert phases[f"{system}.lu_nnz"] > 0
+        assert phases[f"{system}.vm_mb"] >= 0.0
         assert 0.0 <= phases[f"{system}.residual"] <= 1e-10
         assert phases[f"{system}.path"] == "X-FOURIER"
     timed += ["upper_core.setup", "lower_core.setup", "schwarz.10.iterate", "schwarz.10.us_per_iter"]
     assert all(phases[name] >= 0.0 for name in timed)
     assert phases["schwarz.10.n_iterations"] == 536
-    assert len(phases) == len(timed) + 3 * len(systems) + 1
+    assert len(phases) == len(timed) + 4 * len(systems) + 1
+
+
+@pytest.mark.parametrize("run", ["schwarz_run", "friction_run"])
+def test_fresh_process_runs_report_their_peaks(monkeypatch, run):
+    ladder = load_script("assembly_ladder", monkeypatch)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the run prepends the checkout's src
+    record = getattr(ladder, run)(ROOT, "8x4x2")
+    assert record["mesh"] == "8x4x2" and record["wall_s"] > 0.0
+    # the address space holds at least what was resident
+    assert 0.0 < record["peak_rss_mb"] <= record["vm_peak_mb"]
 
 
 def test_schwarz_ladder_loop(monkeypatch):
