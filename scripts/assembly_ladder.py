@@ -20,6 +20,10 @@ force (1, -1)):
     friction         the friction system at alpha = ALPHA, from the layer
                      operators (`assemble_coupled_system`)
 
+and, for each phase of PEAKED, <phase>.numpy_peak_mb: the peak of the
+memory tracemalloc traces (numpy's arrays, Python's objects) over one more
+call, in MB, the result included;
+
 and, for each monolithic system (friction at alpha = ALPHA, continuity)
 and each layer's interface core (upper_core, lower_core: the layer's
 friction-free system, `assemble_robin_subproblem`):
@@ -72,6 +76,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 MESHES = ("8x4x2", "32x16x4", "64x32x8", "128x64x16")
@@ -83,6 +88,7 @@ ALPHA = 10.0
 SCHWARZ_ALPHAS = (10.0, 100.0, 1000.0)
 LARGEST = "256x128x32"
 SIDES = ("parent", "change")
+PEAKED = ("spaces", "assemble_stokes", "continuity", "friction")
 
 
 def assemblers(ops: list) -> tuple:
@@ -132,6 +138,16 @@ def time_schwarz(mesh, force, repeats: int) -> dict:
         out[f"schwarz.{alpha:g}.n_iterations"] = n
         out[f"schwarz.{alpha:g}.us_per_iter"] = round(1e6 * iterate_s / n, 2)
     return out
+
+
+def numpy_peak_mb(call) -> float:
+    """The peak of the memory tracemalloc traces over one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def vm_peak_mb() -> float:
@@ -185,6 +201,8 @@ def time_phases(src: Path) -> dict:
                 call()
                 seconds.append(time.perf_counter() - start)
             out[spec][name] = round(statistics.median(seconds), 6)
+        for name in PEAKED:
+            out[spec][f"{name}.numpy_peak_mb"] = round(numpy_peak_mb(phases[name]), 3)
 
         systems = {
             "friction": friction,

@@ -10,7 +10,10 @@ layer with free tangential traction at the interface
 (`assemble_robin_subproblem`), which the Dirichlet half-step borders with
 its trace constraint.  Every border [[A, B^T], [B, C]] is written in place
 in compressed columns.  The viscous form is the grad-grad form
-nu * integral(grad u : grad v), not the symmetric-gradient form.
+nu * integral(grad u : grad v), not the symmetric-gradient form.  The
+viscous, divergence and mass element kernels are computed once per cell
+shape, the cells grouped by the bits of their Jacobians (two shapes per
+layer on the layered mesh), and gathered onto the cells.
 
 Velocity dofs are numbered 2*node + component with P2 nodes sorted
 lexicographically by coordinates (x, then z); pressure dofs follow the same
@@ -18,8 +21,9 @@ convention on vertices.  Constraints (wall Dirichlet, interface
 no-penetration, x-periodicity, continuity identification) are eliminated
 symmetrically through a 0/1 reduction operator C, and every eliminated dof is
 zero.  The reduced system is C^T A C augmented with one integral-mean
-pressure-gauge row per layer, scattered in one pass through C's raw ->
-reduced index map, not multiplied.
+pressure-gauge row per layer, not multiplied but scattered: each layer
+block's CSR arrays map through C's raw -> reduced index map in turn, and
+the live entries make one COO -> CSC conversion.
 The reduced unknowns are numbered velocity first, then pressure, and each
 field x-column-major: by the cell column in x of the node, then z, kind
 and x.  The gauge rows follow, and a border's rows come last, trace dof j
@@ -255,10 +259,36 @@ def build_space(mesh: Mesh, subdomain: Subdomain) -> MixedSpace:
 
 def _cell_geometry(space: MixedSpace):
     pts = space.velocity_nodes[space.velocity_cells[:, :3]]  # (nt, 3, 2)
-    (j11, j21), (j12, j22) = (pts[:, 1] - pts[:, 0]).T, (pts[:, 2] - pts[:, 0]).T
+    return (pts, *_inverse_jacobian(_edge_vectors(pts)))
+
+
+def _edge_vectors(pts: np.ndarray) -> np.ndarray:
+    """Rows (x1 - x0, z1 - z0, x2 - x0, z2 - z0) of the cells' vertices pts
+    (nt, 3, 2): the Jacobians' entries j11, j21, j12, j22."""
+    return np.hstack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]])
+
+
+def _inverse_jacobian(edges: np.ndarray):
+    """Inverse Jacobians (n, 2, 2) and determinants of cells with edge vectors
+    `edges` (`_edge_vectors`)."""
+    j11, j21, j12, j22 = edges.T
     det = j11 * j22 - j12 * j21
     inv_j = np.stack([j22, -j12, -j21, j11], axis=1).reshape(-1, 2, 2) / det[:, None, None]
-    return pts, inv_j, det
+    return inv_j, det
+
+
+def _cell_shapes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the cells by the bit patterns of their edge vectors (rows of
+    `edges`): the cells of a group have one Jacobian, so one element kernel.
+    Returns the first cell of each group and the group of each cell."""
+    bits = edges.view(np.int64)
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return order[first], group
 
 
 def _index_type(n: int) -> type:
@@ -274,18 +304,25 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sci
     return scipy.sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
-def _per_component(scalar: scipy.sparse.csr_matrix, data: np.ndarray) -> scipy.sparse.csr_matrix:
-    """kron(scalar, I_2) with entries `data`, built directly: on the vector
-    dofs 2 i + c, row 2 i + c holds scalar row i at columns 2 j + c."""
+def _per_component(scalar: scipy.sparse.csr_matrix, *data: np.ndarray) -> list:
+    """kron(scalar, I_2) with entries each of `data`, built directly: on the
+    vector dofs 2 i + c, row 2 i + c holds scalar row i at columns 2 j + c.
+    The pattern is computed once, and each matrix holds a copy of it."""
     n, index = scalar.shape[0], _index_type(2 * scalar.shape[0])
     indptr = np.empty(2 * n + 1, dtype=index)
     indptr[0::2], indptr[1::2] = 2 * scalar.indptr, scalar.indptr[:-1] + scalar.indptr[1:]
     first = np.repeat(np.arange(2 * n) % 2 == 0, np.diff(indptr))  # the c = 0 entries
-    indices, values = np.empty(len(first), dtype=index), np.empty(len(first))
+    second = ~first
+    indices = np.empty(len(first), dtype=index)
     cols = 2 * scalar.indices.astype(index)
-    indices[first], indices[~first] = cols, cols + 1
-    values[first] = values[~first] = data
-    return scipy.sparse.csr_matrix((values, indices, indptr), shape=(2 * n, 2 * n))
+    indices[first], indices[second] = cols, cols + 1
+    out = []
+    for k, values in enumerate(data):
+        entries = np.empty(len(first))
+        entries[first] = entries[second] = values
+        pattern = (indices, indptr) if k == 0 else (indices.copy(), indptr.copy())
+        out.append(scipy.sparse.csr_matrix((entries, *pattern), shape=(2 * n, 2 * n)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,41 +344,66 @@ class StokesOperator:
     gauge: np.ndarray
 
 
-def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOperator:
-    if not (np.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"viscosity must be positive and finite, got {nu}")
-    tri_pts, inv_j, det = _cell_geometry(space)
-    area_w = 0.5 * det  # positive areas for counter-clockwise cells
-    nt = len(det)
-    nv, npn = len(space.velocity_nodes), len(space.pressure_nodes)
-    n_vdofs = 2 * nv
+def _element_kernels(inv_j: np.ndarray, area_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Viscous (6, 6, n) and divergence (6, 2, 3, n) element kernels of n
+    cells with inverse Jacobians inv_j and areas area_w.  The divergence
+    kernel is [i, c, j] = -sum_q w_q psi_j dphi_i/dx_c.
 
-    p2v = _p2_values(_TRI_POINTS)  # (nq, 6)
-    p1v = _TRI_POINTS  # (nq, 3)
+    The kernels keep the cells on the last, contiguous axis and sum the
+    quadrature points in order with separately rounded products.  A BLAS
+    product (other order, fused multiply-adds) leaves 1e-19 residues where
+    an integral vanishes, which would stay in the sparsity and LU fill.
+    """
     p2g = _p2_reference_grads(_TRI_POINTS)  # (nq, 6, 2)
-
-    # Element kernels keep the cells on the last, contiguous axis and sum the
-    # quadrature points in order with separately rounded products.  A BLAS
-    # product (other order, fused multiply-adds) leaves 1e-19 residues where
-    # an integral vanishes, which would stay in the sparsity and LU fill.
-    pts = np.ascontiguousarray(tri_pts.transpose(1, 2, 0))  # (3, 2, nt)
-    xq = p1v[:, 0, None, None] * pts[0] + p1v[:, 1, None, None] * pts[1]
-    xq += p1v[:, 2, None, None] * pts[2]  # (nq, 2, nt) physical points
-    f = np.stack(force.sample(xq[:, 0], xq[:, 1]))  # (2, nq, nt)
-    ij = np.ascontiguousarray(inv_j.transpose(1, 2, 0))  # (2, 2, nt)
-    k_local = np.zeros((6, 6, nt))
-    b_local = np.zeros((6, 2, 3, nt))  # [i, c, j] = -sum_q w_q psi_j dphi_i/dx_c
-    l_local = np.zeros((6, 2, nt))
+    ij = np.ascontiguousarray(inv_j.transpose(1, 2, 0))  # (2, 2, n)
+    k_local = np.zeros((6, 6, len(area_w)))
+    b_local = np.zeros((6, 2, 3, len(area_w)))
     for q, w in enumerate(_TRI_WEIGHTS):
         # physical gradients at point q: g[c, i] = dphi_i/dx_c
         g = p2g[q, None, :, 0, None] * ij[0, :, None] + p2g[q, None, :, 1, None] * ij[1, :, None]
         gw = g * w
         k_local += gw[0, :, None] * g[0] + gw[1, :, None] * g[1]
-        b_local -= gw.transpose(1, 0, 2)[:, :, None] * p1v[q, :, None]
-        l_local += (w * f[:, q]) * p2v[q, :, None, None]
-    for local in (k_local, b_local, l_local):
-        local *= area_w
+        b_local -= gw.transpose(1, 0, 2)[:, :, None] * _TRI_POINTS[q, :, None]
+    k_local *= area_w
+    b_local *= area_w
+    return k_local, b_local
+
+
+def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOperator:
+    """The layer's raw operators.  The viscous, divergence and mass kernels
+    depend on a cell only through its Jacobian, so they are computed once
+    per cell shape (`_cell_shapes`: two per layer on the layered mesh) and
+    gathered onto the cells; the load, whose force may vary, is integrated
+    on every cell."""
+    if not (np.isfinite(nu) and nu > 0.0):
+        raise ValueError(f"viscosity must be positive and finite, got {nu}")
+    tri_pts = space.velocity_nodes[space.velocity_cells[:, :3]]  # (nt, 3, 2)
+    nt = len(tri_pts)
+    nv, npn = len(space.velocity_nodes), len(space.pressure_nodes)
+    n_vdofs = 2 * nv
+    p2v = _p2_values(_TRI_POINTS)  # (nq, 6)
+    p1v = _TRI_POINTS  # (nq, 3)
+
+    # the kernels of each cell shape, gathered onto its cells
+    edges = _edge_vectors(tri_pts)
+    first, group = _cell_shapes(edges)
+    inv_j, det = _inverse_jacobian(edges[first])
+    area_w = 0.5 * det  # positive areas for counter-clockwise cells
+    k_local, b_local = _element_kernels(inv_j, area_w)
     m_ref = np.einsum("q,qi,qj->ij", _TRI_WEIGHTS, p2v, p2v)
+    km = (k_local.transpose(2, 0, 1) + 1j * (m_ref * area_w[:, None, None])).take(group, axis=0)
+    b_local = b_local.transpose(3, 0, 1, 2).reshape(-1, 12, 3).take(group, axis=0)
+    area_w = area_w.take(group)
+
+    # the load on every cell, summed in the kernels' order
+    pts = np.ascontiguousarray(tri_pts.transpose(1, 2, 0))  # (3, 2, nt)
+    xq = p1v[:, 0, None, None] * pts[0] + p1v[:, 1, None, None] * pts[1]
+    xq += p1v[:, 2, None, None] * pts[2]  # (nq, 2, nt) physical points
+    f = np.stack(force.sample(xq[:, 0], xq[:, 1]))  # (2, nq, nt)
+    l_local = np.zeros((6, 2, nt))
+    for q, w in enumerate(_TRI_WEIGHTS):
+        l_local += (w * f[:, q]) * p2v[q, :, None, None]
+    l_local *= area_w
 
     cv, cp = space.velocity_cells, space.pressure_cells
     comp = np.arange(2)
@@ -349,15 +411,12 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
 
     # viscous and mass act on each component alike: one COO -> CSR over the
     # scalar (node, node) pairs sums both (complex data, real: K, imag: M),
-    # and each is then laid onto the vector dofs with arrays of its own
-    km = k_local.transpose(2, 0, 1) + 1j * (m_ref * area_w[:, None, None])
+    # and both are then laid onto the vector dofs by one pattern
     both = _scatter(cv[:, :, None], cv[:, None, :], km, (nv, nv))
     del km
-    viscous = _per_component(both, nu * both.data.real)
-    mass = _per_component(both, both.data.imag)
+    viscous, mass = _per_component(both, nu * both.data.real, both.data.imag)
     del both
 
-    b_local = b_local.transpose(3, 0, 1, 2).reshape(nt, 12, 3)
     divergence = _scatter(vdofs[:, :, None], cp[:, None, :], b_local, (n_vdofs, npn))
     divergence.eliminate_zeros()  # entries that cancel exactly, as a sparse sum drops them
     load = np.bincount(vdofs.ravel(), l_local.transpose(2, 0, 1).ravel(), n_vdofs)
@@ -375,6 +434,17 @@ def assemble_stokes(space: MixedSpace, nu: float, force: BodyForce) -> StokesOpe
     )
 
 
+def _interface_x(space_upper: MixedSpace, space_lower: MixedSpace) -> np.ndarray:
+    """The x of the interface nodes, ascending, checked to be the same in
+    both layers and to interleave vertices and midpoints."""
+    x = space_upper.interface_x
+    if not np.array_equal(x, space_lower.interface_x):
+        raise ValueError("interface discretizations of the two layers do not match")
+    if len(x) < 3 or len(x) % 2 == 0:
+        raise ValueError("interface node list must interleave vertices and midpoints")
+    return x
+
+
 def assemble_interface_friction(
     space_upper: MixedSpace, space_lower: MixedSpace
 ) -> scipy.sparse.csr_matrix:
@@ -386,12 +456,8 @@ def assemble_interface_friction(
     friction system's multiplier border is built from it.  Both layers must
     share the interface discretization.
     """
-    x = space_upper.interface_x
-    if not np.array_equal(x, space_lower.interface_x):
-        raise ValueError("interface discretizations of the two layers do not match")
+    x = _interface_x(space_upper, space_lower)
     n = len(x)
-    if n < 3 or n % 2 == 0:
-        raise ValueError("interface node list must interleave vertices and midpoints")
     left = np.arange(0, n - 2, 2)
     seg = np.column_stack([left, left + 2, left + 1])  # (ns, 3): a, b, mid
     lengths = x[left + 2] - x[left]
@@ -443,9 +509,12 @@ def _reduction(
     class_col[label[kept]] = np.arange(len(kept))
     col_of = class_col[label]
 
-    keep = np.nonzero(~dropped)[0]
+    # C in CSR: raw row r holds a 1 at column col_of[r] unless it is dropped
+    index = _index_type(max(n_raw, len(kept)))
+    indptr = np.zeros(n_raw + 1, dtype=index)
+    np.cumsum(~dropped, out=indptr[1:])
     c = scipy.sparse.csr_matrix(
-        (np.ones(len(keep)), (keep, col_of[keep])), shape=(n_raw, len(kept))
+        (np.ones(indptr[-1]), col_of[~dropped].astype(index), indptr), shape=(n_raw, len(kept))
     )
     return c, col_of, kept
 
@@ -609,39 +678,55 @@ def _build_layout(spaces: list[MixedSpace], identify_traces: bool = False) -> Do
 
 
 def _assemble_reduced(ops: list[StokesOperator], layout: DofLayout) -> SparseSystem:
-    """C^T A C bordered by the gauge rows, in one scatter: each raw triplet
-    of the layer blocks [[nu K, D], [D^T, 0]] and of the gauge border (whose
-    multipliers take raw indices past the layers' dofs) maps through
-    `layout.col_of`.  Entries on a dropped row or column vanish, since every
-    dropped dof is zero.  The scatter lands in compressed columns, the
-    arrays SuperLU factors, and the system holds them without a copy."""
+    """C^T A C bordered by the gauge rows, in one scatter.  Each block of
+    the layers' [[nu K, D], [D^T, 0]] and of the gauge border (whose
+    multipliers take raw indices past the layers' dofs) maps its CSR arrays
+    through `layout.col_of` in turn: the rows of its entries by repeating
+    its rows' images over its row pointer, the columns by taking its
+    columns' images.  Entries on a dropped row or column vanish, since
+    every dropped dof is zero, and are dropped block by block.  The kept triplets,
+    in the blocks' storage order, make one COO -> CSC conversion: the arrays
+    SuperLU factors, which the system holds without a copy."""
     offsets = layout.offsets
     n_raw, n_red, n = layout.n_raw, layout.n_reduced, layout.n_rows
+    index = np.concatenate([layout.col_of, n_red + np.arange(len(ops))]).astype(_index_type(n))
     b_raw = np.zeros(n_raw)
-    parts = []
+    rows, cols, vals = [], [], []
+
+    def scatter(block: scipy.sparse.csr_matrix, r0: int, c0: int, transpose: bool = False) -> None:
+        """Keep the live entries of block, at raw offset (r0, c0)."""
+        r = np.repeat(index[r0 : r0 + block.shape[0]], np.diff(block.indptr))
+        c = index[c0 : c0 + block.shape[1]].take(block.indices)
+        live = (r >= 0) & (c >= 0)
+        r, c, v = r[live], c[live], block.data[live]
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+        if transpose:  # D^T: the same triplets, rows and columns swapped
+            rows.append(c)
+            cols.append(r)
+            vals.append(v)
+
     for k, op in enumerate(ops):
         ov = offsets[(op.space.subdomain, _FIELD_VELOCITY)]
         op_ = offsets[(op.space.subdomain, _FIELD_PRESSURE)]
         b_raw[ov : ov + op.space.n_velocity_dofs] = op.load
-        v, d = op.viscous.tocoo(), op.divergence.tocoo()
-        d_rows, d_cols = d.row + ov, d.col + op_
-        parts += [(v.row + ov, v.col + ov, v.data), (d_rows, d_cols, d.data), (d_cols, d_rows, d.data)]
-        # gauge border: one zero-mean constraint per layer's pressure
-        p = op_ + np.arange(op.space.n_pressure_dofs)
-        g = np.full(len(p), n_raw + k)
-        parts += [(p, g, op.gauge), (g, p, op.gauge)]
+        scatter(op.viscous, ov, ov)
+        scatter(op.divergence, ov, op_, transpose=True)
+        # gauge border: one zero-mean constraint per layer's pressure, the
+        # raw column n_raw + k
+        scatter(scipy.sparse.csr_matrix(op.gauge[:, None]), op_, n_raw + k, transpose=True)
 
-    raw_rows, raw_cols, vals = (np.concatenate(a) for a in zip(*parts))
-    index = np.concatenate([layout.col_of, n_red + np.arange(len(ops))]).astype(_index_type(n))
-    rows, cols = index.take(raw_rows), index.take(raw_cols)
     live = layout.col_of >= 0
     rhs = np.zeros(n)
     rhs[:n_red] = np.bincount(layout.col_of[live], b_raw[live], n_red)
-    del parts, raw_rows, raw_cols  # free the copies before the CSC step, the peak
-    kept = (rows >= 0) & (cols >= 0)
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    del b_raw, live
+    # each array is joined, and its parts freed, before the next: the peak
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()  # canonical
-    del rows, cols, vals, kept
+    del rows, cols, vals
     matrix.eliminate_zeros()  # entries that cancel exactly, as the product C^T A C drops them
     matrix = CscMatrix(n, n, matrix.indptr, matrix.indices, matrix.data, layout.columns)
     return SparseSystem(matrix=matrix, rhs=rhs, layout=layout)
@@ -690,14 +775,22 @@ def assemble_coupled_system(
     if not alpha >= 0.0:
         raise ValueError(f"friction coefficient must be >= 0 or inf, got {alpha}")
     spaces = [op_upper.space, op_lower.space]
-    trace_mass = assemble_interface_friction(*spaces)  # checks that the interfaces match
+    _interface_x(*spaces)  # at every alpha: the interfaces must match
     system = _assemble_reduced([op_upper, op_lower], _build_layout(spaces, np.isinf(alpha)))
     if alpha == 0.0 or np.isinf(alpha):
         return system
-    fold = periodic_fold(trace_mass.shape[0])
-    mass_p = (fold.T @ trace_mass) @ fold
-    jump = system.layout.trace_map(Subdomain.UPPER)[:-1] - system.layout.trace_map(Subdomain.LOWER)[:-1]
-    return _with_multipliers(system, mass_p @ jump, -mass_p / alpha)
+    fold = periodic_fold(len(spaces[0].interface_nodes))
+    mass_p = (fold.T @ assemble_interface_friction(*spaces)) @ fold
+    # B = M_p (T_upper - T_lower): T_sub less its x = L row takes the solved
+    # vector to sub's periodic trace, one column per row, so each entry of
+    # M_p lands on the upper trace's column and, negated, on the lower's
+    layout, m = system.layout, mass_p.tocoo()
+    trace = [layout.col_of[_interface_dofs(layout.offsets, sp)][:-1] for sp in spaces]
+    cols = np.concatenate([trace[0][m.col], trace[1][m.col]])
+    live = cols >= 0
+    rows, vals = np.tile(m.row, 2)[live], np.concatenate([m.data, -m.data])[live]
+    below = scipy.sparse.csr_matrix((vals, (rows, cols[live])), shape=(m.shape[0], layout.n_rows))
+    return _with_multipliers(system, below, -mass_p / alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,11 @@ class SolveReport:
     from perm_c), where the diagonal failed the threshold; in a band factor
     the row interchanges (ipiv[i] != i).  lu_nnz counts the stored L + U
     nonzeros: SuperLU's count, and the nonzeros of each band factor's
-    array.  Under X-FOURIER both are summed over the modes.  factor_s and
+    array.  Under X-FOURIER both are summed over the modes, so
+    off_diagonal_pivots is dominated by LAPACK's row interchanges, which
+    partial pivoting makes in most rows of these saddle-point modes (11,353
+    of the 11,520 band rows on 64x32x8 friction): there it does not flag a
+    degraded pivot.  factor_s and
     solve_s are the seconds spent in the factorization (shared by every
     solve against it) and in this solve's triangular solves.
     """

@@ -1,11 +1,13 @@
 """Assembly invariants: spaces, constraints, element matrices, coupled modes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from stokescouple import fem
 from stokescouple.coupling import (
     _check_trace,
     check_periodic_trace,
@@ -29,7 +31,7 @@ from stokescouple.fem import (
     build_space,
 )
 from stokescouple.linalg import CscMatrix, solve
-from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh
+from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
 
 
 @pytest.fixture(scope="module")
@@ -345,9 +347,16 @@ def test_mode_argument_validation(small_mesh, ops):
         with pytest.raises(ValueError, match="friction coefficient"):
             assemble_coupled_system(*ops, alpha)
     coarse_lower = layer_ops(build_layered_mesh(Geometry(), 4, 2, 1))[1]
-    for alpha in (np.inf, 10.0):
+    # the interfaces are checked at every alpha, bordered or not
+    odd = [
+        dataclasses.replace(op, space=dataclasses.replace(op.space, interface_nodes=op.space.interface_nodes[:-1]))
+        for op in ops
+    ]
+    for alpha in (0.0, np.inf, 10.0):
         with pytest.raises(ValueError, match="do not match"):
             assemble_coupled_system(ops[0], coarse_lower, alpha)
+        with pytest.raises(ValueError, match="interleave"):
+            assemble_coupled_system(*odd, alpha)
     with pytest.raises(ValueError):
         assemble_stokes(build_space(small_mesh, Subdomain.UPPER), -1.0, FORCE)
 
@@ -714,9 +723,22 @@ def assert_close_vector(a, b, rtol=1e-14):
     assert np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
 
 
-@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
+# 48x24x6 (x spacing not a binary fraction) has many cell shapes per layer
+@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4), (48, 24, 6)])
 def test_assembly_matches_the_reference(cells):
-    mesh = build_layered_mesh(Geometry(), *cells)
+    check_assembly_against_the_reference(build_layered_mesh(Geometry(), *cells))
+
+
+def test_assembly_matches_the_reference_with_a_moved_vertex():
+    mesh = build_layered_mesh(Geometry(), 64, 32, 8)
+    vertices = mesh.vertices.copy()
+    vertices[20 * 65 + 16] += (0.4, 0.3)  # column 16, row 20: inside the upper layer
+    moved = dataclasses.replace(mesh, vertices=vertices)
+    assert validate_mesh(moved) == []
+    check_assembly_against_the_reference(moved)
+
+
+def check_assembly_against_the_reference(mesh):
     force = BodyForce(evaluator=lambda x, z: (1.0 + z / 50.0, np.sin(x / 10.0)))
     ops = layer_ops(mesh, 1.0, 2.5, force)
     refs = [reference_stokes(op.space, op.nu, force) for op in ops]
@@ -764,6 +786,44 @@ def test_assembly_matches_the_reference(cells):
     t_p = reference_trace(system.layout, op.space.subdomain)[:-1]
     assert_same_sparse(system.matrix.to_scipy(), scipy.sparse.bmat([[matrix, t_p.T], [t_p, None]]))
     assert_close_vector(system.rhs + coupling @ trace, np.concatenate([rhs, trace[:-1]]))
+
+
+def test_kernels_are_computed_once_per_cell_shape(monkeypatch):
+    kernels, groups = fem._element_kernels, []
+
+    def counted(inv_j, area_w):
+        groups.append(len(area_w))
+        return kernels(inv_j, area_w)
+
+    monkeypatch.setattr(fem, "_element_kernels", counted)
+    for cells in [(8, 4, 2), (64, 32, 8)]:
+        layer_ops(build_layered_mesh(Geometry(), *cells))
+    # the layered mesh: two triangles per rectangle, one rectangle per layer
+    assert groups == [2, 2, 2, 2]
+    groups.clear()
+    ops = layer_ops(build_layered_mesh(Geometry(), 48, 24, 6))
+    n_cells = [len(op.space.velocity_cells) for op in ops]
+    assert all(2 < g < n for g, n in zip(groups, n_cells)), (groups, n_cells)
+
+
+@pytest.mark.parametrize("cells", [(32, 16, 4), (64, 32, 8)])
+def test_reduced_scatter_peaks_below_three_times_its_system(cells):
+    """The numpy peak of `_assemble_reduced` stays within 3x the arrays of
+    the system it returns: the blocks are mapped one at a time and only
+    their live triplets are kept."""
+    ops = layer_ops(build_layered_mesh(Geometry(), *cells))
+    spaces = [op.space for op in ops]
+    for identify_traces in (False, True):
+        layout = fem._build_layout(spaces, identify_traces)
+        tracemalloc.start()
+        try:
+            system = fem._assemble_reduced(list(ops), layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = system.matrix
+        held = m.indptr.nbytes + m.indices.nbytes + m.data.nbytes + system.rhs.nbytes
+        assert peak <= 3.0 * held, (peak / held, identify_traces)
 
 
 def test_manufactured_solution_convergence_order():

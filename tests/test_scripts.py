@@ -45,7 +45,10 @@ def test_assembly_ladder_times_every_phase(monkeypatch):
     timed += ["upper_core.setup", "lower_core.setup", "schwarz.10.iterate", "schwarz.10.us_per_iter"]
     assert all(phases[name] >= 0.0 for name in timed)
     assert phases["schwarz.10.n_iterations"] == 536
-    assert len(phases) == len(timed) + 4 * len(systems) + 1
+    peaked = ("spaces", "assemble_stokes", "continuity", "friction")
+    assert ladder.PEAKED == peaked
+    assert all(phases[f"{name}.numpy_peak_mb"] > 0.0 for name in peaked)
+    assert len(phases) == len(timed) + 4 * len(systems) + 1 + len(peaked)
 
 
 @pytest.mark.parametrize("run", ["schwarz_run", "friction_run"])
