@@ -16,17 +16,15 @@ layer.  Each layer's friction-free matrix (`fem.assemble_robin_subproblem`)
 is factored once per `Discretization`, for one certified block solve of
 three columns that spans its traction-to-trace map: the layer repeats
 along x, so every other column is a shift of one of them, and the map is
-block-circulant.  The factorization is then dropped; alpha enters only
-dense algebra on the n_trace - 1 periodic trace unknowns, and a half-step
-is an affine map of the neighbor trace.  The iteration runs on traces of
-length n_trace = 2 nx + 1 alone, the increment norm exact through Gram
-matrices of each layer's velocity response, as the map s <- a + K s of the
-upper trace, advanced a block of iterations per numpy call through the
-powers of K.  When it stops, each layer's field is rebuilt from its three
-solved columns by a convolution along x and certified by a product of the
-layer's matrix; a run factors nothing.  The monolithic solves share only
-the layers' Stokes operators with it: they assemble and factor their own
-two-layer matrix.
+block-circulant.  The factorization is then dropped, and each operator on
+the periodic trace is kept as its Fourier symbols along x, one 2 x 2 matrix
+per mode.  The iteration runs on the nx // 2 + 1 modes of the upper trace
+alone, as the affine map s <- a + K s advanced a block of iterations per
+numpy call, the increment norm exact through Gram symbols.  When it stops,
+each layer's field is rebuilt from its three solved columns by a
+convolution along x and certified by a product of the layer's matrix; a
+run factors nothing, and shares only the layers' Stokes operators with
+the monolithic solves.
 
 `dirichlet_exchange_demo` shows why the Robin exchange is used.  A pure
 Dirichlet half-step imposes the neighbor trace as a constraint on the
@@ -113,10 +111,13 @@ class Discretization:
     @cached_property
     def interface_cores(self) -> dict[Subdomain, _InterfaceCore]:
         """Each layer's alpha-free Robin core, upper first, built on first use
-        and kept for every later alternating solve; it holds no reference
-        back to self."""
+        and kept for every later alternating solve; no core refers back to
+        self.  Both are spanned whole when either layer is factored whole."""
         subs = (Subdomain.UPPER, Subdomain.LOWER)
-        return {sub: _InterfaceCore(self.op(sub), self.trace_mass) for sub in subs}
+        cores = {sub: _InterfaceCore(self.op(sub), self.trace_mass) for sub in subs}
+        if len({len(core.rows) for core in cores.values()}) > 1:
+            cores = {sub: _InterfaceCore(self.op(sub), self.trace_mass, whole=True) for sub in subs}
+        return cores
 
 
 def discretize(
@@ -261,8 +262,9 @@ class ConvergenceReport:
     lower field, each rebuilt from its core's solved columns against the
     last traces: the set-up's report with the rebuilt field's residual (a
     product of the layer's matrix) and solve_s the seconds of the rebuild.
-    setup_s is this run's time for both half-step maps: the cores, near
-    zero once an earlier run built them, and the per-alpha dense algebra.
+    contraction is rho(K) = max |eig| over the mode symbols of K = T_upper
+    T_lower.  setup_s is this run's time for both half-step maps (the cores,
+    near zero once an earlier run built them) and for contraction.
     iterate_s is the time of the trace iteration and the reconstruction.
     """
 
@@ -270,6 +272,7 @@ class ConvergenceReport:
     n_iterations: int
     increments: np.ndarray  # increment_l2 of every iteration
     jumps: np.ndarray  # jump_l2 of every iteration
+    contraction: float
     final: CoupledField
     setup_reports: tuple[SolveReport, ...]
     reconstruction_reports: tuple[SolveReport, SolveReport]
@@ -319,14 +322,6 @@ def _shift_rows(columns, n_reduced: int, traces: np.ndarray) -> np.ndarray:
     return np.arange(n_reduced)[None, :]
 
 
-def _circulant(first: np.ndarray) -> np.ndarray:
-    """The block-circulant (n q, n q) matrix whose block (a, c) is
-    first[(a - c) % n], from its first block column `first` (n, q, q)."""
-    n, q = first.shape[:2]
-    shift = (np.arange(n)[:, None] - np.arange(n)) % n
-    return first[shift].transpose(0, 2, 1, 3).reshape(n * q, n * q)
-
-
 class _InterfaceCore:
     """One layer driven by an interface traction: the alpha-free core of
     its Robin half-steps.
@@ -341,25 +336,22 @@ class _InterfaceCore:
     with the gauge rows held (`_shift_rows`), and one certified block solve
     of [rhs(0), E[:, 0], E[:, 1]] spans the layer: X y is a convolution along
     x of y with the two traction fields, formed by `rfft`.  A matrix that is
-    factored whole is one x-column of q = k trace dofs, and that block solve
-    is [rhs(0), E].  The factorization is dropped once the columns are solved.
+    factored or spanned whole is one x-column of q = k trace dofs, and that
+    block solve is [rhs(0), E].  The factorization is then dropped.
 
-    Of the span only n_trace-sized products are kept beside the q + 1 solved
-    columns: the periodic trace tau0 + S y (tau0 = T_p x0, S = T_p X), the
-    traction pin = S^-1 tau0 that holds it at zero, and the Gram matrix V^T
-    M_u V of V = [u0 - R pin, R] and the velocity mass M_u.  S and the R^T
-    M_u R block of the Gram matrix are block-circulant with q x q blocks
-    (P. J. Davis, *Circulant Matrices*, 1979): their first block columns are
-    the traction fields' traces and the cross-correlations along x of the
-    fields with their mass products, which the mass reduced to the solved
-    rows keeps periodic (a raw x = L node repeats x = 0 and would not shift).
-
-    `setup_reports` holds the one certified block solve; every field the
-    core rebuilds (`solve`) is certified by a scipy product of the layer's
-    matrix at the default tolerance.
+    Beside the solved columns only Fourier symbols are kept: the periodic
+    trace is tau0 + S y (tau0 = T_p x0, S = T_p X), and S, the folded trace
+    mass M_p = P^T M P and the Gram matrix V^T M_u V of V = [u0 - R pin, R]
+    (pin = S^-1 tau0, M_u the velocity mass) are block-circulant (P. J.
+    Davis, *Circulant Matrices*, 1979): each is the `rfft` along x of its
+    first block column, a q x q symbol for each of m = n // 2 + 1 modes.
+    The Gram's column is the cross-correlation along x of the fields with
+    their mass products, which the mass reduced to the solved rows keeps
+    periodic (a raw x = L node repeats x = 0 and would not shift).  Every
+    field the core rebuilds is certified by a product of the layer's matrix.
     """
 
-    def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix):
+    def __init__(self, op: StokesOperator, trace_mass: scipy.sparse.csr_matrix, whole: bool = False):
         space = op.space
         self.sub = space.subdomain
         system, self.coupling = assemble_robin_subproblem(op)
@@ -368,37 +360,51 @@ class _InterfaceCore:
         factorization = factorize(matrix)
         layout, k = self.layout, self.coupling.shape[1]
         traces = self.coupling.tocsc().indices  # the solved row of each trace dof
-        columns = matrix.columns if factorization.ordering == X_FOURIER else None
+        columns = matrix.columns if factorization.ordering == X_FOURIER and not whole else None
         self.rows = _shift_rows(columns, layout.n_reduced, traces)
         n, q = len(self.rows), k // len(self.rows)
         rhs = np.column_stack([self.rhs, self.coupling[:, :q].toarray()])
         self.x, report = factorization.solve(rhs)
         del factorization
         self.setup_reports = [report]
-        self.tau0 = self.x[traces, 0]
-        self.S = _circulant(self.x[traces, 1:].reshape(n, q, q))
-        self.pin = np.linalg.solve(self.S, self.tau0)
+        # Parseval: x^T y = sum over modes of weights * Re(x_hat^H y_hat)
+        self.weights = (2.0 - (2 * np.arange(n // 2 + 1) % n == 0)) / n
+        fold = periodic_fold(k + 1)
+        self.fold_mass = (fold.T @ trace_mass).tocsr()  # P^T M
+        self.mass_hat = np.fft.rfft((self.fold_mass @ fold)[:, :q].toarray().reshape(n, q, q), axis=0)
+        self.S_hat = np.fft.rfft(self.x[traces, 1:].reshape(n, q, q), axis=0)
+        self.pin_hat = np.linalg.solve(self.S_hat, self.modes(self.x[traces, 0]))
         offset = layout.offsets[(space.subdomain, "velocity")]
         to_velocity = layout.reduction[offset : offset + space.n_velocity_dofs]
         reduced = slice(0, layout.n_reduced)
-        v0 = self.x[reduced, 0] - self._shifted(self.pin)[reduced]  # u0 - R pin
+        v0 = self.x[reduced, 0] - self._shifted(self.values(self.pin_hat))[reduced]  # u0 - R pin
         fields = np.column_stack([self.x[reduced, 1:], v0])
         weighted = to_velocity.T @ (op.mass @ (to_velocity @ fields))  # M_u on the solved rows
-        # [a, r, s]: traction field r shifted by a x-columns against weighted s
-        spectrum = np.matmul(
-            np.fft.rfft(fields[self.rows, :q], axis=0).conj().transpose(0, 2, 1),
-            np.fft.rfft(weighted[self.rows], axis=0),
-        )
-        correlation = np.fft.irfft(spectrum, n=n, axis=0)
-        self.gram = np.empty((k + 1, k + 1))
-        self.gram[1:, 1:] = _circulant(correlation[:, :, :q])
-        self.gram[1:, 0] = self.gram[0, 1:] = correlation[:, :, q].reshape(k)
-        self.gram[0, 0] = v0 @ weighted[:, q]
-        fold = periodic_fold(k + 1)
-        fold_mass = (fold.T @ trace_mass).toarray()  # P^T M
-        mass_p = fold_mass @ fold  # M_p = P^T M P
-        self.mass_s = mass_p @ self.S
-        self.traction_rhs = np.column_stack([-(mass_p @ self.tau0), fold_mass])
+        # mode by mode, the traction fields r against the weighted fields s
+        fields_hat = np.fft.rfft(fields[self.rows, :q], axis=0).conj().transpose(0, 2, 1)
+        spectrum = fields_hat @ np.fft.rfft(weighted[self.rows], axis=0)
+        self.gram_hat, self.cross_hat = spectrum[:, :, :q], spectrum[:, :, q:]
+        self.gram_00 = float(v0 @ weighted[:, q])
+
+    def modes(self, values: np.ndarray) -> np.ndarray:
+        """The modes along x (m, q, 1) of values on the k periodic dofs."""
+        return np.fft.rfft(values.reshape(len(self.rows), -1, 1), axis=0)
+
+    def values(self, modes: np.ndarray) -> np.ndarray:
+        """The values on the k periodic dofs of the modes (m, q, 1)."""
+        return np.fft.irfft(modes, n=len(self.rows), axis=0).reshape(-1)
+
+    def trace(self, modes: np.ndarray) -> np.ndarray:
+        """P values: the trace at every interface node, x = L repeating x = 0."""
+        return np.append(values := self.values(modes), values[0])
+
+    def data_modes(self, g: np.ndarray) -> np.ndarray:
+        """The modes of M_p^-1 P^T M g, a periodic trace with g's traction data."""
+        return np.linalg.solve(self.mass_hat, self.modes(self.fold_mass @ g))
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a^T b of each pair of periodic traces stacked (m, q, b) as modes."""
+        return self.weights @ (a.conj() * b).real.sum(axis=1)
 
     def _shifted(self, y: np.ndarray) -> np.ndarray:
         """X y = sum_j y_j shift_(j // q)(x_(1 + j % q)): the solved columns'
@@ -416,11 +422,10 @@ class _InterfaceCore:
         return out
 
     def solve(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """The full field against the traction y, rebuilt from the solved
-        columns as x0 + X y and certified by a product of the layer's matrix
-        against rhs(0) + E y: (raw velocity, raw pressure, report).  The
-        report is the set-up's with this residual and solve_s the seconds of
-        the rebuild and its certification."""
+        """The full field x0 + X y against the traction y, certified by a
+        product of the layer's matrix against rhs(0) + E y: (raw velocity, raw
+        pressure, report), the set-up's report with this residual and solve_s
+        the seconds of the rebuild and its certification."""
         start = time.perf_counter()
         x = self.x[:, 0] + self._shifted(y)
         residual = certify(self.product, x, self.rhs + self.coupling @ y)
@@ -432,92 +437,92 @@ class _InterfaceCore:
 
     def robin(self, alpha: float) -> _RobinMap:
         """The Robin half-step with friction coefficient alpha, an affine map
-        of the neighbor trace g.
-
-        Its traction y = alpha P^T M (g - P (tau0 + S y)), with M the trace
-        mass and P the periodic fold, solves (I/alpha + M_p S) y = P^T M g -
-        M_p tau0.  That matrix stays bounded as alpha grows, and S has no null
-        direction on the periodic trace.  At alpha = 0, y = 0.
-
-        The velocity at g = 0, u0 + R y0, is the small difference of two
-        large terms (tau0 is 1250 on the upper layer, against a trace near
-        40).  On the pinned field it is (u0 - R pin) + R z with z = y0 + pin
-        = (I/alpha + M_p S)^-1 pin / alpha, which does not cancel; its trace
-        is S z.  At alpha = 0, z = pin.
+        of the neighbor trace g.  Its traction y = alpha P^T M (g - P (tau0 +
+        S y)) solves (I/alpha + M_p S) y = P^T M g - M_p tau0, one q x q
+        system per mode, bounded as alpha grows (S has no null direction on
+        the periodic trace).  At alpha = 0, y = 0.  The velocity at g = 0,
+        u0 + R y0, is the small difference of two large terms (tau0 is 1250
+        on the upper layer, against a trace near 40).  On the pinned field it
+        is (u0 - R pin) + R z with z = y0 + pin = (I/alpha + M_p S)^-1 pin /
+        alpha, which does not cancel; its trace is S z.  At alpha = 0, z = pin.
         """
         if not (np.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"friction coefficient must be finite and >= 0, got {alpha}")
         if alpha == 0.0:
-            return _RobinMap(self, np.zeros(self.traction_rhs.shape), self.pin)
-        eye = np.eye(len(self.pin)) / alpha
-        zy = np.linalg.solve(eye + self.mass_s, np.column_stack([self.pin / alpha, self.traction_rhs]))
-        return _RobinMap(self, zy[:, 1:], zy[:, 0])
+            return _RobinMap(self, np.zeros_like(self.S_hat), self.pin_hat)
+        matrix = np.eye(self.S_hat.shape[1]) / alpha + self.mass_hat @ self.S_hat
+        yz = np.linalg.solve(matrix, np.concatenate([self.mass_hat, self.pin_hat / alpha], axis=2))
+        return _RobinMap(self, yz[:, :, :-1], yz[:, :, -1:])
 
 
 class _RobinMap:
-    """One layer's Robin half-step at one alpha, whose traction is y [1; g]
-    against the neighbor trace g (see `_InterfaceCore.robin`).
+    """One layer's Robin half-step at one alpha (see `_InterfaceCore.robin`)
+    as symbols: `trace`, `increment_sq` and `velocity_sq` take the modes of
+    periodic traces, which `_InterfaceCore.data_modes` gives for any trace.
 
-    On the core's basis V = [u0 - R pin, R] the velocity is V Y [1; g] with
-    Y = [[1, 0], [z, y_g]], y = [y0, y_g].  Since u0 - R pin has no periodic
-    trace, the trace map is t(g) = t0 + T g with [t0, T] = P S [z, y_g], and
-    [[c, h^T], [h, G]] = Y^T gram Y: the squared L2 norm of the velocity
-    u(g) is g^T G g + 2 h^T g + c (the lower layer's first increment, from
-    the zero field), and that of an increment u(g + d) - u(g) is exactly
-    d^T G d.  `solve` rebuilds the field at a neighbor trace from the core's
-    solved columns, with no factorization.
+    Against g the traction is y0 + Y g (Y = (I/alpha + M_p S)^-1 M_p, y0 = z
+    - pin), the velocity V [1; z + Y g] on the core's basis V = [u0 - R pin,
+    R], and, as u0 - R pin has no periodic trace, the trace t0 + T g (t0 = S
+    z, T = S Y).  The squared L2 norm of u(g) is g^T G g + 2 h^T g + c on
+    the core's Gram blocks (G = Y^T gram Y, h = Y^T (cross + gram z), c =
+    gram_00 + (2 cross + gram z)^T z), and that of an increment u(g + d) -
+    u(g) is exactly d^T G d.
     """
 
     def __init__(self, core: _InterfaceCore, y: np.ndarray, z: np.ndarray):
-        self.core, self.y = core, y
-        span = np.vstack([np.eye(1, y.shape[1]), np.column_stack([z, y[:, 1:]])])
-        trace = core.S @ span[1:]
-        trace = trace[np.append(np.arange(len(y)), 0)]  # P: x = L repeats x = 0
-        self.t0, self.T = trace[:, 0], trace[:, 1:]
-        gram = span.T @ core.gram @ span
-        self.c, self.h, self.G = float(gram[0, 0]), gram[1:, 0], gram[1:, 1:]
+        self.core, self.Y_hat, self.y0_hat = core, y, z - core.pin_hat
+        self.T_hat, self.t0_hat = core.S_hat @ y, core.S_hat @ z
+        gram_z = core.gram_hat @ z
+        y_h = y.conj().transpose(0, 2, 1)
+        self.G_hat = y_h @ core.gram_hat @ y
+        self.h_hat = y_h @ (core.cross_hat + gram_z)
+        self.c = core.gram_00 + core.inner(2.0 * core.cross_hat + gram_z, z)[0]
 
-    def trace(self, neighbor_trace: np.ndarray) -> np.ndarray:
-        """This layer's interface trace after a half-step against neighbor_trace."""
-        return self.t0 + self.T @ neighbor_trace
+    def trace(self, g: np.ndarray) -> np.ndarray:
+        """This layer's interface trace after a half-step against g; a stack
+        (m, q, b) of b neighbor traces gives b traces."""
+        return self.t0_hat + self.T_hat @ g
 
-    def increment_sq(self, d: np.ndarray) -> float:
-        """Squared velocity L2 norm of u(g + d) - u(g)."""
-        return float(d @ (self.G @ d))
+    def increment_sq(self, d: np.ndarray) -> np.ndarray:
+        """Squared velocity L2 norm of u(g + d) - u(g), one per trace d."""
+        return self.core.inner(d, self.G_hat @ d)
 
-    def velocity_sq(self, g: np.ndarray) -> float:
-        """Squared velocity L2 norm of u(g)."""
-        return float(g @ (self.G @ g) + 2.0 * (self.h @ g) + self.c)
+    def velocity_sq(self, g: np.ndarray) -> np.ndarray:
+        """Squared velocity L2 norm of u(g), one per trace g."""
+        return self.core.inner(g, self.G_hat @ g + 2.0 * self.h_hat) + self.c
 
     def solve(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-        """Certified full-field half-step: (raw velocity, raw pressure, report),
-        rebuilt by the core (`_InterfaceCore.solve`)."""
-        return self.core.solve(self.y[:, 0] + self.y[:, 1:] @ g)
+        """Certified full-field half-step against the neighbor trace g itself:
+        (raw velocity, raw pressure, report), rebuilt by `_InterfaceCore.solve`."""
+        core = self.core
+        return core.solve(core.values(self.y0_hat + self.Y_hat @ core.data_modes(g)))
 
 
-# Entries of the power stack [K, ..., K^B] of the trace iteration: B
-# n_trace^2 doubles, at most 512 KiB, and at most 64 iterations per block.
+# Power stack [K, ..., K^B]: B m q^2 complex entries, at most 1 MiB, B <= 64.
 _STACK_ENTRIES = 65536
 _MAX_BLOCK = 64
 
 
-def _block_iterations(n_trace: int) -> int:
-    """Iterations B advanced per block of the trace loop."""
-    return max(1, min(_MAX_BLOCK, _STACK_ENTRIES // n_trace**2))
+def _block_iterations(entries: int) -> int:
+    """Iterations B per block of the trace loop, whose symbol K has `entries`."""
+    return max(1, min(_MAX_BLOCK, _STACK_ENTRIES // entries))
 
 
 def _power_stack(k: np.ndarray, a: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The powers K, ..., K^block stacked into one (block n, n) matrix, and
-    the offsets c_j = a + K a + ... + K^(j-1) a, so that the affine iteration
-    s <- a + K s maps s_m to s_(m+j) = c_j + K^j s_m."""
-    n = len(a)
-    powers = np.empty((block, n, n))
-    offsets = np.empty((block, n))
+    """The powers K^j of the symbol K (m, q, q) and the offsets c_j = a + K a
+    + ... + K^(j-1) a (a: modes (m, q, 1)), j = 1..block, laid out so that
+    `offsets + (powers @ s).reshape(offsets.shape)` iterates s <- a + K s."""
+    powers = np.empty((block, *k.shape), dtype=complex)
+    offsets = np.empty((block, *a.shape), dtype=complex)
     powers[0], offsets[0] = k, a
-    for j in range(1, block):
-        powers[j] = k @ powers[j - 1]
-        offsets[j] = a + k @ offsets[j - 1]
-    return powers.reshape(block * n, n), offsets
+    done = 1  # doubling: K^(h + j) = K^j K^h and c_(h + j) = c_h + K^h c_j
+    while done < block:
+        j = min(done, block - done)
+        powers[done : done + j] = powers[:j] @ powers[done - 1]
+        offsets[done : done + j] = offsets[done - 1] + powers[done - 1] @ offsets[:j]
+        done += j
+    m, q = a.shape[:2]
+    return powers.transpose(1, 2, 0, 3).reshape(m, q * block, q), offsets[..., 0].transpose(1, 2, 0)
 
 
 def schwarz_solve(
@@ -539,73 +544,65 @@ def schwarz_solve(
     converged=False.
 
     Each half-step is applied through its affine map (`_RobinMap`, from the
-    layer's cached `Discretization.interface_cores`), so after iteration 1
-    the upper trace follows s_n = a + K s_(n-1) with K = T_upper T_lower.
-    The loop advances it B iterations per step (`_block_iterations`): the
-    stack [K, ..., K^B] and its offsets map the current s_n to the next B
-    traces at once, from the exact current trace, so no error carries from
-    block to block.  The increment norm is
-    exact through the Gram matrices and jump_l2 comes from the two traces
-    and the trace mass; a block stops at its first increment below
-    tol_increment, so the counts are those of one-step-at-a-time iteration.
-    At the stop each layer's field is rebuilt from its core's solved columns
-    against the neighbor trace its last half-step saw, and certified.
+    layer's cached `Discretization.interface_cores`).  Iteration 1 folds the
+    initial trace, which need not be periodic; then the upper trace follows
+    s_n = a + K s_(n-1), K = T_upper T_lower, on its modes along x, B
+    iterations per block (`_block_iterations`) through each mode's powers
+    [K, ..., K^B] from the exact current trace.  Increment norms (Gram
+    symbols) and jump_l2 (trace mass symbols) are sums over modes
+    (Parseval); a block stops at its first increment below tol_increment,
+    so the counts are those of one-step-at-a-time iteration.  At the stop
+    each layer's field is rebuilt from its core's solved columns against
+    the neighbor trace its last half-step saw, and certified.
     """
     disc = _discretization(mesh, nu1, nu2, force1, force2, disc)
-    n_trace = len(disc.space_upper.interface_nodes)
     g0 = config.initial_neighbor_trace
-    if g0 is None:
-        g0 = np.zeros(n_trace)
+    g0 = np.zeros(len(disc.space_upper.interface_nodes)) if g0 is None else g0
     g0 = _check_trace(disc.space_upper, g0, "initial trace")
 
     start = time.perf_counter()
     upper, lower = (core.robin(config.alpha) for core in disc.interface_cores.values())
+    k = upper.T_hat @ lower.T_hat
+    contraction = float(np.abs(np.linalg.eigvals(k)).max())
     setup_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    trace_mass = disc.trace_mass.toarray()
+    core = upper.core
     # Iteration 1 starts from g0 and from the lower layer's zero field.
+    g0 = core.data_modes(g0)
     s_prev = upper.trace(g0)  # s_0, the upper trace iteration 1 starts from
     t_lower = lower.trace(s_prev)
     s = upper.trace(t_lower)  # s_1
     increment = np.sqrt(upper.increment_sq(t_lower - g0) + lower.velocity_sq(s_prev))
     jump = s - t_lower
-    increments = [np.array([increment])]
-    jumps = [np.array([np.sqrt(jump @ (trace_mass @ jump))])]
+    increments, jumps = [increment], [np.sqrt(core.inner(jump, core.mass_hat @ jump))]
     converged = bool(increment < config.tol_increment)
     n_done = 1
     if not converged and config.max_iter > 1:
-        # From iteration 2 on, s_n = a + K s_{n-1} with K = T_upper T_lower,
-        # and the increment of iteration n is the quadratic form of
-        # delta = s_{n-1} - s_{n-2}: T_lower delta is the upper layer's
-        # neighbor-trace change, delta the lower layer's.
-        gram = lower.T.T @ upper.G @ lower.T + lower.G
-        block = min(_block_iterations(n_trace), config.max_iter - 1)
-        powers, offsets = _power_stack(upper.T @ lower.T, upper.trace(lower.t0), block)
+        # From iteration 2 on, the increment is a quadratic form of delta =
+        # s_{n-1} - s_{n-2}, the lower layer's neighbor-trace change.
+        gram = lower.T_hat.conj().transpose(0, 2, 1) @ upper.G_hat @ lower.T_hat + lower.G_hat
+        block = min(_block_iterations(k.size), config.max_iter - 1)
+        powers, offsets = _power_stack(k, upper.trace(lower.t0_hat), block)
         while not converged and n_done < config.max_iter:
             b = min(block, config.max_iter - n_done)
-            # chain = s_{n-1}, s_n, ..., s_{n+b} for n = n_done
-            chain = np.empty((b + 2, n_trace))
-            chain[0], chain[1] = s_prev, s
-            chain[2:] = offsets[:b] + (powers[: b * n_trace] @ s).reshape(b, n_trace)
-            delta = chain[1:-1] - chain[:-2]
-            increment = np.sqrt(np.einsum("ij,ij->i", delta @ gram, delta))
-            jump = chain[2:] - chain[1:-1] @ lower.T.T - lower.t0
+            # chain = s_{n-1}, s_n, ..., s_{n+b} for n = n_done, along the last axis
+            ahead = offsets + (powers @ s).reshape(offsets.shape)
+            chain = np.concatenate([s_prev, s, ahead[:, :, :b]], axis=2)
+            delta = chain[:, :, 1:-1] - chain[:, :, :-2]
+            increment = np.sqrt(core.inner(delta, gram @ delta))
             below = np.flatnonzero(increment < config.tol_increment)
             if len(below):
                 b = int(below[0]) + 1
                 converged = True
+            jump = chain[:, :, 2 : b + 2] - lower.trace(chain[:, :, 1 : b + 1])
             increments.append(increment[:b])
-            jumps.append(np.sqrt(np.einsum("ij,ij->i", jump[:b] @ trace_mass, jump[:b])))
-            s_prev, s = chain[b], chain[b + 1]
+            jumps.append(np.sqrt(core.inner(jump, core.mass_hat @ jump)))
+            s_prev, s = chain[:, :, b : b + 1], chain[:, :, b + 1 : b + 2]
             n_done += b
-    # The last iteration's half-steps saw g_lower = s_{n-1} and g_upper =
-    # the lower trace it produced.
-    g_lower = s_prev
-    g_upper = lower.trace(g_lower)
-
-    u1, p1, report_upper = upper.solve(g_upper)
-    u2, p2, report_lower = lower.solve(g_lower)
+    # The last half-steps saw g_lower = s_{n-1} and g_upper = its lower trace.
+    u1, p1, report_upper = upper.solve(core.trace(lower.trace(s_prev)))
+    u2, p2, report_lower = lower.solve(core.trace(s_prev))
     iterate_s = time.perf_counter() - start
     final = CoupledField(disc=disc, alpha_used=config.alpha, u1=u1, p1=p1, u2=u2, p2=p2)
     return ConvergenceReport(
@@ -613,6 +610,7 @@ def schwarz_solve(
         n_iterations=n_done,
         increments=np.concatenate(increments),
         jumps=np.concatenate(jumps),
+        contraction=contraction,
         final=final,
         setup_reports=tuple(upper.core.setup_reports + lower.core.setup_reports),
         reconstruction_reports=(report_upper, report_lower),

@@ -35,10 +35,11 @@ from stokescouple.fem import (
     assemble_coupled_system,
     assemble_dirichlet_subproblem,
     assemble_robin_subproblem,
+    periodic_fold,
 )
 from stokescouple.linalg import factorize, solve
 from stokescouple.mesh import Geometry, Subdomain, build_layered_mesh, validate_mesh
-from test_fem import reference_trace, robin_solve, robin_system
+from test_fem import folded_mass, reference_trace, robin_solve, robin_system
 
 GEOM = Geometry()  # length 100, z in [-5, 50]
 FORCE = BodyForce(1.0, -1.0)
@@ -349,7 +350,7 @@ def reference_alternation(disc, config):
     return n, np.array(increments), np.array(jumps), (u1, p1, u2, p2)
 
 
-@pytest.mark.parametrize("start", ["zero", "periodic"])
+@pytest.mark.parametrize("start", ["zero", "periodic", "non-periodic"])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0])
 def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
     mesh = default_mesh()
@@ -359,6 +360,10 @@ def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
     if start == "periodic":
         g0 = 3.0 + np.sin(2.0 * np.pi * x / GEOM.length)
         g0[-1] = g0[0]
+    elif start == "non-periodic":
+        # only iteration 1 sees a trace whose x = 0 and x = L values differ
+        g0 = 3.0 + x / 17.0 + np.cos(6.0 * np.pi * x / GEOM.length)
+        assert g0[-1] != g0[0]
     config = SchwarzConfig(
         alpha=alpha, tol_increment=1e-300, max_iter=30, initial_neighbor_trace=g0
     )
@@ -374,12 +379,13 @@ def test_schwarz_trace_iteration_matches_full_field_alternation(alpha, start):
 
 def sequential_trace_loop(disc, config):
     """The trace iteration one step at a time over the solver's own
-    half-step maps.  Returns (n, converged, increments, jumps, final
-    neighbor traces of the upper and the lower layer)."""
+    half-step maps, on the modes of the traces; each jump is measured on
+    the trace itself, by the trace mass.  Returns (n, converged, increments,
+    jumps, final neighbor traces of the upper and the lower layer)."""
     upper = disc.interface_cores[Subdomain.UPPER].robin(config.alpha)
     lower = disc.interface_cores[Subdomain.LOWER].robin(config.alpha)
-    mass = disc.trace_mass.toarray()
-    g_upper = np.zeros(len(disc.space_upper.interface_nodes))
+    core = upper.core
+    g_upper = core.data_modes(np.zeros(len(disc.space_upper.interface_nodes)))
     g_lower = None  # the lower field starts at zero
     t_upper = upper.trace(g_upper)
     increments, jumps = [], []
@@ -392,21 +398,31 @@ def sequential_trace_loop(disc, config):
             lower_sq = lower.increment_sq(t_upper - g_lower)
         increments.append(np.sqrt(upper.increment_sq(t_lower - g_upper) + lower_sq))
         g_upper, g_lower, t_upper = t_lower, t_upper, t_upper_new
-        jump = t_upper - t_lower
-        jumps.append(np.sqrt(jump @ (mass @ jump)))
+        jump = core.trace(t_upper - t_lower)
+        jumps.append(np.sqrt(jump @ (disc.trace_mass @ jump)))
         if increments[-1] < config.tol_increment:
             break
-    converged = increments[-1] < config.tol_increment
-    return n, converged, np.array(increments), np.array(jumps), (g_upper, g_lower)
+    increments = np.concatenate(increments)  # the maps give one value per trace
+    converged = bool(increments[-1] < config.tol_increment)
+    return n, converged, increments, np.array(jumps), (core.trace(g_upper), core.trace(g_lower))
 
 
-@pytest.mark.parametrize("stop", ["B-1", "B", "B+1", "B+2", "2B+1", "cap"])
-def test_schwarz_blocks_match_sequential_iteration(stop):
+STOPS = ["B-1", "B", "B+1", "B+2", "2B+1", "cap"]
+
+
+@pytest.mark.parametrize(
+    "stop, cells",
+    [(stop, (8, 4, 2)) for stop in STOPS] + [(stop, (32, 16, 4)) for stop in STOPS],
+    ids=STOPS + [f"{stop}-32x16x4" for stop in STOPS],
+)
+def test_schwarz_blocks_match_sequential_iteration(stop, cells):
     # Iteration 1 runs alone; the blocks then cover 2..B+1, B+2..2B+1, ...
-    mesh = default_mesh()
+    mesh = default_mesh(*cells)
     disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
-    block = _block_iterations(len(disc.space_upper.interface_nodes))
-    assert block == 64  # n_trace = 17
+    core = disc.interface_cores[Subdomain.UPPER]
+    assert core.S_hat.shape == (cells[0] // 2 + 1, 2, 2)
+    block = _block_iterations(core.S_hat.size)
+    assert block == 64  # n_trace = 17 or 65
     probe = SchwarzConfig(alpha=10.0, tol_increment=1e-300, max_iter=2 * block + 2)
     _, _, history, _, _ = sequential_trace_loop(disc, probe)
     assert np.all(np.diff(history) < 0.0)
@@ -434,6 +450,20 @@ def test_schwarz_blocks_match_sequential_iteration(stop):
         assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("cells", [(8, 4, 2), (32, 16, 4)])
+def test_schwarz_reports_the_contraction_of_the_paper(cells):
+    # The iteration contracts at the rate of its slowest mode, the mean
+    # one: (50 alpha / (1 + 50 alpha)) (5 alpha / (1 + 5 alpha)) for the
+    # layer depths 50 and 5 at unit viscosity.
+    mesh = default_mesh(*cells)
+    disc = discretize(mesh, 1.0, 1.0, FORCE, FORCE)
+    for alpha in (1.0, 10.0, 1e4):
+        config = SchwarzConfig(alpha=alpha, max_iter=1)
+        report = schwarz_solve(mesh, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
+        want = (50.0 * alpha / (1.0 + 50.0 * alpha)) * (5.0 * alpha / (1.0 + 5.0 * alpha))
+        assert abs(report.contraction - want) <= 1e-12, (alpha, report.contraction, want)
+
+
 def test_schwarz_reports_its_certified_solves():
     # every solve is certified at linalg.DEFAULT_TOLERANCE; on this mesh
     # each lands below 1e-11 as well
@@ -445,25 +475,53 @@ def test_schwarz_reports_its_certified_solves():
     assert report.setup_s > 0.0 and report.iterate_s > 0.0
 
 
+def _circulant(first):
+    """The block-circulant (n q, n q) matrix whose block (a, c) is
+    first[(a - c) % n], from its first block column `first` (n, q, q)."""
+    n, q = first.shape[:2]
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n
+    return first[shift].transpose(0, 2, 1, 3).reshape(n * q, n * q)
+
+
+def expand(core, symbol):
+    """The (k, k) matrix on a core's periodic trace dofs whose symbols along
+    x are `symbol` (m, q, q)."""
+    return _circulant(np.fft.irfft(symbol, n=len(core.rows), axis=0))
+
+
+def trace_data(core, op):
+    """The (k, n_trace) matrix that takes a neighbor trace g to the periodic
+    trace with the same traction data, M_p^-1 P^T M g, built here."""
+    fold_mass, fold = folded_mass(op.space, op.space)
+    return np.linalg.solve((fold_mass @ fold).toarray(), fold_mass.toarray())
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 10.0, 1e3, 1e6, 1e9])
 def test_robin_maps_match_the_test_built_robin_solve(alpha):
     # each layer's map against the span of the Robin matrix built here:
-    # solved for [rhs(0), E], whose velocity columns are [u0, R]
+    # solved for [rhs(0), E], whose velocity columns are [u0, R]; the map's
+    # symbols are expanded here into matrices on the neighbor trace
     disc = discretize(default_mesh(), 1.0, 1.0, FORCE, FORCE)
+    fold = periodic_fold(len(disc.space_upper.interface_nodes)).toarray()
     for sub, core in disc.interface_cores.items():
         op, robin = disc.op(sub), core.robin(alpha)
+        assert robin.T_hat.shape == robin.G_hat.shape == (5, 2, 2)
+        data = trace_data(core, op)
         matrix, rhs, coupling, layout = robin_system(op, alpha)
         x, _ = solve(matrix, np.column_stack([rhs, coupling.toarray()]))
         u = np.column_stack([layout.expand(col)[(sub, "velocity")] for col in x.T])
         ifx = 2 * op.space.interface_nodes
         t_ref, r = u[ifx, 1:], u[:, 1:]
         g_ref = r.T @ (op.mass @ r)
-        assert np.max(np.abs(robin.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+        t_map = fold @ expand(core, robin.T_hat) @ data
+        assert np.max(np.abs(t_map - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
         # t0 is small against the field (2.5 against 1250 on the upper layer
         # at alpha = 10): judged on the field's scale
-        assert np.max(np.abs(robin.t0 - u[ifx, 0])) <= 1e-13 * np.max(np.abs(u[:, 0]))
-        assert np.max(np.abs(robin.G - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
-        assert np.max(np.abs(robin.h - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(core.trace(robin.t0_hat) - u[ifx, 0])) <= 1e-13 * np.max(np.abs(u[:, 0]))
+        g_map = data.T @ expand(core, robin.G_hat) @ data
+        assert np.max(np.abs(g_map - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+        h_map = data.T @ core.values(robin.h_hat)
+        assert np.max(np.abs(h_map - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
         assert robin.c == pytest.approx(u[:, 0] @ (op.mass @ u[:, 0]), rel=1e-10)
         x_trace = op.space.interface_x
         for g in (3.0 + x_trace / 17.0, 3.0 + np.cos(2.0 * np.pi * x_trace / GEOM.length)):
@@ -500,18 +558,29 @@ def test_cores_match_the_full_span_under_an_x_dependent_force(cells):
         pin = np.linalg.solve(s_ref, tau0)
         v = np.column_stack([u[:, 0] - u[:, 1:] @ pin, u[:, 1:]])
         gram = v.T @ (op.mass @ v)
-        assert np.max(np.abs(core.S - s_ref)) <= 1e-13 * np.max(np.abs(s_ref))
-        assert np.max(np.abs(core.gram - gram)) <= 1e-10 * np.max(np.abs(gram))
-        assert np.max(np.abs(core.pin - pin)) <= 1e-10 * np.max(np.abs(pin))
+        symbols = (core.S_hat, core.mass_hat, core.gram_hat)
+        assert all(symbol.shape == (cells[0] // 2 + 1, 2, 2) for symbol in symbols)
+        assert np.max(np.abs(expand(core, core.S_hat) - s_ref)) <= 1e-13 * np.max(np.abs(s_ref))
+        fold_mass, fold = folded_mass(op.space, op.space)
+        mass_p = (fold_mass @ fold).toarray()
+        assert np.max(np.abs(expand(core, core.mass_hat) - mass_p)) <= 1e-14 * np.max(np.abs(mass_p))
+        gram_map = np.empty_like(gram)
+        gram_map[0, 0] = core.gram_00
+        gram_map[1:, 0] = gram_map[0, 1:] = core.values(core.cross_hat)
+        gram_map[1:, 1:] = expand(core, core.gram_hat)
+        assert np.max(np.abs(gram_map - gram)) <= 1e-10 * np.max(np.abs(gram))
+        assert np.max(np.abs(core.values(core.pin_hat) - pin)) <= 1e-10 * np.max(np.abs(pin))
         # at alpha, against the span of the Robin matrix built here
-        robin = core.robin(alpha)
+        robin, data = core.robin(alpha), trace_data(core, op)
         matrix, rhs, coupling_, layout = robin_system(op, alpha)
         x, _ = solve(matrix, np.column_stack([rhs, coupling_.toarray()]))
         u = np.column_stack([layout.expand(col)[(sub, "velocity")] for col in x.T])
         r = u[:, 1:]
         g_ref = r.T @ (op.mass @ r)
-        assert np.max(np.abs(robin.G - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
-        assert np.max(np.abs(robin.h - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
+        g_map = data.T @ expand(core, robin.G_hat) @ data
+        assert np.max(np.abs(g_map - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+        h_map = data.T @ core.values(robin.h_hat)
+        assert np.max(np.abs(h_map - r.T @ (op.mass @ u[:, 0]))) <= 1e-10 * np.max(np.abs(g_ref))
         assert robin.c == pytest.approx(u[:, 0] @ (op.mass @ u[:, 0]), rel=1e-10)
         g = 3.0 + np.cos(2.0 * np.pi * op.space.interface_x / GEOM.length)
         want = robin_solve(op, alpha, g)
@@ -542,7 +611,8 @@ def test_robin_trace_map_matches_the_exact_half_step(cells):
     for sub, core in disc.interface_cores.items():
         for alpha in (1.0, 10.0, 1e3, 1e6, 1e9):
             want = exact[sub](alpha, 40.0)
-            error = np.max(np.abs(core.robin(alpha).trace(g) - want)) / abs(want)
+            got = core.trace(core.robin(alpha).trace(core.data_modes(g)))
+            error = np.max(np.abs(got - want)) / abs(want)
             assert error <= 1e-14, (sub, alpha, error)
 
 
@@ -616,6 +686,27 @@ def test_whole_matrix_cores_span_every_column(monkeypatch):
         want = robin_solve(disc.op(sub), 10.0, g)
         got = core.robin(10.0).solve(g)[0]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_layer_that_repeats_is_spanned_whole_beside_one_that_does_not():
+    # the trace loop runs on one x-period for both layers: when only the
+    # lower layer's columns differ, the upper layer, which still factors
+    # per mode, is spanned whole as well
+    mesh = default_mesh()
+    vertices = mesh.vertices.copy()
+    vertices[1 * 9 + 3] += (0.4, 0.3)  # inside the lower layer
+    moved = dataclasses.replace(mesh, vertices=vertices)
+    disc = discretize(moved, 1.0, 1.0, FORCE, FORCE)
+    cores = disc.interface_cores
+    assert all(core.rows.shape[0] == 1 for core in cores.values())
+    assert cores[Subdomain.UPPER].setup_reports[0].ordering == "X-FOURIER"
+    config = SchwarzConfig(alpha=10.0, tol_increment=1e-6)
+    report = schwarz_solve(moved, 1.0, 1.0, FORCE, FORCE, config, disc=disc)
+    mono = solve_monolithic_friction(moved, 1.0, 1.0, FORCE, FORCE, alpha=10.0, disc=disc)
+    assert report.converged
+    assert all(r.relative_residual <= 1e-10 for r in report.reconstruction_reports)
+    gap = disc.velocity_l2(report.final.u1 - mono.u1, report.final.u2 - mono.u2)
+    assert gap <= 100.0 * config.tol_increment
 
 
 # ---------------------------------------------------------------------------
